@@ -1,7 +1,9 @@
 package genasm
 
 import (
+	"context"
 	"errors"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -78,5 +80,120 @@ func TestAlignBatchMatchesSingle(t *testing.T) {
 	}
 	if res[0].Alignment.CIGAR != want.CIGAR {
 		t.Fatalf("batch %s vs single %s", res[0].Alignment.CIGAR, want.CIGAR)
+	}
+}
+
+// makeBatchJobs draws n random DNA jobs whose queries carry about 3% edits,
+// alternating end-to-end and semi-global alignment.
+func makeBatchJobs(n int, seed uint64) []BatchJob {
+	rng := rand.New(rand.NewPCG(seed, 0))
+	jobs := make([]BatchJob, n)
+	for i := range jobs {
+		text := make([]byte, 80+rng.IntN(200))
+		for j := range text {
+			text[j] = byte(rng.IntN(4))
+		}
+		query := mutateBench(rng, text, 0.03)
+		jobs[i] = BatchJob{Text: alphabetDecode(text), Query: alphabetDecode(query), Global: i%2 == 0}
+	}
+	return jobs
+}
+
+func TestAlignBatchMatchesSerial(t *testing.T) {
+	ctx := context.Background()
+	jobs := makeBatchJobs(60, 11)
+	e, err := NewEngine(WithMaxWorkspaces(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := e.AlignBatch(ctx, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range jobs {
+		align := e.Align
+		if job.Global {
+			align = e.AlignGlobal
+		}
+		want, err := align(ctx, job.Text, job.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := parallel[i]
+		if got.Err != nil {
+			t.Fatalf("job %d: %v", i, got.Err)
+		}
+		if got.Alignment.CIGAR != want.CIGAR {
+			t.Fatalf("job %d: parallel %s vs serial %s", i, got.Alignment.CIGAR, want.CIGAR)
+		}
+		if got.Alignment.Distance != want.Distance {
+			t.Fatalf("job %d: distance %d vs %d", i, got.Alignment.Distance, want.Distance)
+		}
+	}
+}
+
+func TestAlignBatchWorkerCounts(t *testing.T) {
+	jobs := makeBatchJobs(10, 12)
+	for _, workers := range []int{0, 1, 2, 16, 100} {
+		e, err := NewEngine(WithMaxWorkspaces(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.AlignBatch(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(jobs) {
+			t.Fatalf("workers=%d: %d results", workers, len(res))
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
+			}
+		}
+	}
+}
+
+func TestAlignBatchEmpty(t *testing.T) {
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := e.AlignBatch(context.Background(), nil); err != nil || len(res) != 0 {
+		t.Fatalf("expected empty results, got %d (err %v)", len(res), err)
+	}
+}
+
+// TestAlignBatchBadConfig checks that an invalid configuration is refused
+// before any job runs, by both the engine and the one-shot batch call.
+func TestAlignBatchBadConfig(t *testing.T) {
+	bad := Config{WindowSize: 1}
+	if _, err := NewEngine(WithConfig(bad)); err == nil {
+		t.Error("NewEngine accepted an invalid config")
+	}
+	if res, err := AlignBatch(bad, makeBatchJobs(3, 13), 2); err == nil {
+		t.Errorf("AlignBatch accepted an invalid config: %d results", len(res))
+	}
+}
+
+func TestAlignBatchJobErrors(t *testing.T) {
+	e, err := NewEngine(WithMaxWorkspaces(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []BatchJob{
+		{Text: []byte("ACG"), Query: []byte("CG")},
+		{Text: []byte("ACG"), Query: nil},           // empty query errors
+		{Text: []byte("ACG"), Query: []byte("CGZ")}, // invalid letter errors
+	}
+	res, err := e.AlignBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil {
+		t.Fatalf("job 0 should succeed: %v", res[0].Err)
+	}
+	if res[1].Err == nil || res[2].Err == nil {
+		t.Fatal("jobs 1 and 2 should fail")
 	}
 }

@@ -93,15 +93,18 @@
 // of the engine's pooled scratch before a workspace returns to the pool,
 // so they may be stored, sent across goroutines and retained freely.
 //
-// The internal core (and anything driving a core.Workspace directly, such
-// as custom mapper.Aligner implementations) is allocation-free instead:
-// a workspace accumulates each alignment's CIGAR in a reusable arena and
-// core.Alignment.Cigar is a view of it, valid only until the next
-// Align/AlignGlobal/EditDistance call on the same workspace — the software
-// analogue of reading the accelerator's output SRAM before the next
-// launch. Callers that retain such a result must copy it first
-// (core.Alignment.Clone, or cigar.Cigar.Clone / CloneInto for the runs
-// alone); callers that only inspect it before the next call pay nothing.
+// The internal core is allocation-free instead: a workspace accumulates
+// each alignment's CIGAR in a reusable arena and core.Alignment.Cigar is a
+// view of it, valid only until the next Align/AlignGlobal/EditDistance
+// call on the same workspace — the software analogue of reading the
+// accelerator's output SRAM before the next launch. Callers that retain
+// such a result must copy it first (core.Alignment.Clone, or
+// cigar.Cigar.Clone / CloneInto for the runs alone); callers that only
+// inspect it before the next call pay nothing. The mapping pipeline's one
+// alignment step (mapper.Aligner.AlignRegionInto) retains without
+// allocating: it copies each candidate's CIGAR into a buffer the pipeline
+// reuses, while the workspace is still checked out, so only the final
+// mapping allocates.
 //
 // # Observability and trace hooks
 //

@@ -6,8 +6,8 @@ import (
 
 	"genasm/internal/cigar"
 	"genasm/internal/dp"
-	"genasm/internal/filter"
 	"genasm/internal/hw"
+	"genasm/internal/index"
 	"genasm/internal/mapper"
 	"genasm/internal/simulate"
 	"genasm/internal/stats"
@@ -155,16 +155,17 @@ func Fig11(s Scale) (*stats.Table, error) {
 		// (Section 8: the O(m x n x k) scan is efficient "especially
 		// [for] short read mapping"; long-read filtering is left as
 		// future work in the paper).
-		var flt filter.Filter
-		if d.p.ReadLen <= 1000 {
-			flt = filter.GenASMDC{}
+		prefilter := d.p.ReadLen <= 1000
+		idx, err := index.Build(genome, d.seedK)
+		if err != nil {
+			return nil, err
 		}
 
+		// A nil aligner selects the pipeline's default GenASM step.
 		run := func(aligner mapper.Aligner) (time.Duration, error) {
-			m, err := mapper.New(genome, mapper.Config{
-				SeedK:     d.seedK,
+			m, err := mapper.New(idx, mapper.Config{
 				ErrorRate: d.p.ErrorRate,
-				Filter:    flt,
+				Prefilter: prefilter,
 				Aligner:   aligner,
 			})
 			if err != nil {
@@ -181,11 +182,7 @@ func Fig11(s Scale) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ga, err := mapper.NewGenASMAligner()
-		if err != nil {
-			return nil, err
-		}
-		gaTime, err := run(ga)
+		gaTime, err := run(nil)
 		if err != nil {
 			return nil, err
 		}

@@ -49,14 +49,6 @@ type Scratch struct {
 	lastK    int
 }
 
-// ScratchFilter is a Filter that can reuse caller-held Scratch — the
-// allocation-free fast path the mapping pipeline prefers when available.
-// AcceptScratch must return exactly what Accept returns.
-type ScratchFilter interface {
-	Filter
-	AcceptScratch(s *Scratch, ref, read []byte, maxEdits int) (bool, error)
-}
-
 // GenASMDC filters with the real Bitap distance (Section 8: "since we only
 // need to estimate the edit distance and check whether it is above a
 // user-defined threshold, GenASM-DC can be used as a pre-alignment
@@ -74,12 +66,13 @@ func (GenASMDC) Accept(ref, read []byte, maxEdits int) (bool, error) {
 	return GenASMDC{}.AcceptScratch(&Scratch{}, ref, read, maxEdits)
 }
 
-// AcceptScratch implements ScratchFilter: the multi-word searcher (mask
-// tables, status rows) lives on the scratch and is re-targeted per pair
-// instead of rebuilt — and not even re-targeted when the (read, maxEdits)
-// pair is unchanged since the previous call, the common case of one read
-// filtered against many candidate regions — so steady-state filtering is
-// allocation-free and regenerates masks once per read.
+// AcceptScratch is Accept reusing caller-held Scratch, the mapping
+// pipeline's path. The multi-word searcher (mask tables, status rows)
+// lives on the scratch and is re-targeted per pair instead of rebuilt —
+// and not even re-targeted when the (read, maxEdits) pair is unchanged
+// since the previous call, the common case of one read filtered against
+// many candidate regions — so steady-state filtering is allocation-free
+// and regenerates masks once per read.
 func (GenASMDC) AcceptScratch(s *Scratch, ref, read []byte, maxEdits int) (bool, error) {
 	switch {
 	case s.mw == nil:

@@ -1,9 +1,9 @@
 // Package mapper assembles the full read-mapping pipeline of Figure 1:
-// indexing (offline), seeding, pre-alignment filtering and read alignment,
-// with the alignment step pluggable so the pipeline can run with GenASM,
-// with classic affine-gap DP (the BWA-MEM/Minimap2 stand-in) or with GACT
-// — enabling the Figure 11 end-to-end comparison of swapping only the
-// alignment step.
+// seeding over a prebuilt seed index, optional GenASM-DC pre-alignment
+// filtering and read alignment. The alignment step is the one swappable
+// part — GenASM over a workspace pool by default, or classic affine-gap DP
+// (the BWA-MEM/Minimap2 stand-in) — enabling the Figure 11 end-to-end
+// comparison of swapping only the alignment step.
 package mapper
 
 import (
@@ -17,98 +17,47 @@ import (
 	"genasm/internal/core"
 	"genasm/internal/dp"
 	"genasm/internal/filter"
-	"genasm/internal/gact"
 	"genasm/internal/index"
+	"genasm/internal/pool"
 	"genasm/internal/seq"
 )
 
-// Aligner is the pipeline's pluggable alignment step: align read against a
-// candidate reference region.
+// Aligner is the pipeline's alignment step (step 3 of Figure 1).
+// AlignRegionInto aligns read (fully consumed) against a candidate
+// reference region, writing the CIGAR into buf's storage (reusing its
+// capacity) and returning it with the offset within region where the
+// alignment begins. The returned CIGAR is owned by the caller. It must
+// honor ctx where it can block, and be safe for concurrent use when the
+// Mapper is shared.
 type Aligner interface {
-	Name() string
-	// AlignRegion aligns read (fully consumed) against region; start is
-	// the offset within region where the alignment begins.
-	AlignRegion(region, read []byte) (cg cigar.Cigar, start int, err error)
-}
-
-// ContextAligner is an Aligner that can honor context cancellation — e.g.
-// one drawing scratch from a bounded workspace pool, where a saturated pool
-// should return ctx.Err() instead of blocking a mapping pipeline forever.
-// MapReadContext prefers this method when the alignment step provides it.
-type ContextAligner interface {
-	Aligner
-	AlignRegionContext(ctx context.Context, region, read []byte) (cg cigar.Cigar, start int, err error)
-}
-
-// IntoAligner is an Aligner that can append the alignment's CIGAR into a
-// caller-provided buffer (reusing its capacity; pass buf[:0] semantics are
-// the caller's choice via CloneInto) instead of allocating a fresh one per
-// call. The returned CIGAR is owned by the caller. The pipeline's per-read
-// loop prefers this method, making the per-candidate alignment step
-// allocation-free in steady state.
-type IntoAligner interface {
-	Aligner
 	AlignRegionInto(ctx context.Context, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error)
 }
 
-// alignRegion dispatches to the context-aware alignment step when available.
-func alignRegion(ctx context.Context, a Aligner, region, read []byte) (cigar.Cigar, int, error) {
-	if ca, ok := a.(ContextAligner); ok {
-		return ca.AlignRegionContext(ctx, region, read)
-	}
-	return a.AlignRegion(region, read)
+// PoolAligner is the GenASM alignment step: each candidate draws a
+// workspace from a pool, so one Mapper is safe for concurrent use and a
+// saturated pool returns ctx.Err() instead of blocking forever. The pool's
+// workspaces must search for the alignment start within the first window
+// (core.Config.FindFirstWindowStart), since candidate regions carry
+// leading slack for anchor imprecision.
+type PoolAligner struct {
+	Pool *pool.Pool
 }
 
-// alignRegionInto dispatches to the buffer-reusing alignment step when
-// available, falling back to copying a plain AlignRegion result into buf
-// so the caller always owns what it gets back.
-func alignRegionInto(ctx context.Context, a Aligner, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error) {
-	if ia, ok := a.(IntoAligner); ok {
-		return ia.AlignRegionInto(ctx, region, read, buf)
-	}
-	cg, start, err := alignRegion(ctx, a, region, read)
-	if err != nil {
-		return buf, start, err
-	}
-	return cg.CloneInto(buf), start, nil
-}
-
-// GenASMAligner is the paper's accelerator algorithm as the alignment step.
-type GenASMAligner struct {
-	ws *core.Workspace
-}
-
-// NewGenASMAligner builds a GenASM alignment step with the paper's default
-// configuration (W=64, O=24, search in the first window).
-func NewGenASMAligner() (*GenASMAligner, error) {
-	ws, err := core.New(core.Config{FindFirstWindowStart: true})
-	if err != nil {
-		return nil, err
-	}
-	return &GenASMAligner{ws: ws}, nil
-}
-
-// Name implements Aligner.
-func (a *GenASMAligner) Name() string { return "GenASM" }
-
-// AlignRegion implements Aligner. The returned CIGAR is cloned out of the
-// workspace's arena, so it is safe to retain across calls.
-func (a *GenASMAligner) AlignRegion(region, read []byte) (cigar.Cigar, int, error) {
-	aln, err := a.ws.Align(region, read)
-	if err != nil {
-		return nil, 0, err
-	}
-	return aln.Cigar.Clone(), aln.TextStart, nil
-}
-
-// AlignRegionInto implements IntoAligner: the workspace-arena CIGAR is
-// copied into buf's storage, avoiding the per-call clone.
-func (a *GenASMAligner) AlignRegionInto(_ context.Context, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error) {
-	aln, err := a.ws.Align(region, read)
-	if err != nil {
-		return buf, 0, err
-	}
-	return aln.Cigar.CloneInto(buf), aln.TextStart, nil
+// AlignRegionInto implements Aligner: the arena CIGAR is copied into buf
+// while the workspace is still checked out, so the per-candidate alignment
+// step allocates nothing.
+func (a PoolAligner) AlignRegionInto(ctx context.Context, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error) {
+	var start int
+	err := a.Pool.Do(ctx, func(ws *core.Workspace) error {
+		aln, err := ws.Align(region, read)
+		if err != nil {
+			return err
+		}
+		buf = aln.Cigar.CloneInto(buf)
+		start = aln.TextStart
+		return nil
+	})
+	return buf, start, err
 }
 
 // DPAligner is the software-baseline alignment step: banded affine-gap
@@ -121,83 +70,34 @@ type DPAligner struct {
 	Band int
 }
 
-// Name implements Aligner.
-func (a DPAligner) Name() string { return "DP" }
-
-// AlignRegion implements Aligner.
-func (a DPAligner) AlignRegion(region, read []byte) (cigar.Cigar, int, error) {
+// AlignRegionInto implements Aligner.
+func (a DPAligner) AlignRegionInto(_ context.Context, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error) {
 	sc := a.Scoring
 	if sc == (cigar.Scoring{}) {
 		sc = cigar.Minimap2
 	}
 	res := dp.Align(region, read, sc, dp.Fit, a.Band)
-	return res.Cigar, res.TextStart, nil
+	return res.Cigar.CloneInto(buf), res.TextStart, nil
 }
 
-// GACTAligner is Darwin's tiled DP as the alignment step.
-type GACTAligner struct {
-	Config gact.Config
-}
-
-// Name implements Aligner.
-func (GACTAligner) Name() string { return "GACT" }
-
-// Anchored reports that GACT starts its alignment exactly at the region
-// start, so the pipeline hands it regions without leading slack.
-func (GACTAligner) Anchored() bool { return true }
-
-// AlignRegion implements Aligner.
-func (a GACTAligner) AlignRegion(region, read []byte) (cigar.Cigar, int, error) {
-	res, err := gact.Align(region, read, a.Config)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Cigar, 0, nil
-}
-
-// Config parameterizes the pipeline.
+// Config parameterizes the pipeline. The seeding parameters (seed length,
+// minimizer window) belong to the seed index the Mapper is built over.
 type Config struct {
-	// SeedK is the seed length (default 15).
-	SeedK int
-	// MinimizerW samples the index with minimizers when > 0.
-	MinimizerW int
 	// MaxCandidates bounds the candidate locations tried per strand
 	// (default 8).
 	MaxCandidates int
 	// ErrorRate is the expected sequencing error rate, used for region
 	// slack and the filtering threshold (default 0.10).
 	ErrorRate float64
-	// Filter is the optional pre-alignment filter (step 2 of Figure 1);
-	// nil maps without filtering.
-	Filter filter.Filter
-	// Aligner is the alignment step (step 3); defaults to GenASM.
+	// Prefilter enables GenASM-DC pre-alignment filtering (step 2 of
+	// Figure 1) between seeding and alignment.
+	Prefilter bool
+	// Aligner is the alignment step (step 3); nil selects GenASM over a
+	// private search-capable workspace pool.
 	Aligner Aligner
 	// Trace optionally observes every pipeline stage (seeding, filtering,
 	// alignment) of every read. Hooks must be concurrency-safe; see Trace.
 	Trace *Trace
-}
-
-func (c Config) withDefaults() (Config, error) {
-	if c.SeedK == 0 {
-		c.SeedK = 15
-	}
-	if c.SeedK < 1 || c.SeedK > index.MaxK {
-		return c, &index.KRangeError{K: c.SeedK}
-	}
-	if c.MaxCandidates == 0 {
-		c.MaxCandidates = 8
-	}
-	if c.ErrorRate == 0 {
-		c.ErrorRate = 0.10
-	}
-	if c.Aligner == nil {
-		a, err := NewGenASMAligner()
-		if err != nil {
-			return c, err
-		}
-		c.Aligner = a
-	}
-	return c, nil
 }
 
 // Mapping is the result of mapping one read.
@@ -237,60 +137,33 @@ type mapScratch struct {
 }
 
 // Mapper maps reads against an indexed reference. It is safe for
-// concurrent use when its Aligner and Filter are (per-read scratch is
-// pooled internally).
+// concurrent use when its Aligner is (per-read scratch is pooled
+// internally; the default Aligner draws workspaces from a pool).
 type Mapper struct {
 	cfg     Config
 	idx     index.SeedIndex
 	ref     []byte
+	k       int       // seed length, the shortest mappable read
 	scratch sync.Pool // of *mapScratch
 }
 
-// New indexes the encoded reference and returns a ready Mapper.
-func New(ref []byte, cfg Config) (*Mapper, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+// New returns a Mapper over a prebuilt seed index — any SeedIndex backend,
+// built in memory or loaded from an index file.
+func New(idx index.SeedIndex, cfg Config) (*Mapper, error) {
+	if cfg.MaxCandidates == 0 {
+		cfg.MaxCandidates = 8
 	}
-	var idx *index.Index
-	if cfg.MinimizerW > 0 {
-		idx, err = index.BuildMinimizer(ref, cfg.SeedK, cfg.MinimizerW)
-	} else {
-		idx, err = index.Build(ref, cfg.SeedK)
+	if cfg.ErrorRate == 0 {
+		cfg.ErrorRate = 0.10
 	}
-	if err != nil {
-		return nil, err
+	if cfg.Aligner == nil {
+		p, err := pool.New(pool.Config{Core: core.Config{FindFirstWindowStart: true}})
+		if err != nil {
+			return nil, err
+		}
+		cfg.Aligner = PoolAligner{Pool: p}
 	}
-	return &Mapper{cfg: cfg, idx: idx, ref: ref}, nil
-}
-
-// NewFromIndex builds a Mapper over a prebuilt seed index — any SeedIndex
-// backend, including one loaded from an index file — skipping the indexing
-// step entirely. The seeding parameters come from the index itself;
-// cfg.SeedK and cfg.MinimizerW are ignored.
-func NewFromIndex(idx index.SeedIndex, cfg Config) (*Mapper, error) {
-	st := idx.Stats()
-	cfg.SeedK = st.K
-	cfg.MinimizerW = st.MinimizerW
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	return &Mapper{cfg: cfg, idx: idx, ref: idx.Ref()}, nil
-}
-
-// Index exposes the underlying seed index.
-func (m *Mapper) Index() index.SeedIndex { return m.idx }
-
-// HashIndex returns the concrete hash/minimizer index, or nil when the
-// Mapper runs on a different backend.
-//
-// Deprecated: use Index; the pipeline no longer assumes a hash backend.
-func (m *Mapper) HashIndex() *index.Index {
-	if hi, ok := m.idx.(*index.Index); ok {
-		return hi
-	}
-	return nil
+	return &Mapper{cfg: cfg, idx: idx, ref: idx.Ref(), k: idx.Stats().K}, nil
 }
 
 // MapRead maps one encoded read, trying both strands, and returns the
@@ -301,10 +174,10 @@ func (m *Mapper) MapRead(read []byte) (Mapping, error) {
 
 // MapReadContext is MapRead with cancellation: it checks ctx between
 // candidates and returns ctx.Err() as soon as the context ends (including
-// when a ContextAligner alignment step reports it).
+// when the alignment step reports it).
 func (m *Mapper) MapReadContext(ctx context.Context, read []byte) (Mapping, error) {
-	if len(read) < m.cfg.SeedK {
-		return Mapping{}, fmt.Errorf("mapper: read length %d below seed length %d", len(read), m.cfg.SeedK)
+	if len(read) < m.k {
+		return Mapping{}, fmt.Errorf("mapper: read length %d below seed length %d", len(read), m.k)
 	}
 	tr := m.cfg.Trace
 	readStart := tr.now(tr != nil && tr.ReadDone != nil)
@@ -325,14 +198,6 @@ func (m *Mapper) MapReadContext(ctx context.Context, read []byte) (Mapping, erro
 	// the drift within the aligner's first search window while still
 	// casting a couple hundred votes.
 	seedLen := min(len(read), 256)
-
-	// Aligners that anchor at the region start (GACT) would pay for any
-	// leading slack as deletions; search-capable aligners get slack to
-	// absorb anchor imprecision.
-	leading := 16
-	if a, ok := m.cfg.Aligner.(interface{ Anchored() bool }); ok && a.Anchored() {
-		leading = 2
-	}
 
 	// A mapping at or below the expected error budget is a confident hit:
 	// stop scanning further candidates (and skip the other strand), as
@@ -367,13 +232,13 @@ strands:
 			// the most-voted exact start), so only a small leading slack
 			// is needed; the trailing slack absorbs deletion drift — the
 			// paper's "text region of length m+k" (Section 6).
-			start := max(0, cand.Pos-leading)
+			start := max(0, cand.Pos-16)
 			end := min(len(m.ref), cand.Pos+len(r)+maxEdits+16)
 			region := m.ref[start:end]
 
-			if m.cfg.Filter != nil {
+			if m.cfg.Prefilter {
 				filterStart := tr.now(tr != nil && tr.FilterDone != nil)
-				ok, err := acceptFilter(&s.flt, m.cfg.Filter, region, r, maxEdits)
+				ok, err := filter.GenASMDC{}.AcceptScratch(&s.flt, region, r, maxEdits)
 				if tr != nil && tr.FilterDone != nil {
 					tr.FilterDone(ok && err == nil, time.Since(filterStart))
 				}
@@ -387,7 +252,7 @@ strands:
 			}
 			best.Aligned++
 			alignStart := tr.now(tr != nil && tr.AlignDone != nil)
-			cg, off, err := alignRegionInto(ctx, m.cfg.Aligner, region, r, s.cur)
+			cg, off, err := m.cfg.Aligner.AlignRegionInto(ctx, region, r, s.cur)
 			if tr != nil && tr.AlignDone != nil {
 				tr.AlignDone(err == nil, time.Since(alignStart))
 			}
@@ -429,18 +294,9 @@ strands:
 		best.Distance = 0
 	}
 	if tr != nil && tr.ReadDone != nil {
-		tr.ReadDone(&best, time.Since(readStart))
+		tr.ReadDone(best.Candidates, best.Filtered, best.Aligned, best.Mapped, time.Since(readStart))
 	}
 	return best, nil
-}
-
-// acceptFilter dispatches to the scratch-reusing filter path when the
-// filter supports it.
-func acceptFilter(s *filter.Scratch, f filter.Filter, region, read []byte, maxEdits int) (bool, error) {
-	if sf, ok := f.(filter.ScratchFilter); ok {
-		return sf.AcceptScratch(s, region, read, maxEdits)
-	}
-	return f.Accept(region, read, maxEdits)
 }
 
 // Stats aggregates mapping outcomes over a read set.

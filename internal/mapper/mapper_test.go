@@ -2,10 +2,12 @@ package mapper
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
 
 	"genasm/internal/cigar"
-	"genasm/internal/filter"
+	"genasm/internal/index"
 	"genasm/internal/seq"
 	"genasm/internal/simulate"
 )
@@ -27,12 +29,24 @@ func buildTestData(t testing.TB, genomeLen, nReads int, p simulate.Profile, revC
 	return genome, rs, pos
 }
 
-func TestMapShortReadsGenASM(t *testing.T) {
-	genome, reads, pos := buildTestData(t, 200000, 40, simulate.Illumina100, false)
-	m, err := New(genome, Config{ErrorRate: 0.05})
+// newMapper returns a Mapper over a hash index of genome with the default
+// seed length.
+func newMapper(t testing.TB, genome []byte, cfg Config) *Mapper {
+	t.Helper()
+	idx, err := index.Build(genome, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := New(idx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestMapShortReadsGenASM(t *testing.T) {
+	genome, reads, pos := buildTestData(t, 200000, 40, simulate.Illumina100, false)
+	m := newMapper(t, genome, Config{ErrorRate: 0.05})
 	_, st, err := m.MapAll(reads, pos, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +61,7 @@ func TestMapShortReadsGenASM(t *testing.T) {
 
 func TestMapWithRevComp(t *testing.T) {
 	genome, reads, pos := buildTestData(t, 100000, 30, simulate.Illumina150, true)
-	m, err := New(genome, Config{ErrorRate: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMapper(t, genome, Config{ErrorRate: 0.05})
 	maps, st, err := m.MapAll(reads, pos, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -88,14 +99,8 @@ func TestMapWithFilterReducesAlignments(t *testing.T) {
 		truePos = append(truePos, 1000*i)
 	}
 
-	noFilter, err := New(genome, Config{ErrorRate: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withFilter, err := New(genome, Config{ErrorRate: 0.05, Filter: filter.GenASMDC{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noFilter := newMapper(t, genome, Config{ErrorRate: 0.05})
+	withFilter := newMapper(t, genome, Config{ErrorRate: 0.05, Prefilter: true})
 	mapsNo, stNo, err := noFilter.MapAll(reads, truePos, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -128,24 +133,60 @@ func TestMapWithFilterReducesAlignments(t *testing.T) {
 
 func TestMapAlignersAgree(t *testing.T) {
 	genome, reads, pos := buildTestData(t, 100000, 15, simulate.Illumina100, false)
-	for _, aligner := range []Aligner{DPAligner{}, GACTAligner{}} {
-		m, err := New(genome, Config{ErrorRate: 0.05, Aligner: aligner})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, aligner := range map[string]Aligner{"GenASM": nil, "DP": DPAligner{}} {
+		m := newMapper(t, genome, Config{ErrorRate: 0.05, Aligner: aligner})
 		_, st, err := m.MapAll(reads, pos, 32)
 		if err != nil {
-			t.Fatalf("%s: %v", aligner.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if st.Correct < 13 {
-			t.Fatalf("%s: correct %d/15", aligner.Name(), st.Correct)
+			t.Fatalf("%s: correct %d/15", name, st.Correct)
 		}
 	}
 }
 
+// TestConcurrentMapRead pins that a Mapper on the default pooled
+// alignment step is safe to share: reads mapped from several goroutines at
+// once match the serial mappings.
+func TestConcurrentMapRead(t *testing.T) {
+	genome, reads, _ := buildTestData(t, 100000, 16, simulate.Illumina100, true)
+	m := newMapper(t, genome, Config{ErrorRate: 0.05, Prefilter: true})
+	want := make([]Mapping, len(reads))
+	for i, r := range reads {
+		mp, err := m.MapRead(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = mp
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, r := range reads {
+				mp, err := m.MapRead(r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(mp, want[i]) {
+					t.Errorf("read %d: concurrent %+v, serial %+v", i, mp, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestMapLongReads(t *testing.T) {
 	genome, reads, pos := buildTestData(t, 300000, 4, simulate.PacBio10, false)
-	m, err := New(genome, Config{ErrorRate: 0.10, SeedK: 13})
+	idx, err := index.Build(genome, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(idx, Config{ErrorRate: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +201,7 @@ func TestMapLongReads(t *testing.T) {
 
 func TestMappingCigarValidates(t *testing.T) {
 	genome, reads, _ := buildTestData(t, 100000, 10, simulate.Illumina250, false)
-	m, err := New(genome, Config{ErrorRate: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMapper(t, genome, Config{ErrorRate: 0.05})
 	for i, r := range reads {
 		mp, err := m.MapRead(r)
 		if err != nil {
@@ -181,10 +219,7 @@ func TestMappingCigarValidates(t *testing.T) {
 
 func TestShortReadRejected(t *testing.T) {
 	genome, _, _ := buildTestData(t, 50000, 1, simulate.Illumina100, false)
-	m, err := New(genome, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMapper(t, genome, Config{})
 	if _, err := m.MapRead([]byte{0, 1, 2}); err == nil {
 		t.Fatal("read shorter than seed should error")
 	}
@@ -192,7 +227,11 @@ func TestShortReadRejected(t *testing.T) {
 
 func TestMinimizerIndexMapping(t *testing.T) {
 	genome, reads, pos := buildTestData(t, 150000, 20, simulate.Illumina150, false)
-	m, err := New(genome, Config{ErrorRate: 0.05, MinimizerW: 8})
+	idx, err := index.BuildMinimizer(genome, 15, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(idx, Config{ErrorRate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +246,7 @@ func TestMinimizerIndexMapping(t *testing.T) {
 
 func TestMapAllLengthMismatch(t *testing.T) {
 	genome, reads, _ := buildTestData(t, 50000, 2, simulate.Illumina100, false)
-	m, err := New(genome, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMapper(t, genome, Config{})
 	if _, _, err := m.MapAll(reads, []int{1}, 10); err == nil {
 		t.Fatal("length mismatch should error")
 	}

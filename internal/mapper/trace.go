@@ -23,17 +23,19 @@ type Trace struct {
 	SeedingDone func(seeds, candidates int, d time.Duration)
 	// FilterDone runs after the pre-alignment filter judged one candidate
 	// region; accepted reports whether the candidate survived to the
-	// alignment step. Not called when the pipeline has no filter.
+	// alignment step. Not called when Config.Prefilter is off.
 	FilterDone func(accepted bool, d time.Duration)
 	// AlignDone runs after the alignment step finished one candidate
 	// region; ok reports whether alignment produced a result (false when
 	// the candidate blew the window error budget).
 	AlignDone func(ok bool, d time.Duration)
 	// ReadDone runs once when a read finishes the whole pipeline, with
-	// the final Mapping (counters filled in) and the end-to-end duration.
-	// It is not called when the pipeline aborts on a pipeline error
-	// (context cancellation, filter failure).
-	ReadDone func(mp *Mapping, d time.Duration)
+	// the read's final counters (as in its Mapping: candidates
+	// considered, filter rejections, candidates aligned), whether it
+	// mapped, and the end-to-end duration. It is not called when the
+	// pipeline aborts on a pipeline error (context cancellation, filter
+	// failure).
+	ReadDone func(candidates, filtered, aligned int, mapped bool, d time.Duration)
 }
 
 // now returns the current time only when the trace needs stage clocks —

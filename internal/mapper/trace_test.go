@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"genasm/internal/filter"
 	"genasm/internal/simulate"
 )
 
@@ -19,7 +18,11 @@ type traceRecorder struct {
 	filterNo   int
 	alignOK    int
 	alignErr   int
-	reads      []Mapping
+	reads      int
+	readCands  int
+	readFilt   int
+	readAlign  int
+	readMapped int
 	readDur    time.Duration
 	stageDur   time.Duration
 }
@@ -54,10 +57,16 @@ func (r *traceRecorder) trace() *Trace {
 			}
 			r.stageDur += d
 		},
-		ReadDone: func(mp *Mapping, d time.Duration) {
+		ReadDone: func(candidates, filtered, aligned int, mapped bool, d time.Duration) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			r.reads = append(r.reads, *mp)
+			r.reads++
+			r.readCands += candidates
+			r.readFilt += filtered
+			r.readAlign += aligned
+			if mapped {
+				r.readMapped++
+			}
 			r.readDur += d
 		},
 	}
@@ -69,14 +78,8 @@ func (r *traceRecorder) trace() *Trace {
 func TestTraceObservesEveryStage(t *testing.T) {
 	genome, reads, pos := buildTestData(t, 120000, 20, simulate.Illumina100, false)
 	rec := &traceRecorder{}
-	traced, err := New(genome, Config{ErrorRate: 0.05, Filter: filter.GenASMDC{}, Trace: rec.trace()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := New(genome, Config{ErrorRate: 0.05, Filter: filter.GenASMDC{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	traced := newMapper(t, genome, Config{ErrorRate: 0.05, Prefilter: true, Trace: rec.trace()})
+	plain := newMapper(t, genome, Config{ErrorRate: 0.05, Prefilter: true})
 
 	got, st, err := traced.MapAll(reads, pos, 32)
 	if err != nil {
@@ -95,8 +98,13 @@ func TestTraceObservesEveryStage(t *testing.T) {
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.reads) != len(reads) {
-		t.Fatalf("ReadDone ran %d times, want %d", len(rec.reads), len(reads))
+	if rec.reads != len(reads) {
+		t.Fatalf("ReadDone ran %d times, want %d", rec.reads, len(reads))
+	}
+	if rec.readCands != st.Candidates || rec.readFilt != st.Filtered ||
+		rec.readAlign != st.Aligned || rec.readMapped != st.Mapped {
+		t.Errorf("ReadDone counters (cand=%d filt=%d aligned=%d mapped=%d) disagree with stats %+v",
+			rec.readCands, rec.readFilt, rec.readAlign, rec.readMapped, st)
 	}
 	// Seeding reports candidates *generated*; Mapping.Candidates counts
 	// only those *considered* before a confident hit ends the read early.
@@ -133,13 +141,10 @@ func TestTraceObservesEveryStage(t *testing.T) {
 func TestTraceNilHooks(t *testing.T) {
 	genome, reads, _ := buildTestData(t, 60000, 4, simulate.Illumina100, false)
 	var readsDone int
-	m, err := New(genome, Config{
+	m := newMapper(t, genome, Config{
 		ErrorRate: 0.05,
-		Trace:     &Trace{ReadDone: func(*Mapping, time.Duration) { readsDone++ }},
+		Trace:     &Trace{ReadDone: func(int, int, int, bool, time.Duration) { readsDone++ }},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range reads {
 		if _, err := m.MapRead(r); err != nil {
 			t.Fatal(err)

@@ -8,9 +8,6 @@ import (
 	"slices"
 
 	"genasm/internal/cigar"
-	"genasm/internal/core"
-	"genasm/internal/filter"
-	"genasm/internal/indexfile"
 	"genasm/internal/mapper"
 	"genasm/internal/pool"
 	"genasm/internal/sam"
@@ -81,57 +78,13 @@ type Mapper struct {
 	e        *Engine
 	m        *mapper.Mapper
 	refName  string
-	refLen   int
 	idxStats IndexStats
 }
 
-// pooledRegionAligner adapts a workspace pool into the mapping pipeline's
-// alignment step, making one Mapper safe for concurrent MapRead calls.
-type pooledRegionAligner struct {
-	p *pool.Pool
-}
-
-func (a pooledRegionAligner) Name() string { return "GenASM" }
-
-func (a pooledRegionAligner) AlignRegion(region, read []byte) (cigar.Cigar, int, error) {
-	return a.AlignRegionContext(context.Background(), region, read)
-}
-
-func (a pooledRegionAligner) AlignRegionContext(ctx context.Context, region, read []byte) (cigar.Cigar, int, error) {
-	var cg cigar.Cigar
-	var start int
-	err := a.p.Do(ctx, func(ws *core.Workspace) error {
-		aln, err := ws.Align(region, read)
-		if err != nil {
-			return err
-		}
-		// Clone before the workspace (and its CIGAR arena) returns to
-		// the pool.
-		cg, start = aln.Cigar.Clone(), aln.TextStart
-		return nil
-	})
-	return cg, start, err
-}
-
-// AlignRegionInto implements mapper.IntoAligner: the arena CIGAR is copied
-// into the pipeline's reusable buffer while the workspace is still checked
-// out, so the per-candidate alignment step allocates nothing.
-func (a pooledRegionAligner) AlignRegionInto(ctx context.Context, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error) {
-	var start int
-	err := a.p.Do(ctx, func(ws *core.Workspace) error {
-		aln, err := ws.Align(region, read)
-		if err != nil {
-			return err
-		}
-		buf = aln.Cigar.CloneInto(buf)
-		start = aln.TextStart
-		return nil
-	})
-	return buf, start, err
-}
-
-// NewMapper indexes the reference (letters) and returns a ready Mapper.
-// The engine must use the DNA alphabet (mapping tries both strands).
+// NewMapper indexes the reference (letters) and returns a ready Mapper:
+// BuildRefIndex with cfg's seeding knobs and RefName, then
+// NewMapperFromIndex. The engine must use the DNA alphabet (mapping tries
+// both strands).
 //
 // When the engine is configured with SearchStart, the alignment step draws
 // scratch from the engine's own workspace pool and mapping load counts
@@ -140,50 +93,12 @@ func (a pooledRegionAligner) AlignRegionInto(ctx context.Context, region, read [
 // concurrency is then bounded separately from (in addition to) the
 // engine's alignment traffic.
 func (e *Engine) NewMapper(ref []byte, cfg MapperConfig) (*Mapper, error) {
-	if e.cfg.Alphabet != DNA {
-		return nil, fmt.Errorf("genasm: read mapping requires the DNA alphabet, engine uses %s", e.cfg.Alphabet)
-	}
-	encRef, err := e.encode("reference", ref)
+	ri, err := e.BuildRefIndex(ref, RefIndexConfig{SeedParams: cfg.SeedParams, RefName: cfg.RefName})
 	if err != nil {
 		return nil, err
 	}
-	alignPool, err := e.mapperAlignPool()
-	if err != nil {
-		return nil, err
-	}
-	var flt filter.Filter
-	if cfg.Prefilter {
-		flt = filter.GenASMDC{}
-	}
-	m, err := mapper.New(encRef, mapper.Config{
-		SeedK:         cfg.SeedK,
-		MinimizerW:    cfg.MinimizerW,
-		MaxCandidates: cfg.MaxCandidates,
-		ErrorRate:     cfg.ErrorRate,
-		Filter:        flt,
-		Aligner:       pooledRegionAligner{p: alignPool},
-		Trace:         cfg.Trace.internalTrace(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	refName := cfg.RefName
-	if refName == "" {
-		refName = "ref"
-	}
-	st := m.Index().Stats()
-	idxStats := IndexStats{
-		Backend:    st.Backend,
-		K:          st.K,
-		MinimizerW: st.MinimizerW,
-		RefLen:     st.RefLen,
-		Seeds:      st.Seeds,
-		Buckets:    st.Buckets,
-		Bytes:      st.Bytes,
-		RefDigest:  indexfile.RefDigest(encRef),
-		Source:     "built",
-	}
-	return &Mapper{e: e, m: m, refName: refName, refLen: len(ref), idxStats: idxStats}, nil
+	cfg.SeedParams = SeedParams{}
+	return e.NewMapperFromIndex(ri, cfg)
 }
 
 // mapperAlignPool returns the workspace pool the mapping pipeline's
@@ -220,7 +135,7 @@ func (e *Engine) Map(ctx context.Context, ref []byte, reads []Read) ([]ReadMappi
 func (m *Mapper) RefName() string { return m.refName }
 
 // RefLen returns the indexed reference length.
-func (m *Mapper) RefLen() int { return m.refLen }
+func (m *Mapper) RefLen() int { return m.idxStats.RefLen }
 
 // MapRead maps one read (letters), trying both strands, and returns the
 // lowest-edit-distance alignment across all surviving candidates.
@@ -340,7 +255,7 @@ func (m *Mapper) samRecord(idx int, mp ReadMapping) sam.Record {
 // scheme) tags. Mappings without a Name are written as "readN" by index.
 func (m *Mapper) WriteSAM(w io.Writer, mappings []ReadMapping) error {
 	sw := sam.NewWriter(w)
-	if err := sw.WriteHeader(m.refName, m.refLen); err != nil {
+	if err := sw.WriteHeader(m.refName, m.RefLen()); err != nil {
 		return err
 	}
 	for i, mp := range mappings {
@@ -363,7 +278,7 @@ func (m *Mapper) WriteSAM(w io.Writer, mappings []ReadMapping) error {
 // "readN" by stream index.
 func (m *Mapper) WriteSAMStream(w io.Writer, results iter.Seq[MappingResult]) error {
 	sw := sam.NewWriter(w)
-	if err := sw.WriteHeader(m.refName, m.refLen); err != nil {
+	if err := sw.WriteHeader(m.refName, m.RefLen()); err != nil {
 		return err
 	}
 	for res := range results {

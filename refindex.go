@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"genasm/internal/faults"
-	"genasm/internal/filter"
 	"genasm/internal/index"
 	"genasm/internal/indexfile"
 	"genasm/internal/mapper"
@@ -240,16 +239,12 @@ func (e *Engine) NewMapperFromIndex(ri *RefIndex, cfg MapperConfig) (*Mapper, er
 	if err != nil {
 		return nil, err
 	}
-	var flt filter.Filter
-	if cfg.Prefilter {
-		flt = filter.GenASMDC{}
-	}
-	m, err := mapper.NewFromIndex(ri.idx, mapper.Config{
+	m, err := mapper.New(ri.idx, mapper.Config{
 		MaxCandidates: cfg.MaxCandidates,
 		ErrorRate:     cfg.ErrorRate,
-		Filter:        flt,
-		Aligner:       pooledRegionAligner{p: alignPool},
-		Trace:         cfg.Trace.internalTrace(),
+		Prefilter:     cfg.Prefilter,
+		Aligner:       mapper.PoolAligner{Pool: alignPool},
+		Trace:         (*mapper.Trace)(cfg.Trace),
 	})
 	if err != nil {
 		return nil, err
@@ -261,7 +256,7 @@ func (e *Engine) NewMapperFromIndex(ri *RefIndex, cfg MapperConfig) (*Mapper, er
 	if refName == "" {
 		refName = "ref"
 	}
-	return &Mapper{e: e, m: m, refName: refName, refLen: ri.Stats().RefLen, idxStats: ri.Stats()}, nil
+	return &Mapper{e: e, m: m, refName: refName, idxStats: ri.Stats()}, nil
 }
 
 // IndexStats describes the Mapper's seed index: backend, parameters,

@@ -1,6 +1,7 @@
 package genasm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand/v2"
@@ -13,12 +14,14 @@ import (
 	"genasm/internal/simulate"
 )
 
-// diffTestMappers builds, for each backend, the in-memory mapper and a
-// mapper over the same index written to disk and loaded back.
-func diffTestMappers(t *testing.T, e *Engine, refLetters []byte) map[string][2]*Mapper {
+// diffTestMappers builds, for each backend, the in-memory mapper, a mapper
+// over the same index written to disk and loaded back, and — for the
+// backends MapperConfig can select (hash, minimizer) — the one-call
+// Engine.NewMapper over the same seeding knobs.
+func diffTestMappers(t *testing.T, e *Engine, refLetters []byte) map[string][]*Mapper {
 	t.Helper()
 	dir := t.TempDir()
-	out := make(map[string][2]*Mapper)
+	out := make(map[string][]*Mapper)
 	for _, backend := range []IndexBackend{IndexHash, IndexMinimizer, IndexSuffixArray} {
 		cfg := RefIndexConfig{Backend: backend, SeedParams: SeedParams{SeedK: 13}, RefName: "chrD"}
 		if backend == IndexMinimizer {
@@ -48,17 +51,25 @@ func diffTestMappers(t *testing.T, e *Engine, refLetters []byte) map[string][2]*
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[string(backend)] = [2]*Mapper{mMem, mFile}
+		out[string(backend)] = []*Mapper{mMem, mFile}
+		if backend != IndexSuffixArray {
+			mNew, err := e.NewMapper(refLetters, MapperConfig{SeedParams: cfg.SeedParams, ErrorRate: 0.05, RefName: cfg.RefName})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[string(backend)] = append(out[string(backend)], mNew)
+		}
 	}
 	return out
 }
 
 // TestBackendDifferential pins the cross-backend and cross-storage
-// invariants over fuzzed reads: every backend's mmap-loaded form maps
-// identically to its in-memory form, and the hash and suffix-array
-// backends (which see exactly the same seed hits) agree with each other.
-// The minimizer backend samples seeds, so it is only held to its own
-// storage-identity invariant.
+// invariants over fuzzed reads: every backend's mmap-loaded form (and, for
+// hash and minimizer, its Engine.NewMapper form) maps identically to its
+// in-memory form, with the same IndexStats and byte-identical SAM, and the
+// hash and suffix-array backends (which see exactly the same seed hits)
+// agree with each other. The minimizer backend samples seeds, so it is
+// only held to its own storage-identity invariant.
 func TestBackendDifferential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 0))
 	genome := seq.Genome(rng, seq.DefaultGenomeConfig(40000))
@@ -71,34 +82,65 @@ func TestBackendDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	all := make(map[string][][]ReadMapping) // backend → mapper → read
 	for i, r := range reads {
 		letters := alphabetDecode(r.Seq)
-		results := make(map[string][2]ReadMapping)
-		for backend, pair := range mappers {
-			mem, errM := pair[0].MapRead(ctx, letters)
-			file, errF := pair[1].MapRead(ctx, letters)
-			if errM != nil || errF != nil {
-				t.Fatalf("read %d %s: mem err %v, file err %v", i, backend, errM, errF)
+		for backend, ms := range mappers {
+			if all[backend] == nil {
+				all[backend] = make([][]ReadMapping, len(ms))
 			}
-			// Storage identity: loading an index must not change any
-			// field of any mapping.
-			if !reflect.DeepEqual(mem, file) {
-				t.Fatalf("read %d %s: in-memory %+v, loaded %+v", i, backend, mem, file)
+			for j, m := range ms {
+				mp, err := m.MapRead(ctx, letters)
+				if err != nil {
+					t.Fatalf("read %d %s mapper %d: %v", i, backend, j, err)
+				}
+				// Storage and constructor identity: neither loading an
+				// index nor building it inside NewMapper may change any
+				// field of any mapping.
+				if j > 0 && !reflect.DeepEqual(mp, all[backend][0][i]) {
+					t.Fatalf("read %d %s: mapper %d %+v, in-memory %+v", i, backend, j, mp, all[backend][0][i])
+				}
+				all[backend][j] = append(all[backend][j], mp)
 			}
-			results[backend] = [2]ReadMapping{mem, file}
 		}
-		hash, sa := results["hash"][0], results["suffixarray"][0]
+		hash, sa := all["hash"][0][i], all["suffixarray"][0][i]
 		if !reflect.DeepEqual(hash, sa) {
 			t.Fatalf("read %d: hash mapping %+v, suffix-array mapping %+v", i, hash, sa)
 		}
 		// The minimizer backend samples, so candidate sets can differ —
 		// but on these low-error simulated reads it must still find the
 		// same location when it maps.
-		mini := results["minimizer"][0]
+		mini := all["minimizer"][0][i]
 		if mini.Mapped && hash.Mapped {
 			if mini.Pos != hash.Pos || mini.RevComp != hash.RevComp || mini.Distance != hash.Distance {
 				t.Fatalf("read %d: minimizer (pos=%d rc=%v d=%d) vs hash (pos=%d rc=%v d=%d)",
 					i, mini.Pos, mini.RevComp, mini.Distance, hash.Pos, hash.RevComp, hash.Distance)
+			}
+		}
+	}
+
+	for backend, ms := range mappers {
+		want := ms[0].IndexStats()
+		var wantSAM bytes.Buffer
+		if err := ms[0].WriteSAM(&wantSAM, all[backend][0]); err != nil {
+			t.Fatal(err)
+		}
+		for j, m := range ms[1:] {
+			got := m.IndexStats()
+			if j == 0 {
+				// The loaded index differs from the built one only in its
+				// origin and its footprint (flat sorted arrays, not maps).
+				got.Source, got.FileBytes, got.LoadTime, got.Bytes = want.Source, want.FileBytes, want.LoadTime, want.Bytes
+			}
+			if got != want {
+				t.Errorf("%s mapper %d: IndexStats %+v, in-memory %+v", backend, j+1, got, want)
+			}
+			var sam bytes.Buffer
+			if err := m.WriteSAM(&sam, all[backend][j+1]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sam.Bytes(), wantSAM.Bytes()) {
+				t.Errorf("%s mapper %d: SAM differs from in-memory:\n%s\nvs\n%s", backend, j+1, sam.String(), wantSAM.String())
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package genasm
 
-import (
-	"time"
-
-	"genasm/internal/mapper"
-)
+import "time"
 
 // MapTrace is a set of hooks run at each stage of the read-mapping
 // pipeline — the net/http/httptrace analogue for mapping, and the software
@@ -18,6 +14,10 @@ import (
 // metric updates). The traced hot path performs no additional allocations,
 // so production metrics can stay attached without disturbing the
 // pipeline's allocation budgets.
+//
+// MapTrace has exactly the fields of the pipeline's internal hook struct,
+// so a Mapper attaches it by conversion, not by wrapping: the Mapper keeps
+// the pointer, so set the hooks before mapping and leave them unchanged.
 type MapTrace struct {
 	// SeedingDone runs after the seeding step of one strand scan: seeds
 	// is the total number of seed hits voting for the returned candidate
@@ -38,26 +38,6 @@ type MapTrace struct {
 	// accepted into (reached) the alignment step, whether the read
 	// mapped, and the end-to-end duration.
 	ReadDone func(candidates, filtered, accepted int, mapped bool, d time.Duration)
-}
-
-// internalTrace lowers a MapTrace onto the pipeline's hook points. The
-// per-stage hooks pass through untouched; ReadDone is unpacked from the
-// internal Mapping once per read.
-func (t *MapTrace) internalTrace() *mapper.Trace {
-	if t == nil {
-		return nil
-	}
-	it := &mapper.Trace{
-		SeedingDone: t.SeedingDone,
-		FilterDone:  t.FilterDone,
-		AlignDone:   t.AlignDone,
-	}
-	if rd := t.ReadDone; rd != nil {
-		it.ReadDone = func(mp *mapper.Mapping, d time.Duration) {
-			rd(mp.Candidates, mp.Filtered, mp.Aligned, mp.Mapped, d)
-		}
-	}
-	return it
 }
 
 // AlignTrace is a set of hooks run around every alignment an Engine
