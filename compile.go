@@ -40,9 +40,9 @@ func (e *Engine) Compile(pattern []byte, maxEdits int) (*CompiledPattern, error)
 		pattern:  append([]byte(nil), pattern...),
 		maxEdits: maxEdits,
 	}
-	// The prototype never leaves this closure: handing it out would let a
-	// caller mutate it (SetEndPadding) while a concurrent pool miss runs
-	// Clone against it. Cloning from the immutable prototype is race-free.
+	// The prototype never leaves this closure and is never scanned: every
+	// pooled searcher is a clone that only reads its masks, so a pool miss
+	// may clone it while other clones scan.
 	cp.searchers.New = func() any { return proto.Clone() }
 	return cp, nil
 }
@@ -65,7 +65,6 @@ func (cp *CompiledPattern) Search(ctx context.Context, text []byte) ([]Match, er
 	}
 	mw := cp.searchers.Get().(*bitap.MultiWord)
 	defer cp.searchers.Put(mw)
-	mw.SetEndPadding(false)
 	return ascendingMatches(mw.Search(encText)), nil
 }
 
@@ -82,6 +81,5 @@ func (cp *CompiledPattern) Filter(ctx context.Context, region []byte) (bool, err
 	}
 	mw := cp.searchers.Get().(*bitap.MultiWord)
 	defer cp.searchers.Put(mw)
-	mw.SetEndPadding(true)
-	return mw.Distance(encRegion) <= cp.maxEdits, nil
+	return mw.Within(encRegion), nil
 }

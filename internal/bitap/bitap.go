@@ -117,20 +117,18 @@ type MultiWord struct {
 	pm *alphabet.PatternMasks
 	m  int
 	nw int
+	k  int
 
-	// Scratch reused across Search calls (one row per distance level).
-	// The row headers slice into the flat backing arrays so Reset can
-	// re-shape them for a new (pattern, k) without reallocating.
-	r        [][]uint64
-	oldR     [][]uint64
-	flatR    []uint64
-	flatOldR []uint64
-	k        int
-
-	// endPad enables phantom end-padding (see SetEndPadding).
-	endPad bool
+	// r and old hold R[0..k] at the current and the previous text
+	// position, one row of nw words per level. ones is the mask of an
+	// end-padding sentinel position, which matches no letter.
+	r, old []uint64
 	ones   []uint64
 }
+
+// fixedWords is the row width of the unrolled step: patterns of 193 to
+// 256 characters, which covers 250 bp short reads.
+const fixedWords = 4
 
 // NewMultiWord prepares a multi-word Bitap searcher for the given encoded
 // pattern and maximum edit distance k.
@@ -157,7 +155,7 @@ func NewMultiWord(a *alphabet.Alphabet, pattern []byte, k int) (*MultiWord, erro
 // rows, so clones of one compiled pattern can search concurrently. Clones
 // must not be Reset: the shared masks would be regenerated under readers.
 func (mw *MultiWord) Clone() *MultiWord {
-	c := &MultiWord{a: mw.a, pm: mw.pm, m: mw.m, nw: mw.nw, k: mw.k, endPad: mw.endPad}
+	c := &MultiWord{a: mw.a, pm: mw.pm, m: mw.m, nw: mw.nw, k: mw.k}
 	c.sizeScratch()
 	return c
 }
@@ -181,129 +179,170 @@ func (mw *MultiWord) Reset(pattern []byte, k int) error {
 	return nil
 }
 
-// sizeScratch (re)shapes the row headers and the end-padding mask for the
-// current (m, nw, k), growing the flat backing arrays only when needed.
+// sizeScratch (re)shapes the rows and the end-padding mask for the current
+// (nw, k), growing their storage only when needed.
 func (mw *MultiWord) sizeScratch() {
-	rows := mw.k + 1
-	need := rows * mw.nw
-	if cap(mw.flatR) < need {
-		mw.flatR = make([]uint64, need)
-		mw.flatOldR = make([]uint64, need)
+	need := (mw.k + 1) * mw.nw
+	if cap(mw.r) < need {
+		mw.r = make([]uint64, need)
+		mw.old = make([]uint64, need)
 	}
-	mw.flatR = mw.flatR[:need]
-	mw.flatOldR = mw.flatOldR[:need]
-	mw.r = sliceRows(mw.r[:0], mw.flatR, rows, mw.nw)
-	mw.oldR = sliceRows(mw.oldR[:0], mw.flatOldR, rows, mw.nw)
+	mw.r, mw.old = mw.r[:need], mw.old[:need]
 	if len(mw.ones) < mw.nw {
 		mw.ones = make([]uint64, mw.nw)
 		bitvec.Fill(mw.ones, ^uint64(0))
 	}
 }
 
-// SetEndPadding toggles phantom end-padding. The right-to-left Bitap scan
-// cannot represent pattern insertions past the end of the text (the
-// bitvector chain for "insert the remaining pattern characters" would live
-// at text positions that are never scanned), so distances of alignments
-// pressing against the text end are overestimated by up to the number of
-// trailing insertions. Padding prepends min(k, m) sentinel iterations whose
-// pattern bitmask matches nothing: every op consuming a sentinel costs one
-// error and consumes no real text, which is exactly an insertion, making
-// the reported distance the exact semi-global distance. Matches are still
-// only reported at real text positions.
-//
-// The pre-alignment filter enables this (Section 10.3's "GenASM calculates
-// the actual distance"); Search keeps the raw Algorithm 1 semantics by
-// default.
-func (mw *MultiWord) SetEndPadding(on bool) { mw.endPad = on }
-
-// sliceRows appends n row headers of width nw into flat onto dst.
-func sliceRows(dst [][]uint64, flat []uint64, n, nw int) [][]uint64 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, flat[i*nw:(i+1)*nw])
-	}
-	return dst
-}
-
 // Pattern length in characters.
 func (mw *MultiWord) PatternLen() int { return mw.m }
 
 // Search scans the encoded text and returns all matches with at most k
-// edits, in decreasing location order.
+// edits, in decreasing location order. It keeps the raw Algorithm 1
+// semantics: no end padding.
 func (mw *MultiWord) Search(text []byte) []Match {
 	var matches []Match
-	mw.scan(text, func(loc, dist int) bool {
-		matches = append(matches, Match{Loc: loc, Dist: dist})
+	msb, nw := mw.m-1, mw.nw
+	mw.scan(text, 0, func(i int, r []uint64) bool {
+		for d := 0; d <= mw.k; d++ {
+			if bitvec.IsZeroBit(r[d*nw:(d+1)*nw], msb) {
+				matches = append(matches, Match{Loc: i, Dist: d})
+				break
+			}
+		}
 		return true
 	})
 	return matches
 }
 
-// Distance returns the minimum edit distance over all occurrences, or k+1
-// if none is found within the threshold. This is the operation GenASM-DC
-// performs in pre-alignment filtering (Section 8): only the estimate
-// against the threshold matters, no traceback.
-func (mw *MultiWord) Distance(text []byte) int {
-	best := mw.k + 1
-	mw.scan(text, func(loc, dist int) bool {
-		if dist < best {
-			best = dist
+// Within reports whether the pattern occurs in text with at most k edits,
+// semi-globally: the pattern is consumed in full, the occurrence may start
+// and end anywhere. This is the decision GenASM-DC makes as a
+// pre-alignment filter (Section 8): only the distance against the
+// threshold matters, so the scan stops at the first hit or as soon as no
+// hit is reachable.
+//
+// The scan is end-padded. The right-to-left recurrence cannot represent
+// pattern insertions past the end of the text, so it would overcount
+// alignments pressing against the text end by their trailing insertions.
+// Padding scans one sentinel position first, whose mask matches nothing.
+// After it R[d] has bits 0..d-1 zero: every pattern suffix of at most d
+// letters, inserted past the text end at one edit per letter. That is a
+// fixed point, so further sentinels would change nothing. Hits count only
+// at real text positions.
+//
+// Rows grow with the level (a zero in R[d] is a zero in R[d+1]), so a hit
+// at any level shows as a zero MSB in R[k]: that is the accept test.
+// Reject: a zero at bit j of R[d] puts one at bit j+k-d of R[k] through
+// insertions, so R[k]'s highest zero bit rises at most one bit per
+// position, and one at position i reaches the MSB only if it sits at bit
+// m-1-i or above. A chain not yet born enters at bit 0 of R[0] at some
+// position p < i and reaches at most bit k+p <= k+i-1 by position 0,
+// which is below the MSB once i+k < m. From then on, R[k] without a zero
+// in bits m-1-i..m-1 means no position left can hit.
+func (mw *MultiWord) Within(text []byte) bool {
+	m, k, nw := mw.m, mw.k, mw.nw
+	hit := false
+	mw.scan(text, min(k, 1), func(i int, r []uint64) bool {
+		rk := r[k*nw : (k+1)*nw]
+		if i < len(text) && bitvec.IsZeroBit(rk, m-1) {
+			hit = true
+			return false
 		}
-		// Early exit on a perfect match: nothing can beat distance 0.
-		return best > 0
+		return i+k >= m || hasZero(rk, m-1-i, m-1)
 	})
-	return best
+	return hit
 }
 
-// scan runs the DC recurrence right to left over the text, invoking report
-// for each (location, distance) where the MSB of some R[d] is 0. Returning
-// false from report stops the scan early.
-func (mw *MultiWord) scan(text []byte, report func(loc, dist int) bool) {
+// hasZero reports whether v has a zero bit in [lo, hi].
+func hasZero(v []uint64, lo, hi int) bool {
+	for w := lo >> 6; w <= hi>>6; w++ {
+		z := ^v[w]
+		if w == lo>>6 {
+			z &= ^uint64(0) << uint(lo&63)
+		}
+		if w == hi>>6 {
+			z &= ^uint64(0) >> uint(63-hi&63)
+		}
+		if z != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// scan runs the DC recurrence right to left over pad end-padding
+// sentinels and then the text, calling visit with each position and its
+// rows R[0..k] (nw words per level). Returning false from visit stops
+// the scan.
+func (mw *MultiWord) scan(text []byte, pad int, visit func(i int, r []uint64) bool) {
 	k, nw := mw.k, mw.nw
-	r, oldR := mw.r, mw.oldR
-	for d := 0; d <= k; d++ {
-		bitvec.Fill(r[d], ^uint64(0))
-	}
-	pad := 0
-	if mw.endPad {
-		pad = min(k, mw.m)
-	}
-	msbIdx := mw.m - 1
+	// Both row sets are scratch; only the all-ones start must be the
+	// first position's old rows.
+	r, old, ones := mw.r, mw.old, mw.ones[:nw]
+	bitvec.Fill(r, ^uint64(0))
 	for i := len(text) - 1 + pad; i >= 0; i-- {
-		curPM := mw.ones
+		pm := ones
 		if i < len(text) {
-			curPM = mw.pm.Mask(text[i])
+			pm = mw.pm.Mask(text[i])
 		}
-		// Swap roles: previous iteration's r becomes oldR.
-		r, oldR = oldR, r
-		// r rows currently hold stale data; each is fully overwritten.
-		bitvec.ShiftLeft1Or(r[0], oldR[0], curPM)
-		for d := 1; d <= k; d++ {
-			rd, rd1, old1, old := r[d], r[d-1], oldR[d-1], oldR[d]
-			carryS, carryI, carryM := uint64(0), uint64(0), uint64(0)
-			for w := 0; w < nw; w++ {
-				del := old1[w]
-				ws, wi, wm := old1[w], rd1[w], old[w]
-				sub := ws<<1 | carryS
-				ins := wi<<1 | carryI
-				match := wm<<1 | carryM | curPM[w]
-				carryS = ws >> 63
-				carryI = wi >> 63
-				carryM = wm >> 63
-				rd[w] = del & sub & ins & match
-			}
+		// The previous position's rows become old; every row of r is
+		// overwritten.
+		r, old = old, r
+		if nw == fixedWords {
+			step4(r, old, pm, k)
+		} else {
+			step(r, old, pm, k, nw)
 		}
-		if i >= len(text) {
-			continue // sentinel iterations never report matches
-		}
-		for d := 0; d <= k; d++ {
-			if bitvec.IsZeroBit(r[d], msbIdx) {
-				if !report(i, d) {
-					mw.r, mw.oldR = r, oldR
-					return
-				}
-				break
-			}
+		if !visit(i, r) {
+			return
 		}
 	}
-	mw.r, mw.oldR = r, oldR
+}
+
+// step computes one position's rows r from the previous position's rows
+// old and the text letter's mask pm, for rows of nw words:
+//
+//	R[0] = old R[0]<<1 | PM
+//	R[d] = old R[d-1] & (old R[d-1] & R[d-1])<<1 & (old R[d]<<1 | PM)
+//
+// the deletion, substitution+insertion and match terms of Algorithm 1
+// (substitution and insertion share one shift).
+func step(r, old, pm []uint64, k, nw int) {
+	bitvec.ShiftLeft1Or(r[:nw], old[:nw], pm)
+	for d := 1; d <= k; d++ {
+		rd, rp := r[d*nw:(d+1)*nw], r[(d-1)*nw:d*nw]
+		od, op := old[d*nw:(d+1)*nw], old[(d-1)*nw:d*nw]
+		var carryT, carryO uint64
+		for w := range rd {
+			t := op[w] & rp[w]
+			rd[w] = op[w] & (t<<1 | carryT) & (od[w]<<1 | carryO | pm[w])
+			carryT, carryO = t>>63, od[w]>>63
+		}
+	}
+}
+
+// step4 is step unrolled for four-word rows. R[d-1] stays in registers
+// from one level to the next, so each level stores one row and loads the
+// two old rows it needs.
+func step4(r, old, mask []uint64, k int) {
+	pm := (*[fixedWords]uint64)(mask)
+	old = old[:(k+1)*fixedWords]
+	// a is old R[d-1], b is R[d-1].
+	a := (*[fixedWords]uint64)(old)
+	b0 := a[0]<<1 | pm[0]
+	b1 := a[1]<<1 | a[0]>>63 | pm[1]
+	b2 := a[2]<<1 | a[1]>>63 | pm[2]
+	b3 := a[3]<<1 | a[2]>>63 | pm[3]
+	*(*[fixedWords]uint64)(r) = [fixedWords]uint64{b0, b1, b2, b3}
+	for d := fixedWords; d < len(old); d += fixedWords {
+		o := (*[fixedWords]uint64)(old[d:])
+		t0, t1, t2, t3 := a[0]&b0, a[1]&b1, a[2]&b2, a[3]&b3
+		b0 = a[0] & (t0 << 1) & (o[0]<<1 | pm[0])
+		b1 = a[1] & (t1<<1 | t0>>63) & (o[1]<<1 | o[0]>>63 | pm[1])
+		b2 = a[2] & (t2<<1 | t1>>63) & (o[2]<<1 | o[1]>>63 | pm[2])
+		b3 = a[3] & (t3<<1 | t2>>63) & (o[3]<<1 | o[2]>>63 | pm[3])
+		*(*[fixedWords]uint64)(r[d:]) = [fixedWords]uint64{b0, b1, b2, b3}
+		a = o
+	}
 }

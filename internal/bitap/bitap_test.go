@@ -1,6 +1,7 @@
 package bitap
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -188,12 +189,18 @@ func TestMultiWordLongPattern(t *testing.T) {
 	pattern[10] = (pattern[10] + 1) % 4
 	pattern = append(pattern[:70], pattern[71:]...)
 
-	mw, err := NewMultiWord(alphabet.DNA, pattern, 5)
+	mw, err := NewMultiWord(alphabet.DNA, pattern, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mw.Distance(text); got != 2 {
-		t.Fatalf("Distance = %d, want 2", got)
+	if mw.Within(text) {
+		t.Fatal("Within at k=1 = true, want false (distance 2)")
+	}
+	if err := mw.Reset(pattern, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !mw.Within(text) {
+		t.Fatal("Within at k=2 = false, want true (distance 2)")
 	}
 	if mw.PatternLen() != len(pattern) {
 		t.Fatalf("PatternLen = %d", mw.PatternLen())
@@ -218,27 +225,96 @@ func TestMultiWordAgainstDPLong(t *testing.T) {
 			copy(pattern, text[5:5+m])
 			pattern[m/2] = (pattern[m/2] + 1) % 4
 		}
-		mw, err := NewMultiWord(alphabet.DNA, pattern, m)
+		checkWithin(t, fmt.Sprintf("trial %d", trial), alphabet.DNA, text, pattern)
+	}
+}
+
+// TestDistanceEarlyExitOnExact: an exact occurrence is a hit at every
+// threshold, k = 0 included.
+func TestDistanceEarlyExitOnExact(t *testing.T) {
+	text := enc("ACGTACGTACGT")
+	for k := 0; k <= 3; k++ {
+		mw, err := NewMultiWord(alphabet.DNA, enc("GTAC"), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := mw.Distance(text)
-		want := semiGlobalDP(text, pattern)
-		if got != want {
-			t.Fatalf("trial %d: multiword=%d dp=%d", trial, got, want)
+		if !mw.Within(text) {
+			t.Fatalf("k=%d: Within = false, want true (exact occurrence)", k)
 		}
 	}
 }
 
-func TestDistanceEarlyExitOnExact(t *testing.T) {
-	text := enc("ACGTACGTACGT")
-	mw, err := NewMultiWord(alphabet.DNA, enc("GTAC"), 3)
-	if err != nil {
-		t.Fatal(err)
+// checkWithin compares Within against the semi-global DP at the tight
+// thresholds d-1, d and d+1, where d is the true distance: the only
+// thresholds at which an early accept or an early reject can be wrong.
+func checkWithin(t *testing.T, name string, a *alphabet.Alphabet, text, pattern []byte) {
+	t.Helper()
+	d := semiGlobalDP(text, pattern)
+	for k := max(d-1, 0); k <= d+1; k++ {
+		mw, err := NewMultiWord(a, pattern, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mw.Within(text), k >= d; got != want {
+			t.Fatalf("%s: m=%d n=%d d=%d k=%d: Within = %v, want %v", name, len(pattern), len(text), d, k, got, want)
+		}
 	}
-	if got := mw.Distance(text); got != 0 {
-		t.Fatalf("Distance = %d, want 0", got)
+}
+
+// mutate returns a copy of s with e random substitutions, insertions and
+// deletions over an alphabet of size letters.
+func mutate(rng *rand.Rand, s []byte, e, size int) []byte {
+	out := append([]byte(nil), s...)
+	for ; e > 0 && len(out) > 1; e-- {
+		p := rng.IntN(len(out))
+		switch rng.IntN(3) {
+		case 0:
+			out[p] = byte((int(out[p]) + 1 + rng.IntN(size-1)) % size)
+		case 1:
+			out = append(out[:p], append([]byte{byte(rng.IntN(size))}, out[p:]...)...)
+		default:
+			out = append(out[:p], out[p+1:]...)
+		}
 	}
+	return out
+}
+
+func randSeq(rng *rand.Rand, n, size int) []byte {
+	s := make([]byte, n)
+	for i := range s {
+		s[i] = byte(rng.IntN(size))
+	}
+	return s
+}
+
+// TestWithinTightThresholds pins Within's two early exits against the DP at
+// k in {d-1, d, d+1}, across the word boundaries of the four-word step and
+// the generic step, for occurrences in the middle of the text, at its left
+// edge, past its right end (only end padding finds those), and for
+// unrelated texts.
+func TestWithinTightThresholds(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 15))
+	for _, m := range []int{1, 63, 64, 65, 127, 128, 129, 250, 256, 257, 300} {
+		e := m/20 + 1
+		read := randSeq(rng, m, 4)
+		cases := map[string][]byte{
+			// The occurrence sits 16 letters in, with trailing slack.
+			"middle": append(append(randSeq(rng, 16, 4), mutate(rng, read, e, 4)...), randSeq(rng, e+16, 4)...),
+			// The text starts where the occurrence does.
+			"left-edge": append(mutate(rng, read, e, 4), randSeq(rng, 20, 4)...),
+			// The text ends before the read does: trailing insertions.
+			"end-pad":   append(randSeq(rng, 16, 4), read[:m-min(m, e+1)]...),
+			"unrelated": randSeq(rng, m+40, 4),
+		}
+		for name, text := range cases {
+			checkWithin(t, fmt.Sprintf("%s m=%d", name, m), alphabet.DNA, text, read)
+		}
+	}
+	// Engine.Filter runs the same scan over any alphabet.
+	size := alphabet.Protein.Size()
+	read := randSeq(rng, 150, size)
+	text := append(append(randSeq(rng, 16, size), mutate(rng, read, 6, size)...), randSeq(rng, 22, size)...)
+	checkWithin(t, "protein", alphabet.Protein, text, read)
 }
 
 func TestSearchReuseAcrossCalls(t *testing.T) {
@@ -276,23 +352,5 @@ func BenchmarkSingleWordSearch100bp(b *testing.B) {
 		if _, err := Search(alphabet.DNA, text, pattern, 5); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMultiWordDistance250bp(b *testing.B) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	text := make([]byte, 300)
-	for i := range text {
-		text[i] = byte(rng.IntN(4))
-	}
-	pattern := append([]byte(nil), text[20:270]...)
-	mw, err := NewMultiWord(alphabet.DNA, pattern, 15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mw.Distance(text)
 	}
 }

@@ -7,9 +7,13 @@
 // Implemented filters:
 //
 //   - GenASMDC — the paper's filter: the non-windowed multi-word Bitap
-//     (GenASM-DC) computing the actual semi-global distance against the
-//     threshold. Near-zero false accepts; the only source of false accepts
-//     is the leading-deletion quirk of footnote 4.
+//     (GenASM-DC) deciding whether the semi-global distance is within the
+//     threshold. It computes no distance: the scan stops at the first
+//     position where R[k]'s MSB is 0, or as soon as no R[k] chain can still
+//     reach the MSB. The decision equals "semi-global distance <= k"
+//     exactly, so it never false-rejects. Against a pair's end-to-end edit
+//     distance (the Evaluate ground truth) it false-accepts rarely: the
+//     free start in the region hides leading deletions (footnote 4).
 //   - Shouji — the state-of-the-art FPGA baseline (Alser et al. 2019):
 //     sliding 4-column windows over a 2E+1-diagonal neighborhood map,
 //     assembling an optimistic match bitvector and counting its ones.
@@ -49,8 +53,8 @@ type Scratch struct {
 	lastK    int
 }
 
-// GenASMDC filters with the real Bitap distance (Section 8: "since we only
-// need to estimate the edit distance and check whether it is above a
+// GenASMDC filters with the Bitap distance decision (Section 8: "since we
+// only need to estimate the edit distance and check whether it is above a
 // user-defined threshold, GenASM-DC can be used as a pre-alignment
 // filter").
 type GenASMDC struct{}
@@ -58,10 +62,11 @@ type GenASMDC struct{}
 // Name implements Filter.
 func (GenASMDC) Name() string { return "GenASM-DC" }
 
-// Accept implements Filter. The distance is the exact semi-global distance
-// (free start/end in the reference region, end-padded so alignments at the
-// region boundary are not overcounted), matching the hardware's behaviour
-// on candidate regions with slack.
+// Accept implements Filter. It accepts exactly when the semi-global
+// distance (free start/end in the reference region, end-padded so
+// alignments at the region boundary are not overcounted) is at most
+// maxEdits, matching the hardware's behaviour on candidate regions with
+// slack.
 func (GenASMDC) Accept(ref, read []byte, maxEdits int) (bool, error) {
 	return GenASMDC{}.AcceptScratch(&Scratch{}, ref, read, maxEdits)
 }
@@ -92,8 +97,7 @@ func (GenASMDC) AcceptScratch(s *Scratch, ref, read []byte, maxEdits int) (bool,
 		s.lastRead = append(s.lastRead[:0], read...)
 		s.lastK = maxEdits
 	}
-	s.mw.SetEndPadding(true)
-	return s.mw.Distance(ref) <= maxEdits, nil
+	return s.mw.Within(ref), nil
 }
 
 // Shouji approximates the edit distance by stitching together the longest

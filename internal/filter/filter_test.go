@@ -219,3 +219,30 @@ func BenchmarkShoujiFilter100bp(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGenASMDCAccept times the mapper's prefilter decision: 250 bp
+// reads at 5% error, k = 16 (the mapper's maxEdits for 250 bp at 5%), in
+// the mapper's region geometry, with one Scratch re-targeted per pair.
+func BenchmarkGenASMDCAccept(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		onTarget bool
+	}{{"on-target", true}, {"off-target", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const m, k, n = 250, 16, 64
+			rng := rand.New(rand.NewPCG(50, 0))
+			regions, reads := make([][]byte, n), make([][]byte, n)
+			for i := range regions {
+				regions[i], reads[i] = mapperPair(rng, m, k, 0.05, bc.onTarget)
+			}
+			var s Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := (GenASMDC{}).AcceptScratch(&s, regions[i%n], reads[i%n], k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -51,16 +51,19 @@ func (e *Engine) Search(ctx context.Context, text, pattern []byte, maxEdits int)
 		return nil, err
 	}
 	defer e.putSearcher(mw)
-	mw.SetEndPadding(false)
 	return ascendingMatches(mw.Search(encText)), nil
 }
 
 // Filter is the pre-alignment filtering use case (Section 10.3): it reports
-// whether read may be within maxEdits edits of some position in region,
-// computing the exact semi-global distance with GenASM-DC. A false return
-// safely eliminates the pair from further alignment (the filter never
-// false-rejects); a true return may rarely be a false accept (the paper
-// measures 0.02% and explains the leading-deletion cause in footnote 4).
+// whether read may be within maxEdits edits of some position in region.
+// GenASM-DC decides the semi-global distance against maxEdits without
+// computing it: the scan stops at the first hit, or as soon as no hit can
+// be reached in the rest of the region. The decision equals "semi-global
+// distance <= maxEdits" exactly, so a false return safely eliminates the
+// pair from further alignment (the filter never false-rejects). A true
+// return does not promise an end-to-end alignment of the region within
+// maxEdits: the free start hides leading deletions (the paper's footnote
+// 4, measured at 0.02% false accepts).
 //
 // The pair is encoded with the engine's alphabet; inputs outside it are
 // reported as an *AlphabetError. Scratch memory is drawn from an
@@ -82,9 +85,5 @@ func (e *Engine) Filter(ctx context.Context, region, read []byte, maxEdits int) 
 		return false, err
 	}
 	defer e.putSearcher(mw)
-	// End-padding makes the reported distance the exact semi-global
-	// distance even when the alignment presses against the region end
-	// (Section 10.3: "GenASM calculates the actual distance").
-	mw.SetEndPadding(true)
-	return mw.Distance(encRegion) <= maxEdits, nil
+	return mw.Within(encRegion), nil
 }
