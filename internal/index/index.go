@@ -5,22 +5,36 @@
 // by Minimap2-class mappers to shrink the index, and an SA-IS suffix array
 // with binary-search seeding. All backends implement SeedIndex, so the
 // mapping pipeline is agnostic to which one generated its candidates.
+//
+// The hash and minimizer backends share one seed table, Index: sorted
+// arrays of distinct packed k-mers, per-key offsets and locations, which
+// are exactly the sections an index file stores, plus a directory over the
+// keys' top bits derived from them. A built index and one loaded zero-copy
+// from a file mapping are therefore the same type with the same lookup;
+// loading derives only the directory (FromArrays).
 package index
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
-// Index is a k-mer hash index over one reference sequence — the hash and
-// minimizer backends of SeedIndex.
+// Index is the seed table of the hash and minimizer backends of SeedIndex.
+// keys holds the distinct packed k-mers ascending, offs[i]:offs[i+1]
+// brackets key i's locations in locs (ascending), and dir[s]:dir[s+1]
+// brackets the keys whose top bits equal s. The directory has at most one
+// slot per key, so a lookup is one directory probe plus a binary search
+// over a handful of keys.
 type Index struct {
-	k        int
-	ref      []byte
-	loc      map[uint64][]int32
-	sampled  bool
-	windowW  int
-	numSeeds int
+	k     int
+	w     int // minimizer window; 0 when every k-mer is indexed
+	ref   []byte
+	keys  []uint64
+	offs  []uint32
+	locs  []int32
+	dir   []uint32
+	shift uint // key >> shift is the key's directory slot
 }
 
 // Build indexes every k-mer of the encoded reference.
@@ -47,34 +61,10 @@ func build(ref []byte, k, w int) (*Index, error) {
 	if len(ref) < k {
 		return nil, fmt.Errorf("index: reference length %d < k=%d", len(ref), k)
 	}
-	idx := &Index{k: k, ref: ref, sampled: w > 0, windowW: w}
-	n := len(ref) - k + 1
+	// One rolling pass validates the codes and packs every k-mer with a
+	// 2-bit shift-in — O(n) total instead of O(n·k) per-position repacking.
+	kmers := make([]uint64, len(ref)-k+1)
 	mask := kmerMask(k)
-
-	if w == 0 {
-		// One rolling pass validates the codes and packs every k-mer with
-		// a 2-bit shift-in — O(n) total instead of O(n·k) per-position
-		// repacking — into a location table pre-sized for the seed count.
-		idx.loc = make(map[uint64][]int32, mapHint(n, k))
-		var key uint64
-		for i, c := range ref {
-			if c > 3 {
-				return nil, fmt.Errorf("index: invalid code %d at %d", c, i)
-			}
-			key = key<<2 | uint64(c)
-			if i >= k-1 {
-				kk := key & mask
-				idx.loc[kk] = append(idx.loc[kk], int32(i-k+1))
-				idx.numSeeds++
-			}
-		}
-		return idx, nil
-	}
-
-	// Minimizer sampling: the same rolling validate+pack pass produces the
-	// per-position hashes; the table is pre-sized for the expected
-	// 2/(w+1) sampling density.
-	hashes := make([]uint64, n)
 	var key uint64
 	for i, c := range ref {
 		if c > 3 {
@@ -82,10 +72,29 @@ func build(ref []byte, k, w int) (*Index, error) {
 		}
 		key = key<<2 | uint64(c)
 		if i >= k-1 {
-			hashes[i-k+1] = mix(key & mask)
+			kmers[i-k+1] = key & mask
 		}
 	}
-	idx.loc = make(map[uint64][]int32, mapHint(2*n/(w+1)+1, k))
+	var pos []int32
+	if w > 0 {
+		kmers, pos = minimizers(kmers, w)
+	}
+	keys, offs, locs := sortSeeds(kmers, pos, k, len(ref)-k)
+	return FromArrays(ref, k, w, keys, offs, locs)
+}
+
+// minimizers keeps, for every window of w consecutive k-mers, the one with
+// the smallest hash, compacting the kept k-mers to the front of kmers and
+// returning their positions alongside. The kept positions are strictly
+// ascending, and each write lands at or before the window start, so the
+// compaction never overwrites a k-mer a later window still reads.
+func minimizers(kmers []uint64, w int) ([]uint64, []int32) {
+	n := len(kmers)
+	hashes := make([]uint64, n)
+	for i, km := range kmers {
+		hashes[i] = mix(km)
+	}
+	pos := make([]int32, 0, 2*n/(w+1)+1)
 	lastKept := -1
 	for s := 0; s+w <= n; s++ {
 		best := s
@@ -95,30 +104,138 @@ func build(ref []byte, k, w int) (*Index, error) {
 			}
 		}
 		if best != lastKept {
-			kk := pack(ref[best : best+k])
-			idx.loc[kk] = append(idx.loc[kk], int32(best))
-			idx.numSeeds++
+			kmers[len(pos)] = kmers[best]
+			pos = append(pos, int32(best))
 			lastKept = best
 		}
 	}
-	return idx, nil
+	return kmers[:len(pos)], pos
+}
+
+// sortSeeds orders seeds into the table arrays. Seed i is k-mer kmers[i]
+// at position pos[i], or at i when pos is nil; positions are at most
+// maxPos. A counting sort on the keys' top b bits splits the seeds into
+// slots; within a slot each seed is one word, the key's remaining bits
+// above the position, so sorting the words orders by key and then by
+// position. A compaction to distinct keys finishes the arrays.
+func sortSeeds(kmers []uint64, pos []int32, k, maxPos int) (keys []uint64, offs []uint32, locs []int32) {
+	posBits := uint(bits.Len(uint(maxPos)))
+	// At most one slot per seed, raised where needed so the key's other
+	// 2k-b bits fit above the position in one word. That happens only for
+	// minimizer tables with large k, and 2^b then stays below maxPos/2.
+	b := min(2*k, max(bits.Len(uint(len(kmers)))-1, 2*k+int(posBits)-64, 0))
+	shift := uint(2*k - b)
+	low := uint64(1)<<shift - 1
+
+	ends := slotStarts(kmers, b, shift) // after the scatter: ends[s] ends slot s
+	words := make([]uint64, len(kmers))
+	for i, km := range kmers {
+		p := uint64(i)
+		if pos != nil {
+			p = uint64(pos[i])
+		}
+		s := km >> shift
+		words[ends[s]] = (km&low)<<posBits | p
+		ends[s]++
+	}
+
+	distinct, start := 0, uint32(0)
+	for s := range 1 << b {
+		slot := words[start:ends[s]]
+		slices.Sort(slot)
+		for i := range slot {
+			if i == 0 || slot[i]>>posBits != slot[i-1]>>posBits {
+				distinct++
+			}
+		}
+		start = ends[s]
+	}
+
+	keys = make([]uint64, 0, distinct)
+	offs = make([]uint32, 0, distinct+1)
+	locs = make([]int32, len(words))
+	posMask := uint64(1)<<posBits - 1
+	start = 0
+	for s := range 1 << b {
+		for i := start; i < ends[s]; i++ {
+			if key := uint64(s)<<shift | words[i]>>posBits; len(keys) == 0 || key != keys[len(keys)-1] {
+				keys = append(keys, key)
+				offs = append(offs, i)
+			}
+			locs[i] = int32(words[i] & posMask)
+		}
+		start = ends[s]
+	}
+	return keys, append(offs, uint32(len(words))), locs
+}
+
+// FromArrays wraps table arrays — Build's own, or views into an index
+// file — as an Index. It checks them once so the seeding hot path can
+// index without bounds failures (monotone offsets covering locs exactly,
+// strictly ascending keys inside the k-mer range, every location a valid
+// k-mer start of ref) and derives the directory over the keys' top
+// b = min(2k, ⌊log2 len(keys)⌋) bits with a counting pass and a prefix
+// sum. ref must hold 2-bit codes; the arrays are kept, not copied.
+func FromArrays(ref []byte, k, w int, keys []uint64, offs []uint32, locs []int32) (*Index, error) {
+	if k < 1 || k > MaxK {
+		return nil, &KRangeError{K: k}
+	}
+	if w < 0 {
+		return nil, fmt.Errorf("index: minimizer window %d < 0", w)
+	}
+	if len(ref) < k {
+		return nil, fmt.Errorf("index: reference length %d < k=%d", len(ref), k)
+	}
+	if len(offs) != len(keys)+1 {
+		return nil, fmt.Errorf("index: %d offsets for %d keys", len(offs), len(keys))
+	}
+	if offs[0] != 0 || int(offs[len(offs)-1]) != len(locs) {
+		return nil, fmt.Errorf("index: offsets span [%d,%d] over %d locations", offs[0], offs[len(offs)-1], len(locs))
+	}
+	for i := 1; i < len(offs); i++ {
+		if offs[i] < offs[i-1] {
+			return nil, fmt.Errorf("index: offsets not monotone at %d", i)
+		}
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			return nil, fmt.Errorf("index: keys not strictly ascending at %d", i)
+		}
+	}
+	if len(keys) > 0 && keys[len(keys)-1] > kmerMask(k) {
+		return nil, fmt.Errorf("index: key exceeds %d-mer range", k)
+	}
+	limit := int32(len(ref) - k)
+	for i, p := range locs {
+		if p < 0 || p > limit {
+			return nil, fmt.Errorf("index: location %d out of range: %d", i, p)
+		}
+	}
+
+	b := min(2*k, max(bits.Len(uint(len(keys)))-1, 0))
+	shift := uint(2*k - b)
+	return &Index{k: k, w: w, ref: ref, keys: keys, offs: offs, locs: locs, dir: slotStarts(keys, b, shift), shift: shift}, nil
+}
+
+// slotStarts counts keys by slot (key >> shift, b bits) and returns the
+// exclusive prefix sums: entry s is the number of keys in slots below s,
+// so the 2^b+1 entries bracket every slot.
+func slotStarts(keys []uint64, b int, shift uint) []uint32 {
+	starts := make([]uint32, 1<<b+1)
+	for _, key := range keys {
+		starts[key>>shift]++
+	}
+	var sum uint32
+	for s, n := range starts {
+		starts[s] = sum
+		sum += n
+	}
+	return starts
 }
 
 // kmerMask is the low-bits mask of a packed k-mer (2 bits per base).
 func kmerMask(k int) uint64 {
 	return uint64(1)<<(2*k) - 1
-}
-
-// mapHint caps a location-table size hint at the number of distinct
-// k-mers (4^k): for small k on a large reference, pre-sizing to the seed
-// count would permanently reserve bucket space that can never be used.
-func mapHint(seeds, k int) int {
-	if 2*k < 63 {
-		if distinct := 1 << (2 * k); distinct < seeds {
-			return distinct
-		}
-	}
-	return seeds
 }
 
 // pack encodes a k-mer of 2-bit codes into a uint64.
@@ -146,50 +263,57 @@ func mix(v uint64) uint64 {
 func (idx *Index) K() int { return idx.k }
 
 // Seeds returns the number of indexed seed positions.
-func (idx *Index) Seeds() int { return idx.numSeeds }
+func (idx *Index) Seeds() int { return len(idx.locs) }
 
 // Ref returns the indexed reference.
 func (idx *Index) Ref() []byte { return idx.ref }
 
-// Stats implements SeedIndex. Bytes approximates Go's map footprint: per
-// bucket one key, one slice header and ~10 bytes of bucket overhead, plus
-// the location entries and the reference itself.
+// Stats implements SeedIndex. Bytes is the table's footprint: the
+// reference, the three stored arrays and the directory.
 func (idx *Index) Stats() Stats {
 	backend := BackendHash
-	if idx.sampled {
+	if idx.w > 0 {
 		backend = BackendMinimizer
 	}
 	return Stats{
 		Backend:    backend,
 		K:          idx.k,
-		MinimizerW: idx.windowW,
+		MinimizerW: idx.w,
 		RefLen:     len(idx.ref),
-		Seeds:      idx.numSeeds,
-		Buckets:    len(idx.loc),
-		Bytes:      int64(len(idx.ref)) + int64(len(idx.loc))*(8+24+10) + int64(idx.numSeeds)*4,
+		Seeds:      len(idx.locs),
+		Buckets:    len(idx.keys),
+		Bytes:      int64(len(idx.ref)) + 8*int64(len(idx.keys)) + 4*int64(len(idx.offs)+len(idx.locs)+len(idx.dir)),
 	}
 }
 
-// Flatten exports the location table as sorted parallel arrays — the
-// on-disk layout of the hash backends: keys holds the distinct packed
-// k-mers ascending, locs the concatenated per-key location lists, and
-// offs[i]:offs[i+1] brackets key i's span of locs (len(offs) ==
-// len(keys)+1). Positions within one key keep their indexing order
-// (ascending), so a flattened-and-reloaded index yields byte-identical
-// candidate lists.
-func (idx *Index) Flatten() (keys []uint64, offs []uint32, locs []int32) {
-	keys = make([]uint64, 0, len(idx.loc))
-	for k := range idx.loc {
-		keys = append(keys, k)
+// Arrays returns the stored arrays — the on-disk layout of the hash
+// backends — shared with the index, not to be modified.
+func (idx *Index) Arrays() (keys []uint64, offs []uint32, locs []int32) {
+	return idx.keys, idx.offs, idx.locs
+}
+
+// find returns the locations of a packed k-mer (empty if absent): one
+// directory probe, then a binary search over the slot's keys that halves
+// the range without a data-dependent branch (slots hold one or two keys on
+// average, where a mispredicted branch costs more than the comparisons).
+// Manual loop, no closures: the seeding hot path stays allocation-free.
+func (idx *Index) find(key uint64) []int32 {
+	s := key >> idx.shift
+	lo, n := idx.dir[s], idx.dir[s+1]-idx.dir[s]
+	if n == 0 {
+		return nil
 	}
-	slices.Sort(keys)
-	offs = make([]uint32, 1, len(keys)+1)
-	locs = make([]int32, 0, idx.numSeeds)
-	for _, k := range keys {
-		locs = append(locs, idx.loc[k]...)
-		offs = append(offs, uint32(len(locs)))
+	for n > 1 {
+		half := n / 2
+		if idx.keys[lo+half] <= key {
+			lo += half
+		}
+		n -= half
 	}
-	return keys, offs, locs
+	if idx.keys[lo] == key {
+		return idx.locs[idx.offs[lo]:idx.offs[lo+1]]
+	}
+	return nil
 }
 
 // Lookup returns the reference positions of the seed (nil if absent). The
@@ -198,14 +322,12 @@ func (idx *Index) Lookup(kmer []byte) []int32 {
 	if len(kmer) != idx.k {
 		return nil
 	}
-	return idx.loc[pack(kmer)]
-}
-
-// CandidateLocations runs the seeding step (Figure 1, step 1) with
-// throwaway scratch; see CandidateLocationsInto.
-func (idx *Index) CandidateLocations(read []byte, maxCandidates int) []Candidate {
-	var s SeedScratch
-	return idx.CandidateLocationsInto(&s, read, maxCandidates)
+	for _, c := range kmer {
+		if c > 3 {
+			return nil
+		}
+	}
+	return idx.find(pack(kmer))
 }
 
 // CandidateLocationsInto implements SeedIndex: every k-mer of the read is
@@ -231,7 +353,7 @@ func (idx *Index) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandida
 			continue
 		}
 		off := i - idx.k + 1
-		for _, pos := range idx.loc[key&mask] {
+		for _, pos := range idx.find(key & mask) {
 			s.Vote(int(pos) - off)
 		}
 	}

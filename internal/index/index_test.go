@@ -89,7 +89,8 @@ func TestCandidateLocationsExactRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := ref[12345 : 12345+100]
-	cands := idx.CandidateLocations(read, 5)
+	var s SeedScratch
+	cands := idx.CandidateLocationsInto(&s, read, 5)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for exact read")
 	}
@@ -114,7 +115,8 @@ func TestCandidateLocationsWithErrors(t *testing.T) {
 		p := rng.IntN(len(read))
 		read[p] = (read[p] + byte(1+rng.IntN(3))) % 4
 	}
-	cands := idx.CandidateLocations(read, 10)
+	var s SeedScratch
+	cands := idx.CandidateLocationsInto(&s, read, 10)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for five-percent-error read")
 	}
@@ -136,7 +138,8 @@ func TestCandidateLocationsMinimizerIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := ref[41000:41120]
-	cands := idx.CandidateLocations(read, 5)
+	var s SeedScratch
+	cands := idx.CandidateLocationsInto(&s, read, 5)
 	if len(cands) == 0 {
 		t.Fatal("no candidates via minimizer index")
 	}
@@ -156,7 +159,8 @@ func TestCandidateCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := ref[100:200]
-	cands := idx.CandidateLocations(read, 3)
+	var s SeedScratch
+	cands := idx.CandidateLocationsInto(&s, read, 3)
 	if len(cands) > 3 {
 		t.Fatalf("cap violated: %d candidates", len(cands))
 	}
@@ -194,7 +198,8 @@ func TestRefExactlyK(t *testing.T) {
 	if idx.Seeds() != 1 {
 		t.Errorf("Seeds = %d, want 1", idx.Seeds())
 	}
-	cands := idx.CandidateLocations(ref, 0)
+	var s SeedScratch
+	cands := idx.CandidateLocationsInto(&s, ref, 0)
 	if len(cands) != 1 || cands[0].Pos != 0 || cands[0].Votes != 1 {
 		t.Errorf("candidates = %v, want one at 0 with 1 vote", cands)
 	}
@@ -225,7 +230,8 @@ func TestMinimizerWindowOne(t *testing.T) {
 		t.Errorf("w=1 minimizer has %d seeds, full index %d", w1.Seeds(), full.Seeds())
 	}
 	read := ref[1234:1334]
-	if got, want := w1.CandidateLocations(read, 0), full.CandidateLocations(read, 0); !reflect.DeepEqual(got, want) {
+	var ws, fs SeedScratch
+	if got, want := w1.CandidateLocationsInto(&ws, read, 0), full.CandidateLocationsInto(&fs, read, 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("w=1 candidates %v, full %v", got, want)
 	}
 	if st := w1.Stats(); st.Backend != BackendMinimizer || st.MinimizerW != 1 {
@@ -246,7 +252,7 @@ func TestHashIndexStats(t *testing.T) {
 	}
 }
 
-// TestFlattenRoundTrip checks the serialization export: sorted distinct
+// TestFlattenRoundTrip checks the stored arrays: sorted distinct
 // keys, monotone offsets bracketing each key's ascending location run.
 func TestFlattenRoundTrip(t *testing.T) {
 	ref := testRef(3000, 16)
@@ -254,7 +260,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, offs, locs := idx.Flatten()
+	keys, offs, locs := idx.Arrays()
 	if len(offs) != len(keys)+1 || offs[0] != 0 || int(offs[len(offs)-1]) != len(locs) {
 		t.Fatalf("offsets malformed: %d keys, %d offs, %d locs", len(keys), len(offs), len(locs))
 	}
@@ -269,12 +275,113 @@ func TestFlattenRoundTrip(t *testing.T) {
 		if len(span) == 0 {
 			t.Fatalf("key %d has empty span", key)
 		}
+		if !slices.IsSorted(span) {
+			t.Fatalf("key %d: locations %v not ascending", key, span)
+		}
 		for _, p := range span {
 			kmer := ref[p : int(p)+idx.K()]
 			if pack(kmer) != key {
 				t.Fatalf("loc %d under key %d packs to %d", p, key, pack(kmer))
 			}
 		}
+	}
+}
+
+// TestDirectoryEdgeCases checks the directory over the keys' top bits
+// where its width meets its limits: seed lengths whose 2k bits sit at and
+// above the directory width, a one-seed table, a table whose single key
+// holds every position, a w=1 minimizer table (every k-mer kept, as in the
+// hash table) and a sparse k=31 minimizer table (positions need more bits
+// than the keys leave free). Lookup of every reference k-mer, and of
+// random k-mers that are mostly absent, must equal a naive scan of the
+// kept positions, also on the table FromArrays rebuilds from the built
+// arrays, and the directory may hold at most one slot per key.
+func TestDirectoryEdgeCases(t *testing.T) {
+	random := testRef(2000, 17)
+	homopolymer := make([]byte, 500)
+	cases := []struct {
+		name string
+		ref  []byte
+		k, w int
+	}{
+		{"k=1", random, 1, 0},
+		{"k=2", random, 2, 0},
+		{"k=5", random, 5, 0},
+		{"k=11", random, 11, 0},
+		{"k=16", random, 16, 0},
+		{"k=31", random, 31, 0},
+		{"ref exactly k", random[:11], 11, 0},
+		{"homopolymer", homopolymer, 11, 0},
+		{"minimizer w=1", random, 11, 1},
+		{"minimizer k=31 w=20", random, 31, 20},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var idx *Index
+			var err error
+			if tc.w == 0 {
+				idx, err = Build(tc.ref, tc.k)
+			} else {
+				idx, err = BuildMinimizer(tc.ref, tc.k, tc.w)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, offs, locs := idx.Arrays()
+			re, err := FromArrays(tc.ref, tc.k, tc.w, keys, offs, locs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := idx.Stats()
+			if re.Stats() != st {
+				t.Errorf("stats: built %+v, from arrays %+v", st, re.Stats())
+			}
+			dirBytes := st.Bytes - int64(len(tc.ref)) - 8*int64(len(keys)) - 4*int64(len(offs)+len(locs))
+			if dirBytes > 4*int64(max(len(keys), 1)+1) {
+				t.Errorf("directory takes %d bytes for %d keys", dirBytes, len(keys))
+			}
+			// Naive minimizer selection: per window, the leftmost k-mer
+			// with the smallest hash.
+			kept := make([]bool, len(tc.ref)-tc.k+1)
+			for s := 0; s < len(kept); s++ {
+				if tc.w == 0 {
+					kept[s] = true
+					continue
+				}
+				if s+tc.w > len(kept) {
+					break
+				}
+				best := s
+				for j := s + 1; j < s+tc.w; j++ {
+					if mix(pack(tc.ref[j:j+tc.k])) < mix(pack(tc.ref[best:best+tc.k])) {
+						best = j
+					}
+				}
+				kept[best] = true
+			}
+			queries := make([][]byte, 0, len(tc.ref)+50)
+			for i := 0; i+tc.k <= len(tc.ref); i++ {
+				queries = append(queries, tc.ref[i:i+tc.k])
+			}
+			rng := rand.New(rand.NewPCG(uint64(tc.k), 18))
+			for range 50 {
+				queries = append(queries, seq.Random(rng, tc.k))
+			}
+			for _, q := range queries {
+				var want []int32
+				for i := 0; i+tc.k <= len(tc.ref); i++ {
+					if kept[i] && slices.Equal(tc.ref[i:i+tc.k], q) {
+						want = append(want, int32(i))
+					}
+				}
+				if got := idx.Lookup(q); !slices.Equal(got, want) {
+					t.Fatalf("Lookup(%v) = %v, want %v", q, got, want)
+				}
+				if got := re.Lookup(q); !slices.Equal(got, want) {
+					t.Fatalf("FromArrays Lookup(%v) = %v, want %v", q, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -86,8 +86,7 @@ type binAgg struct {
 // concurrent calls. Every SeedIndex backend funnels its seed hits through
 // the same scratch via Begin/Vote/Collect, so candidate aggregation
 // (binning, tie-breaking, ordering) is identical across backends by
-// construction — including backends implemented outside this package, such
-// as mmap-loaded index files.
+// construction.
 type SeedScratch struct {
 	exact map[int]int
 	bins  map[int]binAgg
@@ -141,11 +140,4 @@ func (s *SeedScratch) Collect(maxCandidates int) []Candidate {
 		return s.cands[:maxCandidates]
 	}
 	return s.cands
-}
-
-// CandidateLocations runs the seeding step of any backend with throwaway
-// scratch — the convenience form of CandidateLocationsInto.
-func CandidateLocations(idx SeedIndex, read []byte, maxCandidates int) []Candidate {
-	var s SeedScratch
-	return idx.CandidateLocationsInto(&s, read, maxCandidates)
 }

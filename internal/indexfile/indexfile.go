@@ -1,11 +1,14 @@
 // Package indexfile defines the versioned on-disk format of prebuilt
 // reference indexes and loads them back as ready SeedIndex backends —
 // the "build once, load instantly" workflow Minimap2-class mappers ship
-// as .mmi files. Where `index.Build` is an O(n) rebuild on every server
-// start, a written index loads in O(1): the file is mmapped and the big
-// arrays (hash buckets and locations, or the suffix array) are served
-// zero-copy straight out of the mapping. Platforms without mmap fall back
-// to reading the file into RAM.
+// as .mmi files. Where `index.Build` is a rebuild on every server start, a
+// written index is mmapped and its big arrays (the seed table's keys,
+// offsets and locations, or the suffix array) are served zero-copy
+// straight out of the mapping. The only structure derived at load is the
+// seed table's directory over the keys' top bits (at most 4 bytes per
+// key, one counting pass); built and loaded seed tables are then the same
+// index.Index. Platforms without mmap fall back to reading the file into
+// RAM.
 //
 // # Format
 //
@@ -94,30 +97,6 @@ var (
 // built from the same reference share it regardless of backend.
 func RefDigest(ref []byte) uint64 { return crc64.Checksum(ref, digestTable) }
 
-// flattener is how hash-family backends export their bucket structure;
-// *index.Index and the mmap-loaded flatIndex both implement it.
-type flattener interface {
-	Flatten() (keys []uint64, offs []uint32, locs []int32)
-}
-
-// suffixer is how the suffix-array backend exports its payload.
-type suffixer interface {
-	SA() []int32
-}
-
-// backendCode maps a SeedIndex to its on-disk backend tag.
-func backendCode(idx index.SeedIndex) (uint32, error) {
-	switch idx.Stats().Backend {
-	case index.BackendHash:
-		return backendHash, nil
-	case index.BackendMinimizer:
-		return backendMinimizer, nil
-	case index.BackendSuffixArray:
-		return backendSuffixArray, nil
-	}
-	return 0, fmt.Errorf("indexfile: unknown backend %q", idx.Stats().Backend)
-}
-
 // Write serializes the index (and the reference name recorded for SAM
 // output) in the on-disk format. The writer is buffered internally;
 // callers own closing/syncing the destination.
@@ -125,30 +104,26 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 	if len(refName) > maxRefNameLen {
 		return fmt.Errorf("indexfile: reference name %d bytes exceeds %d", len(refName), maxRefNameLen)
 	}
-	backend, err := backendCode(idx)
-	if err != nil {
-		return err
-	}
 	st := idx.Stats()
 	ref := idx.Ref()
-
-	var keys []uint64
-	var offs []uint32
-	var locs []int32
-	var sa []int32
-	switch backend {
-	case backendHash, backendMinimizer:
-		f, ok := idx.(flattener)
-		if !ok {
-			return fmt.Errorf("indexfile: %s backend does not expose Flatten", st.Backend)
+	var backend uint32
+	var numKeys, numLocs int
+	var arrays [][]byte
+	switch x := idx.(type) {
+	case *index.Index:
+		keys, offs, locs := x.Arrays()
+		backend = backendHash
+		if st.MinimizerW > 0 {
+			backend = backendMinimizer
 		}
-		keys, offs, locs = f.Flatten()
-	case backendSuffixArray:
-		sx, ok := idx.(suffixer)
-		if !ok {
-			return fmt.Errorf("indexfile: %s backend does not expose SA", st.Backend)
-		}
-		sa = sx.SA()
+		numKeys, numLocs = len(keys), len(locs)
+		arrays = [][]byte{sliceBytes(keys), sliceBytes(offs), sliceBytes(locs)}
+	case *index.SuffixIndex:
+		backend = backendSuffixArray
+		numLocs = len(x.SA())
+		arrays = [][]byte{sliceBytes(x.SA())}
+	default:
+		return fmt.Errorf("indexfile: cannot write a %q index", st.Backend)
 	}
 
 	var hdr [headerSize]byte
@@ -160,12 +135,8 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 	ne.PutUint32(hdr[24:], uint32(st.MinimizerW))
 	ne.PutUint32(hdr[28:], uint32(len(refName)))
 	ne.PutUint64(hdr[32:], uint64(len(ref)))
-	ne.PutUint64(hdr[40:], uint64(len(keys)))
-	if backend == backendSuffixArray {
-		ne.PutUint64(hdr[48:], uint64(len(sa)))
-	} else {
-		ne.PutUint64(hdr[48:], uint64(len(locs)))
-	}
+	ne.PutUint64(hdr[40:], uint64(numKeys))
+	ne.PutUint64(hdr[48:], uint64(numLocs))
 	ne.PutUint64(hdr[56:], RefDigest(ref))
 
 	crc := crc32.New(crcTable)
@@ -182,28 +153,8 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 		}
 		return nil
 	}
-	if err := emit(hdr[:]); err != nil {
-		return err
-	}
-	if err := emit([]byte(refName)); err != nil {
-		return err
-	}
-	if err := emit(packRef(ref)); err != nil {
-		return err
-	}
-	switch backend {
-	case backendHash, backendMinimizer:
-		if err := emit(sliceBytes(keys)); err != nil {
-			return err
-		}
-		if err := emit(sliceBytes(offs)); err != nil {
-			return err
-		}
-		if err := emit(sliceBytes(locs)); err != nil {
-			return err
-		}
-	case backendSuffixArray:
-		if err := emit(sliceBytes(sa)); err != nil {
+	for _, b := range append([][]byte{hdr[:], []byte(refName), packRef(ref)}, arrays...) {
+		if err := emit(b); err != nil {
 			return err
 		}
 	}
@@ -213,7 +164,7 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 	// Trailer: checksum of everything written so far, itself excluded.
 	var tr [trailerSize]byte
 	ne.PutUint32(tr[:], crc.Sum32())
-	_, err = w.Write(tr[:])
+	_, err := w.Write(tr[:])
 	return err
 }
 
@@ -443,17 +394,12 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 		if err != nil {
 			return nil, err
 		}
-		fi := &flatIndex{
-			k: k, w: w, minimizer: backend == backendMinimizer, ref: ref,
-			keys: viewSlice[uint64](keysB),
-			offs: viewSlice[uint32](offsB),
-			locs: viewSlice[int32](locsB),
+		table, err := index.FromArrays(ref, k, w, viewSlice[uint64](keysB), viewSlice[uint32](offsB), viewSlice[int32](locsB))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		if err := fi.validate(); err != nil {
-			return nil, err
-		}
-		idx = fi
-		info.Seeds, info.Buckets = len(fi.locs), len(fi.keys)
+		idx = table
+		info.Seeds, info.Buckets = int(numLocs), int(numKeys)
 	case backendSuffixArray:
 		info.Backend = index.BackendSuffixArray
 		if w != 0 {
