@@ -23,7 +23,19 @@ import (
 // invalidated by the next call on this workspace; Clone the alignment to
 // retain it (see Alignment.Cigar).
 func (w *Workspace) Align(text, pattern []byte) (Alignment, error) {
-	return w.align(text, pattern, false)
+	return w.align(text, pattern, false, -1)
+}
+
+// AlignWithin is Align with a distance bound: it returns exactly what Align
+// returns when that alignment's Distance is at most maxDist, and
+// ErrDistanceBound otherwise. The bound is checked after every window:
+// once the edits committed by finished windows exceed maxDist the call
+// stops, since later windows only append to the CIGAR. This is the
+// branch-and-bound of read mapping — a candidate that cannot beat the
+// mapper's acceptance bound costs a few windows instead of a full
+// alignment. A negative maxDist means no bound.
+func (w *Workspace) AlignWithin(text, pattern []byte, maxDist int) (Alignment, error) {
+	return w.align(text, pattern, false, maxDist)
 }
 
 // validateCodes checks that every byte is a dense code of the configured
@@ -43,7 +55,7 @@ func (w *Workspace) validateCodes(s []byte) error {
 // pattern into the whole text and Distance is a (tight, see package tests)
 // upper bound on the Levenshtein distance.
 func (w *Workspace) AlignGlobal(text, pattern []byte) (Alignment, error) {
-	return w.align(text, pattern, true)
+	return w.align(text, pattern, true, -1)
 }
 
 // EditDistance returns the edit distance computed by a global alignment.
@@ -57,7 +69,9 @@ func (w *Workspace) EditDistance(a, b []byte) (int, error) {
 	return aln.Distance, nil
 }
 
-func (w *Workspace) align(text, pattern []byte, global bool) (Alignment, error) {
+// align is the one alignment loop behind Align, AlignWithin and
+// AlignGlobal; maxDist < 0 disables the distance bound.
+func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Alignment, error) {
 	// Drop the window-text reference when done so a pooled idle workspace
 	// does not pin the caller's (encoded) text until its next alignment.
 	defer func() { w.scanText = nil }()
@@ -82,6 +96,10 @@ func (w *Workspace) align(text, pattern []byte, global bool) (Alignment, error) 
 	textStart := 0
 	windows := 0
 	firstWindow := true
+	// committed counts the edits of finished non-terminal windows. Those
+	// windows run without phantom padding, so every error their traceback
+	// uses is an op in the builder, and later windows only append.
+	committed := 0
 
 	for curPattern < len(pattern) && curText < len(text) {
 		if err := w.checkCtx(); err != nil {
@@ -126,6 +144,12 @@ func (w *Workspace) align(text, pattern []byte, global bool) (Alignment, error) 
 		curPattern += tb.patternConsumed
 		curText += res.loc + tb.textConsumed
 		firstWindow = false
+		if !terminal {
+			committed += tb.errorsUsed
+			if maxDist >= 0 && committed > maxDist {
+				return Alignment{}, ErrDistanceBound
+			}
+		}
 	}
 
 	// Cleanup: pattern remaining after the text ran out aligns as trailing
@@ -142,9 +166,13 @@ func (w *Workspace) align(text, pattern []byte, global bool) (Alignment, error) 
 	// The returned Cigar views the workspace's builder arena (zero-copy,
 	// zero-alloc); see Alignment.Cigar for the retention contract.
 	cg := b.Cigar()
+	dist := cg.EditDistance()
+	if maxDist >= 0 && dist > maxDist {
+		return Alignment{}, ErrDistanceBound
+	}
 	return Alignment{
 		Cigar:     cg,
-		Distance:  cg.EditDistance(),
+		Distance:  dist,
 		TextStart: textStart,
 		TextEnd:   curText,
 		Windows:   windows,

@@ -84,3 +84,19 @@ func TestAlignGlobalAllocFree(t *testing.T) {
 		t.Errorf("AlignGlobal allocs/op = %.1f, want 0", allocs)
 	}
 }
+
+// TestAlignWithinAllocFree pins the rejection path: a candidate stopped
+// by the distance bound returns the bare sentinel and allocates nothing.
+func TestAlignWithinAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(77, 1))
+	ref, read := randSeq(rng, 2100), randSeq(rng, 2000) // unrelated
+	ws := mustWS(t, Config{FindFirstWindowStart: true})
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ws.AlignWithin(ref, read, 40); err != ErrDistanceBound {
+			t.Fatalf("AlignWithin = %v, want ErrDistanceBound", err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("rejected AlignWithin allocs/op = %.1f, want 0", allocs)
+	}
+}

@@ -187,18 +187,24 @@ func (c Config) validate() error {
 // levels than Config.MaxWindowErrors allows.
 var ErrWindowBudget = errors.New("core: window exceeded error budget (raise MaxWindowErrors)")
 
+// ErrDistanceBound is returned by AlignWithin when the alignment's
+// distance exceeds the caller's bound. It is returned bare (never
+// wrapped), so the rejection path allocates nothing.
+var ErrDistanceBound = errors.New("core: alignment distance exceeds bound")
+
 // Alignment is the result of a GenASM alignment.
 type Alignment struct {
 	// Cigar is the traceback output (Section 6), query-vs-text.
 	//
 	// Alignments produced by a Workspace view the workspace's CIGAR arena:
-	// Cigar stays valid only until the next Align/AlignGlobal/EditDistance
-	// call on the same workspace — the software analogue of reading a
-	// result out of the accelerator's output SRAM before the next launch
-	// overwrites it. Callers that retain the alignment past that point
-	// (store it, send it to another goroutine, return the workspace to a
-	// pool) must call Clone first. Distance, TextStart, TextEnd and
-	// Windows are plain values and always safe to retain.
+	// Cigar stays valid only until the next Align, AlignWithin,
+	// AlignGlobal or EditDistance call on the same workspace — the
+	// software analogue of reading a result out of the accelerator's
+	// output SRAM before the next launch overwrites it. Callers that
+	// retain the alignment past that point (store it, send it to another
+	// goroutine, return the workspace to a pool) must call Clone first.
+	// Distance, TextStart, TextEnd and Windows are plain values and always
+	// safe to retain.
 	Cigar cigar.Cigar
 	// Distance is the number of edit operations in Cigar.
 	Distance int

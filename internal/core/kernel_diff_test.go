@@ -66,65 +66,81 @@ func TestKernelEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceConfigSweep covers the configuration space the two
-// kernels must agree across: alphabets, window geometries (single- and
-// multi-word, small overlaps that stress DENT's store window), error
-// budgets, search mode, traceback orders and the adaptive toggle.
-func TestKernelEquivalenceConfigSweep(t *testing.T) {
+// sweepCase is one configuration of the kernel sweep.
+type sweepCase struct {
+	name string
+	cfg  Config
+}
+
+// sweepConfigs is the configuration space both kernels must agree across:
+// alphabets, window geometries (single- and multi-word, small overlaps
+// that stress DENT's store window), error budgets, search mode, traceback
+// orders and the adaptive toggle.
+func sweepConfigs() []sweepCase {
 	alphabets := []*alphabet.Alphabet{alphabet.DNA, alphabet.Protein, alphabet.Bytes}
 	windows := []struct{ w, o int }{{64, 24}, {32, 8}, {16, 4}, {128, 48}, {64, 0}}
-	type cfgCase struct {
-		name string
-		cfg  Config
-	}
-	var cases []cfgCase
+	var cases []sweepCase
 	for _, a := range alphabets {
 		for _, win := range windows {
-			cases = append(cases, cfgCase{
+			cases = append(cases, sweepCase{
 				name: fmt.Sprintf("%s/W%d-O%d", a.Name(), win.w, win.o),
 				cfg:  Config{Alphabet: a, WindowSize: win.w, Overlap: win.o},
 			})
 		}
 	}
 	cases = append(cases,
-		cfgCase{"dna/search", Config{FindFirstWindowStart: true}},
-		cfgCase{"dna/k8", Config{MaxWindowErrors: 8}},
-		cfgCase{"dna/k16-W32", Config{WindowSize: 32, Overlap: 8, MaxWindowErrors: 16}},
-		cfgCase{"dna/noadaptive", Config{NoAdaptive: true}},
-		cfgCase{"dna/noet", Config{NoEarlyTermination: true}},
-		cfgCase{"dna/k4-budget", Config{MaxWindowErrors: 4}},
-		cfgCase{"dna/k4-budget-noet", Config{MaxWindowErrors: 4, NoEarlyTermination: true}},
-		cfgCase{"dna/gapfirst", Config{Order: OrderGapFirst}},
-		cfgCase{"dna/delfirst", Config{Order: OrderDelFirst}},
-		cfgCase{"dna/fixedorder", Config{NoOrderSelection: true}},
-		cfgCase{"dna/noaffine", Config{NoAffineExtend: true}},
+		sweepCase{"dna/search", Config{FindFirstWindowStart: true}},
+		sweepCase{"dna/k8", Config{MaxWindowErrors: 8}},
+		sweepCase{"dna/k16-W32", Config{WindowSize: 32, Overlap: 8, MaxWindowErrors: 16}},
+		sweepCase{"dna/noadaptive", Config{NoAdaptive: true}},
+		sweepCase{"dna/noet", Config{NoEarlyTermination: true}},
+		sweepCase{"dna/k4-budget", Config{MaxWindowErrors: 4}},
+		sweepCase{"dna/k4-budget-noet", Config{MaxWindowErrors: 4, NoEarlyTermination: true}},
+		sweepCase{"dna/gapfirst", Config{Order: OrderGapFirst}},
+		sweepCase{"dna/delfirst", Config{Order: OrderDelFirst}},
+		sweepCase{"dna/fixedorder", Config{NoOrderSelection: true}},
+		sweepCase{"dna/noaffine", Config{NoAffineExtend: true}},
 	)
+	return cases
+}
 
-	for ci, c := range cases {
+// alphabetSize is the code count of the configuration's alphabet.
+func alphabetSize(cfg Config) int {
+	if cfg.Alphabet != nil {
+		return cfg.Alphabet.Size()
+	}
+	return 4
+}
+
+// sweepPair draws one sweep input of up to 300 letters: every third trial
+// an unrelated pair, otherwise a text and a mutated copy of it.
+func sweepPair(rng *rand.Rand, size, trial int) (text, pattern []byte) {
+	n := 1 + rng.IntN(300)
+	text = make([]byte, n)
+	for i := range text {
+		text[i] = byte(rng.IntN(size))
+	}
+	if trial%3 == 0 {
+		pattern = make([]byte, 1+rng.IntN(300))
+		for i := range pattern {
+			pattern[i] = byte(rng.IntN(size))
+		}
+	} else {
+		e := rng.IntN(max(1, n/6))
+		pattern = mutateAlpha(rng, text, e, size)
+	}
+	return text, pattern
+}
+
+// TestKernelEquivalenceConfigSweep runs both kernels over sweepConfigs.
+func TestKernelEquivalenceConfigSweep(t *testing.T) {
+	for ci, c := range sweepConfigs() {
 		t.Run(c.name, func(t *testing.T) {
 			s, b := kernelPair(t, c.cfg)
-			size := 4
-			if c.cfg.Alphabet != nil {
-				size = c.cfg.Alphabet.Size()
-			}
+			size := alphabetSize(c.cfg)
 			rng := rand.New(rand.NewPCG(42, uint64(ci)))
 			for trial := 0; trial < 25; trial++ {
-				n := 1 + rng.IntN(300)
-				text := make([]byte, n)
-				for i := range text {
-					text[i] = byte(rng.IntN(size))
-				}
-				// Mix related pairs (mutated copies) with unrelated ones.
-				var pattern []byte
-				if trial%3 == 0 {
-					pattern = make([]byte, 1+rng.IntN(300))
-					for i := range pattern {
-						pattern[i] = byte(rng.IntN(size))
-					}
-				} else {
-					e := rng.IntN(max(1, n/6))
-					pattern = mutateAlpha(rng, text, e, size)
-				}
+				text, pattern := sweepPair(rng, size, trial)
 				label := fmt.Sprintf("%s trial %d", c.name, trial)
 				diffAlign(t, s, b, text, pattern, trial%2 == 0, label)
 				if t.Failed() {

@@ -332,7 +332,7 @@ func (idx *Index) Lookup(kmer []byte) []int32 {
 
 // CandidateLocationsInto implements SeedIndex: every k-mer of the read is
 // looked up and each hit votes for the implied read start position (hit
-// position minus read offset); SeedScratch.collect aggregates the votes
+// position minus read offset); SeedScratch.Collect aggregates the votes
 // into ranked candidates. The returned slice views s.cands and stays valid
 // until the scratch's next use. Read k-mers are packed with a rolling
 // 2-bit update (O(n) instead of O(n·k)); k-mers containing codes outside

@@ -29,8 +29,14 @@ import (
 // alignment begins. The returned CIGAR is owned by the caller. It must
 // honor ctx where it can block, and be safe for concurrent use when the
 // Mapper is shared.
+//
+// maxDist bounds the edit distance the caller will accept: when the
+// alignment's distance is at most maxDist the result must be exactly the
+// unbounded one, and otherwise the call returns core.ErrDistanceBound
+// (an implementation may stop aligning as soon as it knows the bound is
+// crossed). A negative maxDist means no bound.
 type Aligner interface {
-	AlignRegionInto(ctx context.Context, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error)
+	AlignRegionInto(ctx context.Context, region, read []byte, maxDist int, buf cigar.Cigar) (cigar.Cigar, int, error)
 }
 
 // PoolAligner is the GenASM alignment step: each candidate draws a
@@ -43,13 +49,14 @@ type PoolAligner struct {
 	Pool *pool.Pool
 }
 
-// AlignRegionInto implements Aligner: the arena CIGAR is copied into buf
-// while the workspace is still checked out, so the per-candidate alignment
-// step allocates nothing.
-func (a PoolAligner) AlignRegionInto(ctx context.Context, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error) {
+// AlignRegionInto implements Aligner with core's AlignWithin, which stops
+// a candidate as soon as its committed edits cross maxDist. The arena
+// CIGAR is copied into buf while the workspace is still checked out, so
+// the per-candidate alignment step allocates nothing.
+func (a PoolAligner) AlignRegionInto(ctx context.Context, region, read []byte, maxDist int, buf cigar.Cigar) (cigar.Cigar, int, error) {
 	var start int
 	err := a.Pool.Do(ctx, func(ws *core.Workspace) error {
-		aln, err := ws.Align(region, read)
+		aln, err := ws.AlignWithin(region, read, maxDist)
 		if err != nil {
 			return err
 		}
@@ -70,13 +77,17 @@ type DPAligner struct {
 	Band int
 }
 
-// AlignRegionInto implements Aligner.
-func (a DPAligner) AlignRegionInto(_ context.Context, region, read []byte, buf cigar.Cigar) (cigar.Cigar, int, error) {
+// AlignRegionInto implements Aligner. The DP fills its whole matrix, so
+// maxDist only decides the result after the fact.
+func (a DPAligner) AlignRegionInto(_ context.Context, region, read []byte, maxDist int, buf cigar.Cigar) (cigar.Cigar, int, error) {
 	sc := a.Scoring
 	if sc == (cigar.Scoring{}) {
 		sc = cigar.Minimap2
 	}
 	res := dp.Align(region, read, sc, dp.Fit, a.Band)
+	if maxDist >= 0 && res.Distance() > maxDist {
+		return buf, 0, core.ErrDistanceBound
+	}
 	return res.Cigar.CloneInto(buf), res.TextStart, nil
 }
 
@@ -251,8 +262,13 @@ strands:
 				}
 			}
 			best.Aligned++
+			// Branch and bound: a result above rejectAbove, or one that
+			// cannot beat the best mapping so far, would be discarded
+			// below, so the aligner may stop as soon as it crosses that
+			// (best.Distance is MaxInt until a candidate maps).
+			maxDist := min(rejectAbove, best.Distance-1)
 			alignStart := tr.now(tr != nil && tr.AlignDone != nil)
-			cg, off, err := m.cfg.Aligner.AlignRegionInto(ctx, region, r, s.cur)
+			cg, off, err := m.cfg.Aligner.AlignRegionInto(ctx, region, r, maxDist, s.cur)
 			if tr != nil && tr.AlignDone != nil {
 				tr.AlignDone(err == nil, time.Since(alignStart))
 			}
@@ -261,8 +277,8 @@ strands:
 				// Cancellation must surface; so must a quarantined panic
 				// (the pooled workspace is gone, retrying candidates on a
 				// fresh one would mask real corruption). A single
-				// over-budget candidate is not fatal and the next one is
-				// tried.
+				// over-budget candidate, or one past maxDist, is not
+				// fatal and the next one is tried.
 				if ctx.Err() != nil {
 					return Mapping{}, ctx.Err()
 				}

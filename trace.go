@@ -31,7 +31,8 @@ type MapTrace struct {
 	FilterDone func(accepted bool, d time.Duration)
 	// AlignDone runs after the alignment step finished one candidate
 	// region; ok reports whether alignment produced a result (false when
-	// the candidate blew the window error budget).
+	// the candidate blew the window error budget, or crossed the distance
+	// bound past which the mapper would discard it anyway).
 	AlignDone func(ok bool, d time.Duration)
 	// ReadDone runs once when a read finishes the pipeline: the
 	// candidates considered, how many the filter rejected, how many were
