@@ -13,7 +13,8 @@ func TestAlignBatchPublic(t *testing.T) {
 		{Text: []byte("ACGTACGT"), Query: []byte("ACGTACGT"), Global: true},
 		{Text: []byte("TTTTACGTACGTTTTT"), Query: []byte("ACGTACGT")},
 	}
-	res, err := AlignBatch(Config{SearchStart: true}, jobs, 2)
+	e := newTestEngine(t, WithSearchStart(true), WithMaxWorkspaces(2))
+	res, err := e.AlignBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestAlignBatchPublicInvalidLetters(t *testing.T) {
 		{Text: []byte("ACGT"), Query: []byte("ACNX")},
 		{Text: []byte("CGTGA"), Query: []byte("CTGA"), Global: true},
 	}
-	res, err := AlignBatch(Config{}, jobs, 1)
+	res, err := newTestEngine(t, WithMaxWorkspaces(1)).AlignBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,25 +57,23 @@ func TestAlignBatchPublicInvalidLetters(t *testing.T) {
 }
 
 func TestAlignBatchPublicEmpty(t *testing.T) {
-	res, err := AlignBatch(Config{}, nil, 4)
+	res, err := newTestEngine(t, WithMaxWorkspaces(4)).AlignBatch(context.Background(), nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
 }
 
 func TestAlignBatchMatchesSingle(t *testing.T) {
-	al, err := NewAligner(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newTestEngine(t, WithMaxWorkspaces(1))
+	ctx := context.Background()
 	text := []byte("ACGGATCGATTACAGGCTTAACGGATCCTAGG")
 	query := []byte("ACGGATCGATTACAGGCTTAACGGATCCTAGG")
 	query[10] = 'T'
-	want, err := al.AlignGlobal(text, query)
+	want, err := e.AlignGlobal(ctx, text, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AlignBatch(Config{}, []BatchJob{{Text: text, Query: query, Global: true}}, 1)
+	res, err := e.AlignBatch(ctx, []BatchJob{{Text: text, Query: query, Global: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +164,10 @@ func TestAlignBatchEmpty(t *testing.T) {
 }
 
 // TestAlignBatchBadConfig checks that an invalid configuration is refused
-// before any job runs, by both the engine and the one-shot batch call.
+// when the engine is built, before any batch can run.
 func TestAlignBatchBadConfig(t *testing.T) {
-	bad := Config{WindowSize: 1}
-	if _, err := NewEngine(WithConfig(bad)); err == nil {
+	if _, err := NewEngine(WithConfig(Config{WindowSize: 1})); err == nil {
 		t.Error("NewEngine accepted an invalid config")
-	}
-	if res, err := AlignBatch(bad, makeBatchJobs(3, 13), 2); err == nil {
-		t.Errorf("AlignBatch accepted an invalid config: %d results", len(res))
 	}
 }
 

@@ -535,25 +535,27 @@ func BenchmarkAlignStream(b *testing.B) {
 	})
 }
 
-// BenchmarkPublicAPI measures the letter-level public Align path.
+// BenchmarkPublicAPI measures the letter-level public Align path on a
+// one-workspace Engine.
 func BenchmarkPublicAPI(b *testing.B) {
-	al, err := NewAligner(Config{})
+	e, err := NewEngine(WithMaxWorkspaces(1), WithShards(1))
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	text := []byte("TTACGGATCGTTGCAATCGGATCGATTACAGGCTTAACGGATCCTAGGACCAGTTACGGATCGTTGCAATCGGATCGATTACAGGCTTAACGGATCCTAGGACCAG")
 	query := []byte("TTACGGATCGTTGCAATCGGATCGATTACAGGCTTAACGGATCCTAGGACCAG")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := al.Align(text, query); err != nil {
+		if _, err := e.Align(ctx, text, query); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkPoolThroughput is the serving-path baseline: concurrent
-// alignment throughput through the shared Pool at 1/2/4/8 workers against
-// the sequential one-Aligner loop. This is the software rendition of the
+// alignment throughput through one shared Engine at 1/2/4/8 workers
+// against a sequential loop over a one-workspace Engine. This is the software rendition of the
 // paper's vault-count scaling (Section 10.5: throughput scales with the
 // number of GenASM units); speedups need as many cores as workers.
 func BenchmarkPoolThroughput(b *testing.B) {
@@ -567,21 +569,22 @@ func BenchmarkPoolThroughput(b *testing.B) {
 		queries[i] = alphabetDecode(mutateBench(rng, enc, 0.05))
 	}
 
+	ctx := context.Background()
 	b.Run("Sequential", func(b *testing.B) {
-		al, err := NewAligner(Config{})
+		e, err := NewEngine(WithMaxWorkspaces(1), WithShards(1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := al.AlignGlobal(texts[i%nPairs], queries[i%nPairs]); err != nil {
+			if _, err := e.AlignGlobal(ctx, texts[i%nPairs], queries[i%nPairs]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("Pool/workers=%d", workers), func(b *testing.B) {
-			p, err := NewPool(PoolConfig{MaxWorkspaces: workers, Shards: workers})
+			e, err := NewEngine(WithMaxWorkspaces(workers), WithShards(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -598,7 +601,7 @@ func BenchmarkPoolThroughput(b *testing.B) {
 						if i >= b.N {
 							return
 						}
-						if _, err := p.AlignGlobal(texts[i%nPairs], queries[i%nPairs]); err != nil {
+						if _, err := e.AlignGlobal(ctx, texts[i%nPairs], queries[i%nPairs]); err != nil {
 							b.Error(err)
 							return
 						}

@@ -278,6 +278,13 @@ func TestBadFlags(t *testing.T) {
 	if _, err := buildServer(o); err == nil {
 		t.Error("expected error for invalid window size")
 	}
+	o, err = parseFlags([]string{"-error-rate", "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buildServer(o); err == nil {
+		t.Error("expected error for an error rate above 1")
+	}
 }
 
 // TestMultiRefEndToEnd drives the multi-reference serving path the way a

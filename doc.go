@@ -78,13 +78,15 @@
 //
 // # Kernels
 //
-// WithKernel selects the alignment kernel. KernelScrooge, the default,
-// applies Scrooge's SENE and DENT optimizations (one stored bitvector per
-// traceback entry instead of four per-edge vectors, and no stores for
-// entries the windowed traceback cannot reach): pooled workspaces shrink
-// about 3x and alignment runs about 2x faster. KernelBaseline keeps the
-// paper's original storage layout; both kernels produce identical
-// alignments and are differentially fuzz-tested against each other.
+// The engine always runs the Scrooge kernel: Scrooge's SENE and DENT
+// optimizations store one bitvector per traceback entry instead of four
+// per-edge vectors, and no stores for entries the windowed traceback
+// cannot reach. Pooled workspaces are about 3x smaller than with the
+// paper's original storage layout, and alignment is 3.6-4.9x faster. That
+// baseline layout is internal (core.KernelBaseline): it is a test oracle
+// and a paper benchmark, not an engine option. Both layouts produce
+// identical alignments and are differentially fuzz-tested against each
+// other.
 //
 // # Result retention and CIGAR arenas
 //
@@ -124,18 +126,18 @@
 //
 // # Migrating from the pre-Engine API
 //
-// Aligner, Pool and the free functions remain as deprecated shims over
-// Engine, so existing callers compile unchanged:
+// Engine is the only entry point; the pre-Engine symbols are removed:
 //
-//	NewAligner(cfg)             ->  NewEngine(WithConfig(cfg))
+//	NewAligner(cfg), Aligner    ->  NewEngine(WithConfig(cfg))
 //	Aligner.Align(t, q)         ->  Engine.Align(ctx, t, q)
 //	NewPool(PoolConfig{...})    ->  NewEngine(WithConfig(...), WithShards(n), WithMaxWorkspaces(m))
 //	Pool.AlignContext(ctx,t,q)  ->  Engine.Align(ctx, t, q)
+//	DefaultPool(), Pool.Engine  ->  DefaultEngine()
 //	EditDistance(a, b)          ->  Engine.EditDistance(ctx, a, b)
 //	AlignBatch(cfg, jobs, n)    ->  Engine.AlignBatch(ctx, jobs)
 //	Search(alpha, t, p, k)      ->  Engine.Search(ctx, t, p, k) or Engine.Compile(p, k)
 //	Filter(region, read, k)     ->  Engine.Filter(ctx, region, read, k)
-//	internal read mapping       ->  Engine.NewMapper / Engine.Map
+//	WithKernel, Kernel          ->  none: the Scrooge kernel always runs
 //
 // # Serving
 //

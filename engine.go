@@ -62,21 +62,6 @@ type Engine struct {
 	trace atomic.Pointer[AlignTrace]
 }
 
-// newEngine is the shared constructor behind NewEngine and the deprecated
-// Aligner/Pool shims.
-func newEngine(cfg Config, shards, maxWorkspaces int) (*Engine, error) {
-	coreCfg := cfg.coreConfig()
-	p, err := pool.New(pool.Config{
-		Core:          coreCfg,
-		Shards:        shards,
-		MaxWorkspaces: maxWorkspaces,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{cfg: cfg, a: coreCfg.Alphabet, pool: p}, nil
-}
-
 // Config returns the engine's alignment configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -90,6 +75,15 @@ func (e *Engine) Capacity() int { return e.pool.Config().MaxWorkspaces }
 // (workspace creations), workspaces currently in flight and idle, and the
 // capacity.
 type PoolStats = pool.Stats
+
+// PanicError reports a panic recovered at the engine's isolation boundary
+// around a pooled alignment or mapping. The process survives: the
+// panicking workspace was quarantined (never returned to the pool, so its
+// possibly-corrupted scratch state cannot poison later requests) and its
+// capacity slot is refilled by a fresh workspace on demand. Callers can
+// detect quarantines with errors.As and should treat them as internal
+// errors (HTTP 500), not input errors.
+type PanicError = core.PanicError
 
 // Stats snapshots the underlying workspace pool counters.
 func (e *Engine) Stats() PoolStats { return e.pool.Stats() }
@@ -120,9 +114,17 @@ func (e *Engine) AlignGlobal(ctx context.Context, text, query []byte) (Alignment
 }
 
 // EditDistance returns the edit distance between two sequences of arbitrary
-// length (the Section 10.4 use case).
+// length (the Section 10.4 use case). When either sequence is empty the
+// distance is the other one's length.
 func (e *Engine) EditDistance(ctx context.Context, a, b []byte) (int, error) {
-	aln, err := e.AlignGlobal(ctx, a, b)
+	encA, encB, err := e.encodePair(a, b)
+	if err != nil {
+		return 0, err
+	}
+	if len(encA) == 0 || len(encB) == 0 {
+		return len(encA) + len(encB), nil
+	}
+	aln, err := e.runEncoded(ctx, encA, encB, true)
 	if err != nil {
 		return 0, err
 	}
@@ -130,15 +132,22 @@ func (e *Engine) EditDistance(ctx context.Context, a, b []byte) (int, error) {
 }
 
 func (e *Engine) run(ctx context.Context, text, query []byte, global bool) (Alignment, error) {
-	encText, err := e.encode("text", text)
-	if err != nil {
-		return Alignment{}, err
-	}
-	encQuery, err := e.encode("query", query)
+	encText, encQuery, err := e.encodePair(text, query)
 	if err != nil {
 		return Alignment{}, err
 	}
 	return e.runEncoded(ctx, encText, encQuery, global)
+}
+
+// encodePair encodes an alignment's text and query.
+func (e *Engine) encodePair(text, query []byte) (encText, encQuery []byte, err error) {
+	if encText, err = e.encode("text", text); err != nil {
+		return nil, nil, err
+	}
+	if encQuery, err = e.encode("query", query); err != nil {
+		return nil, nil, err
+	}
+	return encText, encQuery, nil
 }
 
 // runEncoded aligns already-encoded sequences through the workspace pool —
@@ -177,9 +186,6 @@ func (e *Engine) runEncoded(ctx context.Context, encText, encQuery []byte, globa
 	if tr != nil && tr.Done != nil {
 		tr.Done(len(encText), len(encQuery), time.Since(start), err)
 	}
-	if err != nil {
-		err = convertPanicError(err)
-	}
 	return out, err
 }
 
@@ -197,27 +203,9 @@ func (e *Engine) searcher(encPattern []byte, k int) (*bitap.MultiWord, error) {
 
 func (e *Engine) putSearcher(mw *bitap.MultiWord) { e.scratch.Put(mw) }
 
-// defaultEngines backs the package-level convenience functions: one
-// lazily-built default engine per alphabet.
-var defaultEngines [4]struct {
-	once sync.Once
-	e    *Engine
-	err  error
-}
+var defaultEngine = sync.OnceValues(func() (*Engine, error) { return NewEngine() })
 
-// defaultEngine returns the shared default-configuration engine for an
-// alphabet.
-func defaultEngine(a Alphabet) (*Engine, error) {
-	if a < DNA || a > Bytes {
-		a = DNA
-	}
-	d := &defaultEngines[a]
-	d.once.Do(func() {
-		d.e, d.err = newEngine(Config{Alphabet: a}, 0, 0)
-	})
-	return d.e, d.err
-}
-
-// DefaultEngine returns the lazily-built package-level Engine (default DNA
-// configuration) shared by the package-level convenience functions.
-func DefaultEngine() (*Engine, error) { return defaultEngine(DNA) }
+// DefaultEngine returns the lazily-built package-level Engine with the
+// default configuration (DNA, W=64, O=24, sized to the machine), for
+// callers that do not need an engine of their own.
+func DefaultEngine() (*Engine, error) { return defaultEngine() }

@@ -3,10 +3,14 @@ package genasm
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"genasm/internal/dp"
+	"genasm/internal/seq"
 )
 
 func newTestEngine(t *testing.T, opts ...Option) *Engine {
@@ -33,18 +37,16 @@ func TestEngineAlignPaperExample(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesAligner pins that the Engine produces exactly the
-// deprecated Aligner shim's output, concurrently, through one shared
-// instance.
+// TestEngineMatchesAligner pins that a shared multi-workspace Engine,
+// driven concurrently, produces exactly the output of a one-workspace
+// Engine run sequentially.
 func TestEngineMatchesAligner(t *testing.T) {
 	texts, queries := poolTestPairs()
-	al, err := NewAligner(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newTestEngine(t, WithMaxWorkspaces(1))
 	want := make([]Alignment, len(texts))
 	for i := range texts {
-		if want[i], err = al.AlignGlobal([]byte(texts[i]), []byte(queries[i])); err != nil {
+		var err error
+		if want[i], err = ref.AlignGlobal(context.Background(), []byte(texts[i]), []byte(queries[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,8 +64,9 @@ func TestEngineMatchesAligner(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got.CIGAR != want[i].CIGAR || got.Distance != want[i].Distance {
-					t.Errorf("pair %d: engine (%s, %d) != aligner (%s, %d)",
+				if got.CIGAR != want[i].CIGAR || got.Distance != want[i].Distance ||
+					got.Matches != want[i].Matches {
+					t.Errorf("pair %d: engine (%s, %d) != sequential (%s, %d)",
 						i, got.CIGAR, got.Distance, want[i].CIGAR, want[i].Distance)
 				}
 			}
@@ -169,68 +172,79 @@ func TestParseAlphabetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseKernelRoundTrip pins ParseKernel as the inverse of String,
-// case-insensitively, and that unknown names fail.
-func TestParseKernelRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{KernelScrooge, KernelBaseline} {
-		for _, name := range []string{k.String(), strings.ToUpper(k.String())} {
-			got, err := ParseKernel(name)
-			if err != nil {
-				t.Errorf("ParseKernel(%q): %v", name, err)
-				continue
-			}
-			if got != k {
-				t.Errorf("ParseKernel(%q) = %v, want %v", name, got, k)
-			}
+// TestUnknownAlphabetRejected pins that an Alphabet outside the four named
+// ones is refused by NewEngine instead of aligning as DNA, and prints as
+// Alphabet(n) instead of "DNA".
+func TestUnknownAlphabetRejected(t *testing.T) {
+	for _, a := range []Alphabet{-1, 4, 7} {
+		if _, err := NewEngine(WithAlphabet(a)); err == nil {
+			t.Errorf("NewEngine(WithAlphabet(%d)) accepted an unknown alphabet", int(a))
+		}
+		if _, err := NewEngine(WithConfig(Config{Alphabet: a})); err == nil {
+			t.Errorf("NewEngine(WithConfig) accepted unknown alphabet %d", int(a))
 		}
 	}
-	if _, err := ParseKernel("turbo"); err == nil {
-		t.Error("unknown kernel should not parse")
-	}
-	if _, err := NewEngine(WithKernel(Kernel(7))); err == nil {
-		t.Error("NewEngine should reject unknown kernels")
+	if got := Alphabet(7).String(); got != "Alphabet(7)" {
+		t.Errorf("Alphabet(7).String() = %q, want %q", got, "Alphabet(7)")
 	}
 }
 
-// TestEngineKernelsAgree drives both kernels through the whole public
-// Engine surface (Align, AlignGlobal, EditDistance) and requires
-// identical results — the public face of the core differential tests.
-func TestEngineKernelsAgree(t *testing.T) {
-	scrooge := newTestEngine(t, WithKernel(KernelScrooge))
-	baseline := newTestEngine(t, WithKernel(KernelBaseline))
-	if scrooge.Config().Kernel != KernelScrooge || baseline.Config().Kernel != KernelBaseline {
-		t.Fatalf("WithKernel not applied: %v / %v", scrooge.Config().Kernel, baseline.Config().Kernel)
-	}
-	texts, queries := poolTestPairs()
+// TestEngineEditDistanceBothOrders pins EditDistance against the dp oracle
+// with the arguments in both orders, and the empty cases: the distance to
+// an empty sequence is the other sequence's length, whichever side is
+// empty, once both have passed the alphabet check. The windowed distance
+// is an upper bound on the true one (exact on most pairs) and always the
+// distance AlignGlobal reports.
+func TestEngineEditDistanceBothOrders(t *testing.T) {
+	e := newTestEngine(t)
 	ctx := context.Background()
-	for i := range texts {
-		as, err := scrooge.AlignGlobal(ctx, []byte(texts[i]), []byte(queries[i]))
-		if err != nil {
-			t.Fatal(err)
+	rng := rand.New(rand.NewPCG(2026, 19))
+	exact := 0
+	for i := 0; i < 40; i++ {
+		enc := seq.Random(rng, 20+rng.IntN(400))
+		a, b := alphabetDecode(enc), alphabetDecode(mutateBench(rng, enc, 0.05))
+		truth := dp.EditDistance(a, b)
+		for _, p := range [][2][]byte{{a, b}, {b, a}} {
+			got, err := e.EditDistance(ctx, p[0], p[1])
+			if err != nil {
+				t.Fatalf("pair %d: %v", i, err)
+			}
+			aln, err := e.AlignGlobal(ctx, p[0], p[1])
+			if err != nil {
+				t.Fatalf("pair %d: %v", i, err)
+			}
+			if got < truth || got != aln.Distance {
+				t.Fatalf("pair %d: EditDistance(%d bp, %d bp) = %d; dp %d, AlignGlobal %d",
+					i, len(p[0]), len(p[1]), got, truth, aln.Distance)
+			}
+			if got == truth {
+				exact++
+			}
 		}
-		ab, err := baseline.AlignGlobal(ctx, []byte(texts[i]), []byte(queries[i]))
-		if err != nil {
-			t.Fatal(err)
+	}
+	if exact < 72 {
+		t.Errorf("only %d/80 distances exact", exact)
+	}
+	for _, c := range []struct {
+		a, b string
+		want int
+	}{{"", "ACG", 3}, {"ACG", "", 3}, {"", "", 0}} {
+		if got, err := e.EditDistance(ctx, []byte(c.a), []byte(c.b)); err != nil || got != c.want {
+			t.Errorf("EditDistance(%q, %q) = %d, %v; want %d", c.a, c.b, got, err, c.want)
 		}
-		if as.CIGAR != ab.CIGAR || as.Distance != ab.Distance {
-			t.Fatalf("pair %d: scrooge %+v vs baseline %+v", i, as, ab)
-		}
+	}
+	var ae *AlphabetError
+	if _, err := e.EditDistance(ctx, nil, []byte("ACN")); !errors.As(err, &ae) {
+		t.Errorf("EditDistance(\"\", \"ACN\") err = %v, want *AlphabetError", err)
 	}
 }
 
 // TestEngineStatsWorkspaceBytes pins that pool stats report the
-// per-workspace footprint and that the default Scrooge kernel's is
-// several times leaner than the baseline layout's.
+// per-workspace footprint. (The kernel layouts' footprint ratio is pinned
+// in internal/core by TestScroogeFootprintReduction.)
 func TestEngineStatsWorkspaceBytes(t *testing.T) {
-	scrooge := newTestEngine(t)
-	baseline := newTestEngine(t, WithKernel(KernelBaseline))
-	sb := scrooge.Stats().WorkspaceBytes
-	bb := baseline.Stats().WorkspaceBytes
-	if sb <= 0 || bb <= 0 {
-		t.Fatalf("workspace bytes not reported: scrooge %d, baseline %d", sb, bb)
-	}
-	if float64(bb)/float64(sb) < 2.5 {
-		t.Fatalf("scrooge workspace %dB vs baseline %dB: want >=2.5x reduction", sb, bb)
+	if b := newTestEngine(t).Stats().WorkspaceBytes; b <= 0 {
+		t.Fatalf("workspace bytes not reported: %d", b)
 	}
 }
 
@@ -498,25 +512,5 @@ func TestEngineMapper(t *testing.T) {
 	}
 	if !oneShot[0].Mapped || oneShot[0].Pos != mp.Pos {
 		t.Errorf("Engine.Map = %+v, want pos %d", oneShot[0], mp.Pos)
-	}
-}
-
-// TestDeprecatedShimsDelegate pins that the legacy surface still works and
-// agrees with the Engine it wraps.
-func TestDeprecatedShimsDelegate(t *testing.T) {
-	p, err := NewPool(PoolConfig{MaxWorkspaces: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Engine() == nil || p.Capacity() != 2 {
-		t.Fatalf("pool shim: engine=%v capacity=%d", p.Engine(), p.Capacity())
-	}
-	want, err := p.Engine().AlignGlobal(context.Background(), []byte("CGTGA"), []byte("CTGA"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.AlignGlobal([]byte("CGTGA"), []byte("CTGA"))
-	if err != nil || got.CIGAR != want.CIGAR {
-		t.Errorf("shim (%s, %v) != engine (%s)", got.CIGAR, err, want.CIGAR)
 	}
 }

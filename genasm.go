@@ -21,8 +21,12 @@ const (
 	Bytes
 )
 
+// impl returns the internal alphabet behind a, or nil for an unknown
+// Alphabet value.
 func (a Alphabet) impl() *alphabet.Alphabet {
 	switch a {
+	case DNA:
+		return alphabet.DNA
 	case RNA:
 		return alphabet.RNA
 	case Protein:
@@ -30,12 +34,17 @@ func (a Alphabet) impl() *alphabet.Alphabet {
 	case Bytes:
 		return alphabet.Bytes
 	default:
-		return alphabet.DNA
+		return nil
 	}
 }
 
-// String implements fmt.Stringer.
-func (a Alphabet) String() string { return a.impl().Name() }
+// String implements fmt.Stringer. Unknown values print as Alphabet(n).
+func (a Alphabet) String() string {
+	if impl := a.impl(); impl != nil {
+		return impl.Name()
+	}
+	return fmt.Sprintf("Alphabet(%d)", int(a))
+}
 
 // ParseAlphabet maps a name ("dna", "rna", "protein", "bytes") to its
 // Alphabet; it is the inverse of String for flag and API parsing.
@@ -46,42 +55,6 @@ func ParseAlphabet(name string) (Alphabet, error) {
 		}
 	}
 	return DNA, fmt.Errorf("genasm: unknown alphabet %q", name)
-}
-
-// Kernel selects the alignment kernel's DC/TB storage layout. Both
-// kernels produce identical alignments (they are differentially tested);
-// they differ in speed and scratch memory.
-type Kernel int
-
-const (
-	// KernelScrooge (the default) applies Scrooge's SENE and DENT
-	// optimizations: the DC phase stores one bitvector per (text
-	// position, error level) entry instead of four per-edge vectors, and
-	// skips entries the windowed traceback can never read — ~3x less
-	// traceback memory and about 2x faster alignment.
-	KernelScrooge Kernel = iota
-	// KernelBaseline is the GenASM paper's original TB-SRAM layout,
-	// kept for differential testing and operation-count-faithful
-	// comparisons.
-	KernelBaseline
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string { return k.impl().String() }
-
-// impl lowers the public Kernel by value so that unknown kernels reach
-// core.Config validation instead of being coerced to a valid one.
-func (k Kernel) impl() core.Kernel { return core.Kernel(k) }
-
-// ParseKernel maps a name ("scrooge", "baseline") to its Kernel; it is
-// the inverse of String for flag and API parsing.
-func ParseKernel(name string) (Kernel, error) {
-	for _, k := range []Kernel{KernelScrooge, KernelBaseline} {
-		if strings.EqualFold(name, k.String()) {
-			return k, nil
-		}
-	}
-	return KernelScrooge, fmt.Errorf("genasm: unknown kernel %q", name)
 }
 
 // Config parameterizes an Engine. The zero value is the paper's setup:
@@ -102,10 +75,6 @@ type Config struct {
 	// scoring schemes where gaps are cheaper than substitutions
 	// (Section 6, partial support for complex scoring schemes).
 	GapsBeforeSubstitutions bool
-	// Kernel selects the alignment kernel. The zero value is
-	// KernelScrooge (SENE+DENT); KernelBaseline restores the paper's
-	// original per-edge storage layout.
-	Kernel Kernel
 }
 
 // coreConfig lowers the public Config to the internal core configuration.
@@ -115,7 +84,6 @@ func (cfg Config) coreConfig() core.Config {
 		WindowSize:           cfg.WindowSize,
 		Overlap:              cfg.Overlap,
 		FindFirstWindowStart: cfg.SearchStart,
-		Kernel:               cfg.Kernel.impl(),
 	}
 	if cfg.GapsBeforeSubstitutions {
 		c.Order = core.OrderGapFirst
@@ -177,5 +145,5 @@ var (
 	ScoringMinimap2 = Scoring{Match: 2, Mismatch: -4, GapOpen: -4, GapExtend: -2}
 )
 
-// The pre-Engine compatibility shims (Aligner, Pool, the free Search/
-// Filter/AlignBatch/EditDistance functions) live in deprecated.go.
+// Engine (engine.go) is the one way in: alignment, edit distance, search,
+// filtering, batches and read mapping are all Engine methods.

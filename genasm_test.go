@@ -1,16 +1,24 @@
 package genasm
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
-func TestAlignerPaperExample(t *testing.T) {
-	al, err := NewAligner(Config{})
+// defaultTestEngine returns the shared DefaultEngine, failing the test if
+// it cannot be built.
+func defaultTestEngine(t *testing.T) *Engine {
+	t.Helper()
+	e, err := DefaultEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln, err := al.AlignGlobal([]byte("CGTGA"), []byte("CTGA"))
+	return e
+}
+
+func TestAlignerPaperExample(t *testing.T) {
+	aln, err := newTestEngine(t).AlignGlobal(context.Background(), []byte("CGTGA"), []byte("CTGA"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +34,8 @@ func TestAlignerPaperExample(t *testing.T) {
 }
 
 func TestAlignSemiGlobal(t *testing.T) {
-	al, err := NewAligner(Config{SearchStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aln, err := al.Align([]byte("TTTTACGTACGTTTTT"), []byte("ACGTACGT"))
+	e := newTestEngine(t, WithSearchStart(true))
+	aln, err := e.Align(context.Background(), []byte("TTTTACGTACGTTTTT"), []byte("ACGTACGT"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,35 +48,31 @@ func TestAlignSemiGlobal(t *testing.T) {
 }
 
 func TestEditDistanceConvenience(t *testing.T) {
-	d, err := EditDistance([]byte("GATTACA"), []byte("GATTACA"))
+	e := defaultTestEngine(t)
+	ctx := context.Background()
+	d, err := e.EditDistance(ctx, []byte("GATTACA"), []byte("GATTACA"))
 	if err != nil || d != 0 {
 		t.Fatalf("d=%d err=%v", d, err)
 	}
-	d, err = EditDistance([]byte("ACGTACGTAC"), []byte("ACGAACGTAC"))
+	d, err = e.EditDistance(ctx, []byte("ACGTACGTAC"), []byte("ACGAACGTAC"))
 	if err != nil || d != 1 {
 		t.Fatalf("d=%d err=%v", d, err)
 	}
 }
 
 func TestInvalidLetters(t *testing.T) {
-	al, err := NewAligner(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := al.Align([]byte("ACGT"), []byte("ACNG")); err == nil {
+	e := newTestEngine(t)
+	ctx := context.Background()
+	if _, err := e.Align(ctx, []byte("ACGT"), []byte("ACNG")); err == nil {
 		t.Fatal("N should be rejected by the DNA alphabet")
 	}
-	if _, err := al.Align([]byte("ACNT"), []byte("ACGG")); err == nil {
+	if _, err := e.Align(ctx, []byte("ACNT"), []byte("ACGG")); err == nil {
 		t.Fatal("N in text should be rejected")
 	}
 }
 
 func TestScoring(t *testing.T) {
-	al, err := NewAligner(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aln, err := al.AlignGlobal([]byte("ACGTACGTAC"), []byte("ACGTACGTAC"))
+	aln, err := newTestEngine(t).AlignGlobal(context.Background(), []byte("ACGTACGTAC"), []byte("ACGTACGTAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +85,8 @@ func TestScoring(t *testing.T) {
 }
 
 func TestProteinAlphabet(t *testing.T) {
-	al, err := NewAligner(Config{Alphabet: Protein})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aln, err := al.AlignGlobal([]byte("MKTAYIAKQR"), []byte("MKTAYIAKQR"))
+	e := newTestEngine(t, WithAlphabet(Protein))
+	aln, err := e.AlignGlobal(context.Background(), []byte("MKTAYIAKQR"), []byte("MKTAYIAKQR"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestProteinAlphabet(t *testing.T) {
 
 func TestGenericTextSearch(t *testing.T) {
 	text := []byte("the quick brown fox jumps over the lazy dog")
-	matches, err := Search(Bytes, text, []byte("qu1ck"), 1)
+	matches, err := newTestEngine(t, WithAlphabet(Bytes)).Search(context.Background(), text, []byte("qu1ck"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +122,7 @@ func TestGenericTextSearch(t *testing.T) {
 }
 
 func TestDNASearch(t *testing.T) {
-	matches, err := Search(DNA, []byte("ACGTACGTACGT"), []byte("TACG"), 0)
+	matches, err := defaultTestEngine(t).Search(context.Background(), []byte("ACGTACGTACGT"), []byte("TACG"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +134,14 @@ func TestDNASearch(t *testing.T) {
 func TestFilterAPI(t *testing.T) {
 	region := []byte("ACGTACGTACGTACGTACGTACGTACGTACGT")
 	read := []byte("ACGTACGTACGTACGTACGTACGTACGTACGT")
-	ok, err := Filter(region, read, 2)
+	e := defaultTestEngine(t)
+	ctx := context.Background()
+	ok, err := e.Filter(ctx, region, read, 2)
 	if err != nil || !ok {
 		t.Fatalf("identical pair rejected: ok=%v err=%v", ok, err)
 	}
 	bad := []byte("TTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTT")
-	ok, err = Filter(region, bad, 2)
+	ok, err = e.Filter(ctx, region, bad, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,8 @@ func TestAcceleratorRejectsBadConfig(t *testing.T) {
 }
 
 func TestGapsBeforeSubstitutionsConfig(t *testing.T) {
-	al, err := NewAligner(Config{GapsBeforeSubstitutions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aln, err := al.AlignGlobal([]byte("ACGTACGT"), []byte("ACGTACGT"))
+	e := newTestEngine(t, WithGapsBeforeSubstitutions(true))
+	aln, err := e.AlignGlobal(context.Background(), []byte("ACGTACGT"), []byte("ACGTACGT"))
 	if err != nil || aln.Distance != 0 {
 		t.Fatalf("aln=%+v err=%v", aln, err)
 	}

@@ -56,7 +56,9 @@ const (
 	// KernelBaseline is the paper's original TB-SRAM layout: the three
 	// intermediate per-edge bitvectors (match, insertion, deletion) are
 	// stored for every entry and substitution is re-derived as
-	// deletion<<1 (Section 6's storage optimization).
+	// deletion<<1 (Section 6's storage optimization). The public API
+	// always runs KernelScrooge; this layout is the differential-test
+	// oracle and the paper benchmark.
 	KernelBaseline
 )
 

@@ -27,7 +27,9 @@ func (w *Workspace) checkCtx() error {
 // around a pooled alignment or mapping. The panicking workspace is
 // quarantined (never returned to the pool), so a corrupted workspace
 // cannot poison later requests; the capacity token is released and the
-// next cache miss rebuilds a fresh workspace in its place.
+// next cache miss rebuilds a fresh workspace in its place. The root
+// package exports this type as genasm.PanicError, so its message speaks
+// for the public API.
 type PanicError struct {
 	// Site labels where the panic fired: "align" for the kernel path, or
 	// a fault-injection site name for injected panics.
@@ -39,5 +41,5 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("core: panic in pooled %s (workspace quarantined): %v", e.Site, e.Value)
+	return fmt.Sprintf("genasm: panic in pooled %s (workspace quarantined): %v", e.Site, e.Value)
 }

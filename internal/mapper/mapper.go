@@ -95,10 +95,11 @@ func (a DPAligner) AlignRegionInto(_ context.Context, region, read []byte, maxDi
 // minimizer window) belong to the seed index the Mapper is built over.
 type Config struct {
 	// MaxCandidates bounds the candidate locations tried per strand
-	// (default 8).
+	// (0 selects the default 8; negative is refused).
 	MaxCandidates int
 	// ErrorRate is the expected sequencing error rate, used for region
-	// slack and the filtering threshold (default 0.10).
+	// slack and the filtering threshold: in [0, 1], 0 selects the default
+	// 0.10.
 	ErrorRate float64
 	// Prefilter enables GenASM-DC pre-alignment filtering (step 2 of
 	// Figure 1) between seeding and alignment.
@@ -158,9 +159,26 @@ type Mapper struct {
 	scratch sync.Pool // of *mapScratch
 }
 
+// Validate reports a Config that New refuses: an ErrorRate outside [0, 1]
+// (NaN included; 0 selects the default) or a negative MaxCandidates.
+// Either would otherwise surface per read, as a panic or an out-of-memory
+// filter, or silently map nothing.
+func (c Config) Validate() error {
+	if !(c.ErrorRate >= 0 && c.ErrorRate <= 1) {
+		return fmt.Errorf("mapper: error rate %v outside [0, 1]", c.ErrorRate)
+	}
+	if c.MaxCandidates < 0 {
+		return fmt.Errorf("mapper: max candidates %d is negative", c.MaxCandidates)
+	}
+	return nil
+}
+
 // New returns a Mapper over a prebuilt seed index — any SeedIndex backend,
 // built in memory or loaded from an index file.
 func New(idx index.SeedIndex, cfg Config) (*Mapper, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.MaxCandidates == 0 {
 		cfg.MaxCandidates = 8
 	}

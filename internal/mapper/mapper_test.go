@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"sync"
@@ -249,5 +250,35 @@ func TestMapAllLengthMismatch(t *testing.T) {
 	m := newMapper(t, genome, Config{})
 	if _, _, err := m.MapAll(reads, []int{1}, 10); err == nil {
 		t.Fatal("length mismatch should error")
+	}
+}
+
+// TestNewRejectsBadConfig pins that New refuses an error rate outside
+// [0, 1] or a negative candidate cap, with the filter on and off, instead
+// of panicking, exhausting memory or silently mapping nothing per read.
+func TestNewRejectsBadConfig(t *testing.T) {
+	idx, err := index.Build(seq.Random(rand.New(rand.NewPCG(7, 0)), 5000), 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []Config{
+		{ErrorRate: math.NaN()},
+		{ErrorRate: -0.5},
+		{ErrorRate: 1.5},
+		{ErrorRate: 1e9},
+		{MaxCandidates: -2},
+	}
+	for _, cfg := range bad {
+		for _, filter := range []bool{false, true} {
+			cfg.Prefilter = filter
+			if _, err := New(idx, cfg); err == nil {
+				t.Errorf("New(%+v) accepted an invalid config", cfg)
+			}
+		}
+	}
+	for _, cfg := range []Config{{}, {ErrorRate: 1, Prefilter: true}, {MaxCandidates: 1}} {
+		if _, err := New(idx, cfg); err != nil {
+			t.Errorf("New(%+v): %v", cfg, err)
+		}
 	}
 }

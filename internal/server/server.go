@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"genasm"
+	"genasm/internal/mapper"
 	"genasm/internal/metrics"
 	"genasm/internal/registry"
 )
@@ -283,6 +284,11 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("server: Config.Engine is required")
+	}
+	// Mappers are built per reference, possibly long after boot; refuse a
+	// mapping setup they would all reject now.
+	if err := (mapper.Config{ErrorRate: cfg.MapErrorRate}).Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{

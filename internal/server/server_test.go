@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net"
 	"net/http"
@@ -549,6 +550,17 @@ func TestRefIndexConfigErrors(t *testing.T) {
 	}
 	if _, err := New(Config{Engine: eng, RefIndexPath: path}); err == nil {
 		t.Error("corrupt index file accepted")
+	}
+}
+
+// TestMapErrorRateValidated pins that a mapping error rate every mapper
+// would refuse fails New at startup, not the first /v1/map request.
+func TestMapErrorRateValidated(t *testing.T) {
+	eng := newTestEngine(t)
+	for _, rate := range []float64{math.NaN(), -0.5, 2} {
+		if _, err := New(Config{Engine: eng, MapErrorRate: rate}); err == nil {
+			t.Errorf("MapErrorRate %v accepted", rate)
+		}
 	}
 }
 

@@ -23,10 +23,11 @@ type MapperConfig struct {
 	// are fixed by the file.
 	SeedParams
 	// MaxCandidates bounds the candidate locations tried per strand
-	// (default 8).
+	// (0 selects the default 8; negative is refused).
 	MaxCandidates int
 	// ErrorRate is the expected sequencing error rate, used for region
-	// slack and the filtering threshold (default 0.10).
+	// slack and the filtering threshold: in [0, 1], 0 selects the default
+	// 0.10.
 	ErrorRate float64
 	// Prefilter enables GenASM-DC pre-alignment filtering (step 2 of
 	// Figure 1) between seeding and alignment.
@@ -146,7 +147,7 @@ func (m *Mapper) MapRead(ctx context.Context, read []byte) (ReadMapping, error) 
 	}
 	mp, err := m.m.MapReadContext(ctx, enc)
 	if err != nil {
-		return ReadMapping{}, convertPanicError(err)
+		return ReadMapping{}, err
 	}
 	out := ReadMapping{
 		Mapped:     mp.Mapped,

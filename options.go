@@ -1,5 +1,11 @@
 package genasm
 
+import (
+	"fmt"
+
+	"genasm/internal/pool"
+)
+
 // engineSettings collects everything NewEngine can configure: the alignment
 // Config plus the sizing of the workspace pool behind the engine.
 type engineSettings struct {
@@ -51,14 +57,6 @@ func WithGapsBeforeSubstitutions(on bool) Option {
 	return func(s *engineSettings) { s.GapsBeforeSubstitutions = on }
 }
 
-// WithKernel selects the alignment kernel: KernelScrooge (the default,
-// SENE/DENT entry storage — faster and ~3x leaner pooled workspaces) or
-// KernelBaseline (the paper's original per-edge storage layout). Both
-// produce identical alignments.
-func WithKernel(k Kernel) Option {
-	return func(s *engineSettings) { s.Kernel = k }
-}
-
 // WithMaxWorkspaces caps the number of live workspaces — the engine's
 // concurrency bound. Zero (the default) picks 2×GOMAXPROCS.
 func WithMaxWorkspaces(n int) Option {
@@ -86,10 +84,19 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	for _, opt := range opts {
 		opt(&s)
 	}
-	e, err := newEngine(s.Config, s.Shards, s.MaxWorkspaces)
+	if s.Alphabet.impl() == nil {
+		return nil, fmt.Errorf("genasm: unknown alphabet %v", s.Alphabet)
+	}
+	coreCfg := s.coreConfig()
+	p, err := pool.New(pool.Config{
+		Core:          coreCfg,
+		Shards:        s.Shards,
+		MaxWorkspaces: s.MaxWorkspaces,
+	})
 	if err != nil {
 		return nil, err
 	}
+	e := &Engine{cfg: s.Config, a: coreCfg.Alphabet, pool: p}
 	if s.trace != nil {
 		e.SetAlignTrace(s.trace)
 	}

@@ -1,6 +1,7 @@
 package genasm
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -22,41 +23,50 @@ func poolTestPairs() (texts, queries []string) {
 	return texts, queries
 }
 
-// TestPoolMatchesAligner pins that the concurrency-safe Pool produces
-// exactly the single-threaded Aligner's output, concurrently.
+// TestPoolMatchesAligner pins that workspaces recycled by a contended
+// pool carry no state between pairs: eight workers share two workspaces
+// across pairs of differing lengths, and every alignment and edit
+// distance must equal a fresh one-workspace engine's.
 func TestPoolMatchesAligner(t *testing.T) {
+	ctx := context.Background()
 	texts, queries := poolTestPairs()
-	al, err := NewAligner(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newTestEngine(t, WithMaxWorkspaces(1))
 	want := make([]Alignment, len(texts))
 	for i := range texts {
-		if want[i], err = al.AlignGlobal([]byte(texts[i]), []byte(queries[i])); err != nil {
+		var err error
+		if want[i], err = ref.AlignGlobal(ctx, []byte(texts[i]), []byte(queries[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	p, err := NewPool(PoolConfig{MaxWorkspaces: 3, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestEngine(t, WithMaxWorkspaces(2), WithShards(1))
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(texts); i += workers {
-				got, err := p.AlignGlobal([]byte(texts[i]), []byte(queries[i]))
+			// Walk the pairs in a different order per worker so each
+			// workspace alternates between long and short pairs.
+			for k := 0; k < len(texts); k++ {
+				i := (k*7 + w*13) % len(texts)
+				got, err := p.AlignGlobal(ctx, []byte(texts[i]), []byte(queries[i]))
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if got.CIGAR != want[i].CIGAR || got.Distance != want[i].Distance ||
 					got.Matches != want[i].Matches {
-					t.Errorf("pair %d: pool (%s, %d) != aligner (%s, %d)",
+					t.Errorf("pair %d: pool (%s, %d) != one-workspace (%s, %d)",
 						i, got.CIGAR, got.Distance, want[i].CIGAR, want[i].Distance)
+				}
+				d, err := p.EditDistance(ctx, []byte(texts[i]), []byte(queries[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if d != want[i].Distance {
+					t.Errorf("pair %d: pool distance %d != %d", i, d, want[i].Distance)
 				}
 			}
 		}(w)
@@ -67,56 +77,50 @@ func TestPoolMatchesAligner(t *testing.T) {
 	}
 }
 
+// TestPoolSemiGlobal pins that a default-sized engine aligns
+// semi-globally exactly like a one-workspace engine.
 func TestPoolSemiGlobal(t *testing.T) {
-	p, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	al, err := NewAligner(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	text := []byte("TTACGGATCGTTGCAATCGGATCGATTACAGG")
 	query := []byte("TTACGGATCGTTGCAATCGG")
-	want, err := al.Align(text, query)
+	want, err := newTestEngine(t, WithMaxWorkspaces(1)).Align(ctx, text, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Align(text, query)
+	got, err := newTestEngine(t).Align(ctx, text, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.CIGAR != want.CIGAR || got.TextEnd != want.TextEnd {
-		t.Errorf("pool %+v != aligner %+v", got, want)
+		t.Errorf("pooled %+v != one-workspace %+v", got, want)
 	}
 }
 
 func TestPoolRejectsBadInput(t *testing.T) {
-	p, err := NewPool(PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Align([]byte("ACXT"), []byte("ACGT")); err == nil {
+	e := newTestEngine(t)
+	ctx := context.Background()
+	if _, err := e.Align(ctx, []byte("ACXT"), []byte("ACGT")); err == nil {
 		t.Error("expected encode error for bad text")
 	}
-	if _, err := p.Align([]byte("ACGT"), nil); err == nil {
+	if _, err := e.Align(ctx, []byte("ACGT"), nil); err == nil {
 		t.Error("expected error for empty query")
 	}
-	if _, err := NewPool(PoolConfig{Config: Config{WindowSize: 1}}); err == nil {
+	if _, err := NewEngine(WithWindow(1, 0)); err == nil {
 		t.Error("expected error for invalid window size")
 	}
 }
 
-// TestEditDistanceConcurrent exercises the package-level convenience,
-// which now shares the default pool, from many goroutines.
+// TestEditDistanceConcurrent exercises the shared DefaultEngine from many
+// goroutines.
 func TestEditDistanceConcurrent(t *testing.T) {
+	e := defaultTestEngine(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				d, err := EditDistance([]byte("GGCTATAATGCGGGG"), []byte("GGCTATATGCGGG"))
+				d, err := e.EditDistance(context.Background(), []byte("GGCTATAATGCGGGG"), []byte("GGCTATATGCGGG"))
 				if err != nil {
 					t.Error(err)
 					return
@@ -128,11 +132,7 @@ func TestEditDistanceConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	p, err := DefaultPool()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.InFlight != 0 {
-		t.Errorf("default pool in-flight=%d, want 0", st.InFlight)
+	if st := e.Stats(); st.InFlight != 0 {
+		t.Errorf("default engine in-flight=%d, want 0", st.InFlight)
 	}
 }
