@@ -695,17 +695,16 @@ func mutateBench(rng *rand.Rand, s []byte, errRate float64) []byte {
 	return out
 }
 
-// benchIndexConfigs enumerates the persistent-index backends with the
-// canonical build parameters `genasm index build` exposes; the sub-bench
-// names ("backend=hash", ...) are shared by the three index benchmarks so
-// benchstat lines up build, load and lookup per backend.
+// benchIndexConfigs enumerates the full and the minimizer-sampled index
+// with the canonical build parameters `genasm index build` exposes; the
+// sub-bench names ("backend=hash", ...) are shared by the three index
+// benchmarks so benchstat lines up build, load and lookup per kind.
 var benchIndexConfigs = []struct {
 	name string
 	cfg  RefIndexConfig
 }{
-	{"backend=hash", RefIndexConfig{Backend: IndexHash, SeedParams: SeedParams{SeedK: 15}}},
-	{"backend=minimizer", RefIndexConfig{Backend: IndexMinimizer, SeedParams: SeedParams{SeedK: 15, MinimizerW: 10}}},
-	{"backend=suffixarray", RefIndexConfig{Backend: IndexSuffixArray, SeedParams: SeedParams{SeedK: 15}}},
+	{"backend=hash", RefIndexConfig{SeedParams: SeedParams{SeedK: 15}}},
+	{"backend=minimizer", RefIndexConfig{SeedParams: SeedParams{SeedK: 15, MinimizerW: 10}}},
 }
 
 // benchIndexRef builds the 200kb reference the index benchmarks share
@@ -715,7 +714,7 @@ func benchIndexRef() []byte {
 	return alphabetDecode(seq.Genome(rng, seq.DefaultGenomeConfig(200000)))
 }
 
-// BenchmarkIndexBuild measures offline index construction per backend —
+// BenchmarkIndexBuild measures offline index construction per kind —
 // the cost `genasm index build` pays once so later boots can skip it. The
 // BenchmarkIndexLoad/IndexBuild ratio is the cold-start win BENCHMARKS.md
 // tracks.
@@ -772,7 +771,7 @@ func BenchmarkIndexLoad(b *testing.B) {
 }
 
 // BenchmarkSeedLookup isolates the seeding step — CandidateLocationsInto
-// over simulated short reads — per backend, on both the in-memory built
+// over simulated short reads — per kind, on both the in-memory built
 // form (mem) and the mmap-loaded on-disk form (mmap). The pair guards the
 // promise that loading an index from disk does not slow the hot path.
 func BenchmarkSeedLookup(b *testing.B) {

@@ -325,7 +325,7 @@ func benchSuite() []namedBench {
 	suite = append(suite, namedBench{name: "MapperTraced/Traced", fn: mapperBench(metricsMapTrace())})
 
 	// Persistent-index benchmarks (mirror BenchmarkIndexBuild/IndexLoad/
-	// SeedLookup): offline construction vs mmap cold start per backend, and
+	// SeedLookup): offline construction vs mmap cold start per kind, and
 	// the seeding hot path on the built and the mmap-loaded index form.
 	// The IndexLoad/IndexBuild ratio is the cold-start win BENCHMARKS.md
 	// tracks.
@@ -337,9 +337,8 @@ func benchSuite() []namedBench {
 		name string
 		cfg  genasm.RefIndexConfig
 	}{
-		{"backend=hash", genasm.RefIndexConfig{Backend: genasm.IndexHash, SeedParams: genasm.SeedParams{SeedK: 15}}},
-		{"backend=minimizer", genasm.RefIndexConfig{Backend: genasm.IndexMinimizer, SeedParams: genasm.SeedParams{SeedK: 15, MinimizerW: 10}}},
-		{"backend=suffixarray", genasm.RefIndexConfig{Backend: genasm.IndexSuffixArray, SeedParams: genasm.SeedParams{SeedK: 15}}},
+		{"backend=hash", genasm.RefIndexConfig{SeedParams: genasm.SeedParams{SeedK: 15}}},
+		{"backend=minimizer", genasm.RefIndexConfig{SeedParams: genasm.SeedParams{SeedK: 15, MinimizerW: 10}}},
 	} {
 		c := c
 		suite = append(suite, namedBench{
@@ -477,10 +476,10 @@ func registryBench(churn bool) func(b *testing.B) {
 }
 
 // seedLookupBench isolates the seeding step — CandidateLocationsInto over
-// simulated short reads — for one backend, on the in-memory built index
+// simulated short reads — for one index kind, on the in-memory built index
 // (mem) or an mmap-loaded index file (mmap). It mirrors
 // BenchmarkSeedLookup, reaching through the internal index/indexfile
-// packages because the raw SeedIndex is not public API.
+// packages because the raw seed table is not public API.
 func seedLookupBench(cfg genasm.RefIndexConfig, storage string) func(b *testing.B) {
 	return func(b *testing.B) {
 		rng := rand.New(rand.NewPCG(2033, 0))
@@ -489,13 +488,10 @@ func seedLookupBench(cfg genasm.RefIndexConfig, storage string) func(b *testing.
 		if err != nil {
 			b.Fatal(err)
 		}
-		var idx index.SeedIndex
-		switch cfg.Backend {
-		case genasm.IndexMinimizer:
+		var idx *index.Index
+		if cfg.MinimizerW > 0 {
 			idx, err = index.BuildMinimizer(genome, cfg.SeedK, cfg.MinimizerW)
-		case genasm.IndexSuffixArray:
-			idx, err = index.BuildSuffixArray(genome, cfg.SeedK)
-		default:
+		} else {
 			idx, err = index.Build(genome, cfg.SeedK)
 		}
 		if err != nil {

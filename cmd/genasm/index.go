@@ -30,9 +30,8 @@ func runIndexBuild(args []string) error {
 	fs := flag.NewFlagSet("index build", flag.ExitOnError)
 	refPath := fs.String("ref", "", "reference FASTA (gzip ok; first record is indexed)")
 	out := fs.String("out", "", "output index file (e.g. ref.gidx)")
-	backend := fs.String("backend", "hash", "index backend: hash, minimizer or suffixarray")
 	seedK := fs.Int("seed-k", 15, "seed length (max 31)")
-	minimizerW := fs.Int("minimizer-w", 0, "minimizer window (minimizer backend; 0 = 10)")
+	minimizerW := fs.Int("minimizer-w", 0, "sample window minimizers over N k-mers (N > 0); 0 indexes every k-mer")
 	refName := fs.String("ref-name", "", "reference name stored in the index (default: the FASTA record name)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,7 +55,6 @@ func runIndexBuild(args []string) error {
 	}
 	start := time.Now()
 	ri, err := e.BuildRefIndex(ref, genasm.RefIndexConfig{
-		Backend:    genasm.IndexBackend(*backend),
 		SeedParams: genasm.SeedParams{SeedK: *seedK, MinimizerW: *minimizerW},
 		RefName:    name,
 	})
@@ -100,9 +98,7 @@ func runIndexInspect(args []string) error {
 		fmt.Printf("minimizer w:  %d\n", st.MinimizerW)
 	}
 	fmt.Printf("seeds:        %d\n", st.Seeds)
-	if st.Buckets > 0 {
-		fmt.Printf("buckets:      %d\n", st.Buckets)
-	}
+	fmt.Printf("buckets:      %d\n", st.Buckets)
 	fmt.Printf("file size:    %d bytes\n", st.FileBytes)
 	fmt.Printf("memory:       %d bytes (%s)\n", st.Bytes, st.Source)
 	fmt.Printf("load time:    %v\n", st.LoadTime.Round(time.Microsecond))

@@ -5,7 +5,7 @@
 //	genasm filter  -region SEQ -read SEQ -k 5
 //	genasm search  -text FILE|SEQ -pattern SEQ -k 2 [-bytes]
 //	genasm map     -ref ref.fasta -reads reads.fastq.gz [-sam]
-//	genasm index   build -ref ref.fasta -out ref.gidx [-backend suffixarray]
+//	genasm index   build -ref ref.fasta -out ref.gidx [-minimizer-w 10]
 //	genasm index   inspect ref.gidx
 //
 // Every subcommand runs on the public genasm.Engine API. Sequence
@@ -73,7 +73,7 @@ func usage() {
   filter   -region SEQ -read SEQ -k N
   search   -text SEQ|FILE -pattern SEQ -k N [-bytes]
   map      -ref FASTA[.gz] -reads FASTA|FASTQ[.gz] [-seed-k N] [-error-rate F] [-sam]
-  index    build -ref FASTA[.gz] -out FILE [-backend hash|minimizer|suffixarray] [-seed-k N] [-minimizer-w N]
+  index    build -ref FASTA[.gz] -out FILE [-seed-k N] [-minimizer-w N]
            inspect FILE
   simulate -profile NAME -n N -seed S [-ref FASTA | -genome-len N] [-format fastq|fasta]
            [-rev-comp] [-out FILE] [-genome-out FILE] [-truth FILE] [-list-profiles]`)

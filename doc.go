@@ -65,15 +65,14 @@
 //
 // Engine.NewMapper rebuilds the seed index from the reference on every
 // call. For references mapped against repeatedly, Engine.BuildRefIndex
-// constructs a RefIndex once — with a choice of seeding backend:
-// IndexHash (every k-mer), IndexMinimizer (windowed sampling) or
-// IndexSuffixArray (SA-IS suffix array) — RefIndex.WriteFile persists it
-// in a versioned, checksummed on-disk format, and LoadRefIndex memory-maps
-// it back (falling back to a heap copy where mmap is unavailable).
-// Engine.NewMapperFromIndex then boots a Mapper in file-validation time
-// rather than index-construction time; all backends and both storage
-// forms produce identical mappings, and the loaded index seeds without
-// allocating. `genasm index build`/`inspect` and `genasm-serve -ref-index`
+// constructs a RefIndex once — every k-mer by default, or window
+// minimizers when SeedParams.MinimizerW > 0 — RefIndex.WriteFile persists
+// it in a versioned, checksummed on-disk format, and LoadRefIndex
+// memory-maps it back (falling back to a heap copy where mmap is
+// unavailable). Engine.NewMapperFromIndex then boots a Mapper in
+// file-validation time rather than index-construction time; the built and
+// loaded forms of one index produce identical mappings, and the loaded
+// index seeds without allocating. `genasm index build`/`inspect` and `genasm-serve -ref-index`
 // are the command-line faces of the same workflow.
 //
 // # Kernels
@@ -126,7 +125,8 @@
 //
 // # Migrating from the pre-Engine API
 //
-// Engine is the only entry point; the pre-Engine symbols are removed:
+// Engine is the only entry point; the pre-Engine symbols are removed, as
+// is the index-backend choice:
 //
 //	NewAligner(cfg), Aligner    ->  NewEngine(WithConfig(cfg))
 //	Aligner.Align(t, q)         ->  Engine.Align(ctx, t, q)
@@ -138,6 +138,10 @@
 //	Search(alpha, t, p, k)      ->  Engine.Search(ctx, t, p, k) or Engine.Compile(p, k)
 //	Filter(region, read, k)     ->  Engine.Filter(ctx, region, read, k)
 //	WithKernel, Kernel          ->  none: the Scrooge kernel always runs
+//	RefIndexConfig.Backend      ->  SeedParams.MinimizerW > 0 samples minimizers
+//	IndexHash                   ->  the zero value: every k-mer
+//	IndexMinimizer              ->  SeedParams.MinimizerW > 0
+//	IndexSuffixArray            ->  none: set MinimizerW for a small index
 //
 // # Serving
 //

@@ -1,17 +1,15 @@
-// Package index implements the candidate-generation backends of read
-// mapping (Figure 1, steps 0 and 1, and the "hash-table based indexing"
-// use case of Section 11): a k-mer hash index over the reference (all
-// fixed-length seeds keyed to their locations), minimizer sampling as used
-// by Minimap2-class mappers to shrink the index, and an SA-IS suffix array
-// with binary-search seeding. All backends implement SeedIndex, so the
-// mapping pipeline is agnostic to which one generated its candidates.
+// Package index implements candidate generation for read mapping
+// (Figure 1, steps 0 and 1, and the "hash-table based indexing" use case
+// of Section 11): a k-mer seed table over the reference (all fixed-length
+// seeds keyed to their locations), optionally sampled with window
+// minimizers as Minimap2-class mappers do to shrink the index.
 //
-// The hash and minimizer backends share one seed table, Index: sorted
-// arrays of distinct packed k-mers, per-key offsets and locations, which
-// are exactly the sections an index file stores, plus a directory over the
-// keys' top bits derived from them. A built index and one loaded zero-copy
-// from a file mapping are therefore the same type with the same lookup;
-// loading derives only the directory (FromArrays).
+// Both forms are one seed table, Index: sorted arrays of distinct packed
+// k-mers, per-key offsets and locations, which are exactly the sections an
+// index file stores, plus a directory over the keys' top bits derived from
+// them. A built index and one loaded zero-copy from a file mapping are
+// therefore the same type with the same lookup; loading derives only the
+// directory (FromArrays).
 package index
 
 import (
@@ -20,7 +18,7 @@ import (
 	"slices"
 )
 
-// Index is the seed table of the hash and minimizer backends of SeedIndex.
+// Index is the seed table, every k-mer or window minimizers.
 // keys holds the distinct packed k-mers ascending, offs[i]:offs[i+1]
 // brackets key i's locations in locs (ascending), and dir[s]:dir[s+1]
 // brackets the keys whose top bits equal s. The directory has at most one
@@ -268,7 +266,7 @@ func (idx *Index) Seeds() int { return len(idx.locs) }
 // Ref returns the indexed reference.
 func (idx *Index) Ref() []byte { return idx.ref }
 
-// Stats implements SeedIndex. Bytes is the table's footprint: the
+// Stats describes the index. Bytes is the table's footprint: the
 // reference, the three stored arrays and the directory.
 func (idx *Index) Stats() Stats {
 	backend := BackendHash
@@ -286,8 +284,8 @@ func (idx *Index) Stats() Stats {
 	}
 }
 
-// Arrays returns the stored arrays — the on-disk layout of the hash
-// backends — shared with the index, not to be modified.
+// Arrays returns the stored arrays — the on-disk layout of the table —
+// shared with the index, not to be modified.
 func (idx *Index) Arrays() (keys []uint64, offs []uint32, locs []int32) {
 	return idx.keys, idx.offs, idx.locs
 }
@@ -330,15 +328,15 @@ func (idx *Index) Lookup(kmer []byte) []int32 {
 	return idx.find(pack(kmer))
 }
 
-// CandidateLocationsInto implements SeedIndex: every k-mer of the read is
-// looked up and each hit votes for the implied read start position (hit
-// position minus read offset); SeedScratch.Collect aggregates the votes
-// into ranked candidates. The returned slice views s.cands and stays valid
-// until the scratch's next use. Read k-mers are packed with a rolling
-// 2-bit update (O(n) instead of O(n·k)); k-mers containing codes outside
-// the DNA alphabet cast no votes.
+// CandidateLocationsInto runs the seeding step with caller-owned scratch:
+// every k-mer of the read is looked up and each hit votes for the implied
+// read start position (hit position minus read offset); the scratch
+// aggregates the votes into ranked candidates. The returned slice views
+// s.cands and stays valid until the scratch's next use. Read k-mers are
+// packed with a rolling 2-bit update (O(n) instead of O(n·k)); k-mers
+// containing codes outside the DNA alphabet cast no votes.
 func (idx *Index) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandidates int) []Candidate {
-	s.Begin()
+	s.begin()
 	mask := kmerMask(idx.k)
 	var key uint64
 	valid := 0 // consecutive in-alphabet codes ending at the current base
@@ -354,8 +352,8 @@ func (idx *Index) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandida
 		}
 		off := i - idx.k + 1
 		for _, pos := range idx.find(key & mask) {
-			s.Vote(int(pos) - off)
+			s.vote(int(pos) - off)
 		}
 	}
-	return s.Collect(maxCandidates)
+	return s.collect(maxCandidates)
 }

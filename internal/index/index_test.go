@@ -166,6 +166,79 @@ func TestCandidateCap(t *testing.T) {
 	}
 }
 
+// TestCandidatesMatchBruteForce checks the seed table against a naive
+// scan: every exact occurrence of every in-alphabet read k-mer votes for
+// its implied start, and the table's candidates must equal what the
+// scratch collects from those votes. The cases cover repeats, non-ACGT
+// read codes, k = 1, k = MaxK, a reference of exactly k bases and caps of
+// 0 and 1.
+func TestCandidatesMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 0))
+	repeats := make([]byte, 1200)
+	for i := range repeats {
+		repeats[i] = byte(i % 7 % 4) // period-7 tandem repeat
+	}
+	copy(repeats[500:], testRef(100, 48))
+	cases := []struct {
+		name string
+		ref  []byte
+		k    int
+	}{
+		{"random-k11", testRef(3000, 49), 11},
+		{"repeats-k5", repeats, 5},
+		{"k1", testRef(200, 50), 1},
+		{"kmax", testRef(800, 51), MaxK},
+		{"ref-exactly-k", testRef(13, 52), 13},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			idx, err := Build(tc.ref, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want SeedScratch
+			for trial := range 30 {
+				n := 1 + rng.IntN(min(len(tc.ref), 120))
+				p := rng.IntN(len(tc.ref) - n + 1)
+				read := append([]byte(nil), tc.ref[p:p+n]...)
+				switch trial % 3 {
+				case 1: // substitutions
+					for range 1 + n/20 {
+						q := rng.IntN(n)
+						read[q] = (read[q] + byte(1+rng.IntN(3))) % 4
+					}
+				case 2: // codes outside the DNA alphabet cast no votes
+					for range 1 + n/30 {
+						read[rng.IntN(n)] = byte(4 + rng.IntN(6))
+					}
+				}
+				var starts []int
+				for i := 0; i+tc.k <= len(read); i++ {
+					kmer := read[i : i+tc.k]
+					if slices.ContainsFunc(kmer, func(c byte) bool { return c > 3 }) {
+						continue
+					}
+					for q := 0; q+tc.k <= len(tc.ref); q++ {
+						if slices.Equal(tc.ref[q:q+tc.k], kmer) {
+							starts = append(starts, q-i)
+						}
+					}
+				}
+				for _, maxCands := range []int{0, 1} {
+					want.begin()
+					for _, start := range starts {
+						want.vote(start)
+					}
+					w := want.collect(maxCands)
+					if g := idx.CandidateLocationsInto(&got, read, maxCands); !slices.Equal(g, w) {
+						t.Fatalf("trial %d cap %d: table candidates %v, brute force %v", trial, maxCands, g, w)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestKRangeTypedError pins the typed error for out-of-range seed
 // lengths: callers (the public MapperConfig validation among them) match
 // it with errors.As instead of parsing a generic build failure.

@@ -6,45 +6,24 @@ import (
 	"slices"
 )
 
-// SeedIndex is the pluggable candidate-generation backend of the mapping
-// pipeline (Figure 1, steps 0 and 1). The GenASM paper treats indexing as
-// an offline step feeding seeding; Scrooge shows the whole candidate
-// generator is swappable without touching the alignment kernel — so the
-// pipeline depends on this interface, not on a concrete index layout.
-// Implementations must be safe for concurrent lookups after construction.
-type SeedIndex interface {
-	// K returns the seed length.
-	K() int
-	// Ref returns the indexed reference (dense 2-bit codes). The slice is
-	// shared with the index and must not be modified.
-	Ref() []byte
-	// CandidateLocationsInto runs the seeding step with caller-owned
-	// scratch; see Index.CandidateLocationsInto for the contract.
-	CandidateLocationsInto(s *SeedScratch, read []byte, maxCandidates int) []Candidate
-	// Stats describes the index: backend, parameters and footprint.
-	Stats() Stats
-}
-
-// Backend identifiers, shared with the on-disk format.
+// Backend labels of Stats: every k-mer indexed, or window minimizers.
 const (
-	BackendHash        = "hash"
-	BackendMinimizer   = "minimizer"
-	BackendSuffixArray = "suffixarray"
+	BackendHash      = "hash"
+	BackendMinimizer = "minimizer"
 )
 
 // Stats describes a seed index.
 type Stats struct {
-	// Backend is the index kind: "hash", "minimizer" or "suffixarray".
+	// Backend labels the sampling: "hash" when MinimizerW is 0,
+	// "minimizer" otherwise.
 	Backend string
 	// K is the seed length; MinimizerW the sampling window (0 = none).
 	K, MinimizerW int
 	// RefLen is the indexed reference length in bases.
 	RefLen int
-	// Seeds is the number of indexed seed positions (for a suffix array,
-	// every suffix is a seed position).
+	// Seeds is the number of indexed seed positions.
 	Seeds int
-	// Buckets is the number of distinct seed keys (0 where the backend has
-	// no bucket structure).
+	// Buckets is the number of distinct seed keys.
 	Buckets int
 	// Bytes approximates the in-memory footprint of the index structures,
 	// reference included.
@@ -83,18 +62,15 @@ type binAgg struct {
 // maps and the candidate list — so a mapping pipeline that seeds millions
 // of reads reuses one scratch per worker instead of reallocating per read.
 // The zero value is ready to use; a SeedScratch must not be shared between
-// concurrent calls. Every SeedIndex backend funnels its seed hits through
-// the same scratch via Begin/Vote/Collect, so candidate aggregation
-// (binning, tie-breaking, ordering) is identical across backends by
-// construction.
+// concurrent calls.
 type SeedScratch struct {
 	exact map[int]int
 	bins  map[int]binAgg
 	cands []Candidate
 }
 
-// Begin readies the scratch for one read.
-func (s *SeedScratch) Begin() {
+// begin readies the scratch for one read.
+func (s *SeedScratch) begin() {
 	if s.exact == nil {
 		s.exact = make(map[int]int, 128)
 		s.bins = make(map[int]binAgg, 16)
@@ -103,16 +79,16 @@ func (s *SeedScratch) Begin() {
 	clear(s.bins)
 }
 
-// Vote records one seed hit implying the read starts at start.
-func (s *SeedScratch) Vote(start int) { s.exact[start]++ }
+// vote records one seed hit implying the read starts at start.
+func (s *SeedScratch) vote(start int) { s.exact[start]++ }
 
-// Collect aggregates the recorded votes into the ranked candidate list.
+// collect aggregates the recorded votes into the ranked candidate list.
 // Votes are pooled in bins to tolerate indel drift, but each bin reports
 // its most-voted exact start so downstream aligners get a precise anchor.
 // Candidates come back most-voted first (position ascending on ties),
 // capped at maxCandidates (0 = no cap); the slice views s.cands and stays
 // valid until the scratch's next use.
-func (s *SeedScratch) Collect(maxCandidates int) []Candidate {
+func (s *SeedScratch) collect(maxCandidates int) []Candidate {
 	const bin = 16 // indel drift tolerance
 	for start, v := range s.exact {
 		b, ok := s.bins[start/bin]

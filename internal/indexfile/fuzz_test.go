@@ -16,7 +16,7 @@ import (
 func FuzzIndexFile(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 3, 3}, uint8(4), uint8(0))
 	f.Add(bytes.Repeat([]byte{1, 0, 2}, 40), uint8(7), uint8(1))
-	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 2, 1}, 30), uint8(11), uint8(2))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 2, 1}, 30), uint8(11), uint8(5))
 
 	f.Fuzz(func(t *testing.T, raw []byte, kByte, backendByte uint8) {
 		// Direction 1: hostile image straight into the decoder.
@@ -33,15 +33,12 @@ func FuzzIndexFile(f *testing.F) {
 		if len(ref) < k || len(ref) < 2 {
 			return
 		}
-		var built index.SeedIndex
+		var built *index.Index
 		var err error
-		switch backendByte % 3 {
-		case 0:
+		if backendByte%2 == 0 {
 			built, err = index.Build(ref, k)
-		case 1:
-			built, err = index.BuildMinimizer(ref, k, 1+int(backendByte)/3)
-		default:
-			built, err = index.BuildSuffixArray(ref, k)
+		} else {
+			built, err = index.BuildMinimizer(ref, k, 1+int(backendByte)/2)
 		}
 		if err != nil {
 			t.Fatalf("build k=%d on %d bases: %v", k, len(ref), err)

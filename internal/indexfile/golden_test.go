@@ -3,9 +3,11 @@ package indexfile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"genasm/internal/index"
@@ -66,5 +68,41 @@ func TestGoldenFiles(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetiredSuffixArrayTag pins the rejection of backend tag 3, which
+// earlier releases wrote for suffix-array indexes: a well-formed file
+// carrying it is an unsupported version that names the rebuild command,
+// not a corrupt file and never a panic.
+func TestRetiredSuffixArrayTag(t *testing.T) {
+	if ne != binary.LittleEndian {
+		t.Skip("golden files are little-endian")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "hash-k11.gidx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ne.PutUint32(golden[16:], backendRetiredSuffixArray)
+	ne.PutUint32(golden[len(golden)-trailerSize:], crc32Of(golden[:len(golden)-trailerSize]))
+	path := filepath.Join(t.TempDir(), "sa.gidx")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func() (*File, error){
+		"Decode": func() (*File, error) { return Decode(golden) },
+		"Load":   func() (*File, error) { return Load(path) },
+	} {
+		f, err := load()
+		if err == nil {
+			f.Close()
+			t.Fatalf("%s accepted a suffix-array file", name)
+		}
+		if !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: error %v, want ErrVersion and not ErrCorrupt", name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "suffix-array") || !strings.Contains(msg, "genasm index build") {
+			t.Errorf("%s: error %q should name the suffix-array backend and the rebuild command", name, msg)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 // Package indexfile defines the versioned on-disk format of prebuilt
-// reference indexes and loads them back as ready SeedIndex backends —
-// the "build once, load instantly" workflow Minimap2-class mappers ship
-// as .mmi files. Where `index.Build` is a rebuild on every server start, a
+// reference indexes and loads them back as ready seed tables — the "build
+// once, load instantly" workflow Minimap2-class mappers ship as .mmi
+// files. Where `index.Build` is a rebuild on every server start, a
 // written index is mmapped and its big arrays (the seed table's keys,
-// offsets and locations, or the suffix array) are served zero-copy
-// straight out of the mapping. The only structure derived at load is the
-// seed table's directory over the keys' top bits (at most 4 bytes per
-// key, one counting pass); built and loaded seed tables are then the same
+// offsets and locations) are served zero-copy straight out of the
+// mapping. The only structure derived at load is the seed table's
+// directory over the keys' top bits (at most 4 bytes per key, one
+// counting pass); built and loaded seed tables are then the same
 // index.Index. Platforms without mmap fall back to reading the file into
 // RAM.
 //
@@ -22,26 +22,27 @@
 //	  [8]byte  magic "GASMIDX\x01"
 //	  u32      version (currently 1)
 //	  u32      byte-order mark 0x01020304
-//	  u32      backend (1=hash, 2=minimizer, 3=suffixarray)
-//	  u32      k, u32 w (minimizer window; 0 for unsampled backends)
+//	  u32      backend (1=hash, 2=minimizer; 3 is retired, see below)
+//	  u32      k, u32 w (minimizer window; 0 for hash)
 //	  u32      refName length in bytes
 //	  u64      reference length in bases
-//	  u64      numKeys (hash backends: distinct k-mers; suffix array: 0)
-//	  u64      numLocs (hash backends: seed positions; suffix array: refLen)
+//	  u64      numKeys (distinct k-mers)
+//	  u64      numLocs (seed positions)
 //	  u64      reference digest (CRC-64/ECMA over the encoded bases)
 //	  u64      reserved
 //	sections (each zero-padded to 8 bytes):
 //	  refName  raw bytes
 //	  ref      2-bit packed bases, 4 per byte
-//	  hash backends: keys []u64 ascending · offs [numKeys+1]u32 · locs []i32
-//	  suffix array:  sa []i32
+//	  keys []u64 ascending · offs [numKeys+1]u32 · locs []i32
 //	trailer:
 //	  u32      CRC-32C over everything before the trailer
 //
 // Load verifies the magic, version, byte order, structural bounds, the
 // whole-file checksum and the reference digest, and bounds-checks every
-// location/suffix entry — a truncated, corrupted or wrong-version file is
-// a clean error, never a panic in the seeding hot path.
+// location — a truncated, corrupted or wrong-version file is a clean
+// error, never a panic in the seeding hot path. Backend tag 3 held a
+// suffix array in earlier releases; it stays reserved so it is never
+// reused, and such a file is rejected as an unsupported version.
 package indexfile
 
 import (
@@ -75,9 +76,11 @@ var (
 const Version = 1
 
 const (
-	backendHash        = 1
-	backendMinimizer   = 2
-	backendSuffixArray = 3
+	backendHash      = 1
+	backendMinimizer = 2
+	// backendRetiredSuffixArray tagged a suffix-array index, no longer
+	// built or read. Never reuse the tag.
+	backendRetiredSuffixArray = 3
 
 	byteOrderMark = 0x01020304
 	headerSize    = 72
@@ -94,36 +97,22 @@ var (
 
 // RefDigest is the digest stored in the header and surfaced by Info: a
 // CRC-64/ECMA over the encoded (2-bit codes) reference bases. Two files
-// built from the same reference share it regardless of backend.
+// built from the same reference share it regardless of sampling.
 func RefDigest(ref []byte) uint64 { return crc64.Checksum(ref, digestTable) }
 
 // Write serializes the index (and the reference name recorded for SAM
 // output) in the on-disk format. The writer is buffered internally;
 // callers own closing/syncing the destination.
-func Write(w io.Writer, idx index.SeedIndex, refName string) error {
+func Write(w io.Writer, idx *index.Index, refName string) error {
 	if len(refName) > maxRefNameLen {
 		return fmt.Errorf("indexfile: reference name %d bytes exceeds %d", len(refName), maxRefNameLen)
 	}
 	st := idx.Stats()
 	ref := idx.Ref()
-	var backend uint32
-	var numKeys, numLocs int
-	var arrays [][]byte
-	switch x := idx.(type) {
-	case *index.Index:
-		keys, offs, locs := x.Arrays()
-		backend = backendHash
-		if st.MinimizerW > 0 {
-			backend = backendMinimizer
-		}
-		numKeys, numLocs = len(keys), len(locs)
-		arrays = [][]byte{sliceBytes(keys), sliceBytes(offs), sliceBytes(locs)}
-	case *index.SuffixIndex:
-		backend = backendSuffixArray
-		numLocs = len(x.SA())
-		arrays = [][]byte{sliceBytes(x.SA())}
-	default:
-		return fmt.Errorf("indexfile: cannot write a %q index", st.Backend)
+	keys, offs, locs := idx.Arrays()
+	var backend uint32 = backendHash
+	if st.MinimizerW > 0 {
+		backend = backendMinimizer
 	}
 
 	var hdr [headerSize]byte
@@ -135,8 +124,8 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 	ne.PutUint32(hdr[24:], uint32(st.MinimizerW))
 	ne.PutUint32(hdr[28:], uint32(len(refName)))
 	ne.PutUint64(hdr[32:], uint64(len(ref)))
-	ne.PutUint64(hdr[40:], uint64(numKeys))
-	ne.PutUint64(hdr[48:], uint64(numLocs))
+	ne.PutUint64(hdr[40:], uint64(len(keys)))
+	ne.PutUint64(hdr[48:], uint64(len(locs)))
 	ne.PutUint64(hdr[56:], RefDigest(ref))
 
 	crc := crc32.New(crcTable)
@@ -153,7 +142,7 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 		}
 		return nil
 	}
-	for _, b := range append([][]byte{hdr[:], []byte(refName), packRef(ref)}, arrays...) {
+	for _, b := range [][]byte{hdr[:], []byte(refName), packRef(ref), sliceBytes(keys), sliceBytes(offs), sliceBytes(locs)} {
 		if err := emit(b); err != nil {
 			return err
 		}
@@ -170,7 +159,7 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 
 // WriteFile serializes the index to path (0644, truncating any existing
 // file) and syncs it to disk.
-func WriteFile(path string, idx index.SeedIndex, refName string) error {
+func WriteFile(path string, idx *index.Index, refName string) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -188,7 +177,7 @@ func WriteFile(path string, idx index.SeedIndex, refName string) error {
 
 // Info describes a loaded index file.
 type Info struct {
-	// Backend is the index kind ("hash", "minimizer", "suffixarray").
+	// Backend labels the sampling ("hash" or "minimizer").
 	Backend string
 	// K and MinimizerW are the seeding parameters baked into the file.
 	K, MinimizerW int
@@ -199,7 +188,7 @@ type Info struct {
 	// Seeds and Buckets mirror index.Stats.
 	Seeds, Buckets int
 	// RefDigest identifies the reference (CRC-64/ECMA of its encoded
-	// bases), independent of backend.
+	// bases), independent of sampling.
 	RefDigest uint64
 	// FileBytes is the on-disk size.
 	FileBytes int64
@@ -208,11 +197,11 @@ type Info struct {
 	Mapped bool
 }
 
-// File is a loaded index: a ready SeedIndex plus the file's metadata.
+// File is a loaded index: a ready seed table plus the file's metadata.
 // Close releases the underlying mapping; the index (including its Ref and
 // candidate lookups) must not be used afterwards.
 type File struct {
-	Index index.SeedIndex
+	Index *index.Index
 	Info  Info
 
 	closer func() error
@@ -333,6 +322,32 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 	numLocs := ne.Uint64(data[48:])
 	digest := ne.Uint64(data[56:])
 
+	info := Info{
+		K:          k,
+		MinimizerW: w,
+		RefLen:     int(refLen),
+		Seeds:      int(numLocs),
+		Buckets:    int(numKeys),
+		RefDigest:  digest,
+		FileBytes:  int64(len(data)),
+		Mapped:     mapped,
+	}
+	switch backend {
+	case backendHash:
+		info.Backend = index.BackendHash
+		if w != 0 {
+			return nil, fmt.Errorf("%w: hash backend with window %d", ErrCorrupt, w)
+		}
+	case backendMinimizer:
+		info.Backend = index.BackendMinimizer
+		if w < 1 {
+			return nil, fmt.Errorf("%w: minimizer backend with window %d", ErrCorrupt, w)
+		}
+	case backendRetiredSuffixArray:
+		return nil, fmt.Errorf("%w: suffix-array index files are no longer supported; rebuild with `genasm index build`", ErrVersion)
+	default:
+		return nil, fmt.Errorf("%w: unknown backend tag %d", ErrCorrupt, backend)
+	}
 	if k < 1 || k > index.MaxK {
 		return nil, fmt.Errorf("%w: seed length %d out of range [1,%d]", ErrCorrupt, k, index.MaxK)
 	}
@@ -352,6 +367,7 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	info.RefName = string(name)
 	packed, err := sec.take(int(refLen+3)/4, "packed reference")
 	if err != nil {
 		return nil, err
@@ -360,69 +376,24 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 	if d := RefDigest(ref); d != digest {
 		return nil, fmt.Errorf("%w: reference digest mismatch (header %#x, computed %#x)", ErrCorrupt, digest, d)
 	}
-
-	info := Info{
-		K:          k,
-		MinimizerW: w,
-		RefName:    string(name),
-		RefLen:     int(refLen),
-		RefDigest:  digest,
-		FileBytes:  int64(len(data)),
-		Mapped:     mapped,
+	keysB, err := sec.take(int(numKeys)*8, "keys")
+	if err != nil {
+		return nil, err
 	}
-	var idx index.SeedIndex
-	switch backend {
-	case backendHash, backendMinimizer:
-		info.Backend = index.BackendHash
-		if backend == backendMinimizer {
-			info.Backend = index.BackendMinimizer
-			if w < 1 {
-				return nil, fmt.Errorf("%w: minimizer backend with window %d", ErrCorrupt, w)
-			}
-		} else if w != 0 {
-			return nil, fmt.Errorf("%w: hash backend with window %d", ErrCorrupt, w)
-		}
-		keysB, err := sec.take(int(numKeys)*8, "keys")
-		if err != nil {
-			return nil, err
-		}
-		offsB, err := sec.take((int(numKeys)+1)*4, "offsets")
-		if err != nil {
-			return nil, err
-		}
-		locsB, err := sec.take(int(numLocs)*4, "locations")
-		if err != nil {
-			return nil, err
-		}
-		table, err := index.FromArrays(ref, k, w, viewSlice[uint64](keysB), viewSlice[uint32](offsB), viewSlice[int32](locsB))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		idx = table
-		info.Seeds, info.Buckets = int(numLocs), int(numKeys)
-	case backendSuffixArray:
-		info.Backend = index.BackendSuffixArray
-		if w != 0 {
-			return nil, fmt.Errorf("%w: suffix-array backend with window %d", ErrCorrupt, w)
-		}
-		if numLocs != refLen || numKeys != 0 {
-			return nil, fmt.Errorf("%w: suffix-array lengths keys=%d locs=%d ref=%d", ErrCorrupt, numKeys, numLocs, refLen)
-		}
-		saB, err := sec.take(int(refLen)*4, "suffix array")
-		if err != nil {
-			return nil, err
-		}
-		si, err := index.NewSuffixIndex(ref, viewSlice[int32](saB), k)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		idx = si
-		info.Seeds = int(refLen)
-	default:
-		return nil, fmt.Errorf("%w: unknown backend tag %d", ErrCorrupt, backend)
+	offsB, err := sec.take((int(numKeys)+1)*4, "offsets")
+	if err != nil {
+		return nil, err
+	}
+	locsB, err := sec.take(int(numLocs)*4, "locations")
+	if err != nil {
+		return nil, err
 	}
 	if err := sec.done(); err != nil {
 		return nil, err
+	}
+	idx, err := index.FromArrays(ref, k, w, viewSlice[uint64](keysB), viewSlice[uint32](offsB), viewSlice[int32](locsB))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return &File{Index: idx, Info: info, closer: closer}, nil
 }

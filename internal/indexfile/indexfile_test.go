@@ -18,20 +18,16 @@ func testRef(n int, seed uint64) []byte {
 	return seq.Random(rand.New(rand.NewPCG(seed, 0)), n)
 }
 
-// buildBackend constructs one of the three backends over ref.
-func buildBackend(t *testing.T, backend string, ref []byte, k, w int) index.SeedIndex {
+// buildTable builds the seed table over ref: every k-mer when w is 0,
+// window minimizers otherwise.
+func buildTable(t *testing.T, ref []byte, k, w int) *index.Index {
 	t.Helper()
-	var idx index.SeedIndex
+	var idx *index.Index
 	var err error
-	switch backend {
-	case index.BackendHash:
-		idx, err = index.Build(ref, k)
-	case index.BackendMinimizer:
+	if w > 0 {
 		idx, err = index.BuildMinimizer(ref, k, w)
-	case index.BackendSuffixArray:
-		idx, err = index.BuildSuffixArray(ref, k)
-	default:
-		t.Fatalf("unknown backend %q", backend)
+	} else {
+		idx, err = index.Build(ref, k)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +38,7 @@ func buildBackend(t *testing.T, backend string, ref []byte, k, w int) index.Seed
 // sameCandidates checks two indexes agree on candidate lists over a fuzzed
 // read mix: exact slices, mutated slices, and random reads with invalid
 // codes.
-func sameCandidates(t *testing.T, want, got index.SeedIndex, seed uint64) {
+func sameCandidates(t *testing.T, want, got *index.Index, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 1))
 	ref := want.Ref()
@@ -74,9 +70,12 @@ func sameCandidates(t *testing.T, want, got index.SeedIndex, seed uint64) {
 
 func TestRoundTripAllBackends(t *testing.T) {
 	ref := testRef(30000, 21)
-	for _, backend := range []string{index.BackendHash, index.BackendMinimizer, index.BackendSuffixArray} {
-		t.Run(backend, func(t *testing.T) {
-			built := buildBackend(t, backend, ref, 13, 8)
+	for _, tc := range []struct {
+		backend string
+		w       int
+	}{{index.BackendHash, 0}, {index.BackendMinimizer, 8}} {
+		t.Run(tc.backend, func(t *testing.T) {
+			built := buildTable(t, ref, 13, tc.w)
 			path := filepath.Join(t.TempDir(), "ref.gidx")
 			if err := WriteFile(path, built, "chr_test"); err != nil {
 				t.Fatal(err)
@@ -93,7 +92,7 @@ func TestRoundTripAllBackends(t *testing.T) {
 					}
 					defer f.Close()
 
-					if f.Info.Backend != backend || f.Info.RefName != "chr_test" ||
+					if f.Info.Backend != tc.backend || f.Info.RefName != "chr_test" ||
 						f.Info.K != 13 || f.Info.RefLen != len(ref) {
 						t.Errorf("info = %+v", f.Info)
 					}
@@ -119,7 +118,7 @@ func TestRoundTripAllBackends(t *testing.T) {
 // form round-trips to an identical file.
 func TestRewriteLoadedIndex(t *testing.T) {
 	ref := testRef(5000, 23)
-	built := buildBackend(t, index.BackendHash, ref, 11, 0)
+	built := buildTable(t, ref, 11, 0)
 	var first bytes.Buffer
 	if err := Write(&first, built, "rw"); err != nil {
 		t.Fatal(err)
@@ -139,8 +138,8 @@ func TestRewriteLoadedIndex(t *testing.T) {
 
 func TestWriteFileTruncatesExisting(t *testing.T) {
 	ref := testRef(2000, 24)
-	big := buildBackend(t, index.BackendHash, ref, 11, 0)
-	small := buildBackend(t, index.BackendSuffixArray, ref[:500], 11, 0)
+	big := buildTable(t, ref, 11, 0)
+	small := buildTable(t, ref[:500], 11, 4)
 	path := filepath.Join(t.TempDir(), "ref.gidx")
 	if err := WriteFile(path, big, "x"); err != nil {
 		t.Fatal(err)
@@ -162,7 +161,7 @@ func TestWriteFileTruncatesExisting(t *testing.T) {
 // return a clean error (of the right class) and never panic.
 func TestCorruptFiles(t *testing.T) {
 	ref := testRef(3000, 25)
-	built := buildBackend(t, index.BackendHash, ref, 11, 0)
+	built := buildTable(t, ref, 11, 0)
 	var buf bytes.Buffer
 	if err := Write(&buf, built, "corrupt-me"); err != nil {
 		t.Fatal(err)
@@ -245,7 +244,7 @@ func TestLoadMissingFile(t *testing.T) {
 
 func TestCloseIdempotent(t *testing.T) {
 	ref := testRef(1000, 26)
-	built := buildBackend(t, index.BackendHash, ref, 11, 0)
+	built := buildTable(t, ref, 11, 0)
 	path := filepath.Join(t.TempDir(), "ref.gidx")
 	if err := WriteFile(path, built, "c"); err != nil {
 		t.Fatal(err)
@@ -265,7 +264,7 @@ func TestCloseIdempotent(t *testing.T) {
 // TestRefNameEdge covers empty and maximum-length names.
 func TestRefNameEdge(t *testing.T) {
 	ref := testRef(1000, 27)
-	built := buildBackend(t, index.BackendHash, ref, 11, 0)
+	built := buildTable(t, ref, 11, 0)
 	long := string(bytes.Repeat([]byte("n"), maxRefNameLen))
 
 	var buf bytes.Buffer

@@ -153,7 +153,7 @@ type mapScratch struct {
 // internally; the default Aligner draws workspaces from a pool).
 type Mapper struct {
 	cfg     Config
-	idx     index.SeedIndex
+	idx     *index.Index
 	ref     []byte
 	k       int       // seed length, the shortest mappable read
 	scratch sync.Pool // of *mapScratch
@@ -173,9 +173,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// New returns a Mapper over a prebuilt seed index — any SeedIndex backend,
-// built in memory or loaded from an index file.
-func New(idx index.SeedIndex, cfg Config) (*Mapper, error) {
+// New returns a Mapper over a prebuilt seed index, built in memory or
+// loaded from an index file.
+func New(idx *index.Index, cfg Config) (*Mapper, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,7 +192,7 @@ func New(idx index.SeedIndex, cfg Config) (*Mapper, error) {
 		}
 		cfg.Aligner = PoolAligner{Pool: p}
 	}
-	return &Mapper{cfg: cfg, idx: idx, ref: idx.Ref(), k: idx.Stats().K}, nil
+	return &Mapper{cfg: cfg, idx: idx, ref: idx.Ref(), k: idx.K()}, nil
 }
 
 // MapRead maps one encoded read, trying both strands, and returns the

@@ -68,7 +68,7 @@ func TestGaugeVec(t *testing.T) {
 	r := New()
 	v := r.GaugeVec("index_info", "Index descriptor.", "backend", "source")
 	a := v.With("hash", "mmap")
-	b := v.With("suffixarray", "built")
+	b := v.With("minimizer", "built")
 	if a == b {
 		t.Fatal("distinct label tuples returned the same gauge")
 	}
@@ -84,7 +84,7 @@ func TestGaugeVec(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		`index_info{backend="hash",source="mmap"} 1`,
-		`index_info{backend="suffixarray",source="built"} 1`,
+		`index_info{backend="minimizer",source="built"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -152,7 +152,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Wall time spent loading a reference index file (0 when the index was built in-process).",
 			"ref"),
 		indexInfo: r.GaugeVec("genasm_index_info",
-			"Resident reference index descriptor (1 = resident, 0 = evicted); the labels carry the name, backend (hash, minimizer, suffixarray) and source (built, mmap, memory).",
+			"Resident reference index descriptor (1 = resident, 0 = evicted); the labels carry the name, backend (hash, minimizer) and source (built, mmap, memory).",
 			"ref", "backend", "source"),
 		refLoads: r.Counter("genasm_ref_loads_total",
 			"Reference indexes loaded (or registered) into the registry."),

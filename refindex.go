@@ -10,21 +10,6 @@ import (
 	"genasm/internal/mapper"
 )
 
-// IndexBackend selects the candidate-generation backend of a RefIndex.
-type IndexBackend string
-
-const (
-	// IndexHash indexes every k-mer of the reference — fastest lookups,
-	// largest index.
-	IndexHash IndexBackend = "hash"
-	// IndexMinimizer samples window minimizers (Minimap2's scheme),
-	// shrinking the index roughly 2/(w+1)-fold.
-	IndexMinimizer IndexBackend = "minimizer"
-	// IndexSuffixArray builds a suffix array (SA-IS) with binary-search
-	// seeding — compact ordered structure, O(log n) lookups.
-	IndexSuffixArray IndexBackend = "suffixarray"
-)
-
 // SeedParams is the one shared home of the seeding knobs: both reference
 // indexing (RefIndexConfig) and mapping (MapperConfig) embed it, so the two
 // surfaces cannot drift apart. The zero value selects the defaults.
@@ -34,17 +19,15 @@ type SeedParams struct {
 	// typed KRangeError).
 	SeedK int
 	// MinimizerW samples the index with window minimizers when > 0
-	// (Minimap2's scheme), shrinking the index roughly 2/(w+1)-fold. Only
-	// meaningful for minimizer-backed indexes (default 10 there).
+	// (Minimap2's scheme), shrinking the index roughly 2/(w+1)-fold. The
+	// zero value indexes every k-mer; negative values are rejected.
 	MinimizerW int
 }
 
-// RefIndexConfig parameterizes BuildRefIndex. The zero value builds a hash
-// index with the default seed length.
+// RefIndexConfig parameterizes BuildRefIndex. The zero value indexes every
+// k-mer with the default seed length; SeedParams.MinimizerW > 0 samples
+// window minimizers instead.
 type RefIndexConfig struct {
-	// Backend selects the index structure. Empty defaults to IndexHash, or
-	// IndexMinimizer when MinimizerW > 0.
-	Backend IndexBackend
 	// SeedParams are the shared seeding knobs (seed length, minimizer
 	// window).
 	SeedParams
@@ -64,7 +47,7 @@ type RefIndexConfig struct {
 // backed by a file mapping: keep it open for as long as any Mapper built
 // from it is in use, and Close it when done.
 type RefIndex struct {
-	idx     index.SeedIndex
+	idx     *index.Index
 	refName string
 	source  string // "built", "mmap" or "memory"
 	digest  uint64
@@ -87,33 +70,14 @@ func (e *Engine) BuildRefIndex(ref []byte, cfg RefIndexConfig) (*RefIndex, error
 	if k == 0 {
 		k = 15
 	}
-	backend := cfg.Backend
-	if backend == "" {
-		backend = IndexHash
-		if cfg.MinimizerW > 0 {
-			backend = IndexMinimizer
-		}
-	}
-	var idx index.SeedIndex
-	switch backend {
-	case IndexHash:
-		if cfg.MinimizerW > 0 {
-			return nil, fmt.Errorf("genasm: MinimizerW is set but Backend is %q", backend)
-		}
-		idx, err = index.Build(encRef, k)
-	case IndexMinimizer:
-		w := cfg.MinimizerW
-		if w == 0 {
-			w = 10
-		}
-		idx, err = index.BuildMinimizer(encRef, k, w)
-	case IndexSuffixArray:
-		if cfg.MinimizerW > 0 {
-			return nil, fmt.Errorf("genasm: MinimizerW is set but Backend is %q", backend)
-		}
-		idx, err = index.BuildSuffixArray(encRef, k)
+	var idx *index.Index
+	switch {
+	case cfg.MinimizerW < 0:
+		return nil, fmt.Errorf("genasm: MinimizerW %d is negative", cfg.MinimizerW)
+	case cfg.MinimizerW > 0:
+		idx, err = index.BuildMinimizer(encRef, k, cfg.MinimizerW)
 	default:
-		return nil, fmt.Errorf("genasm: unknown index backend %q", backend)
+		idx, err = index.Build(encRef, k)
 	}
 	if err != nil {
 		return nil, err
@@ -182,18 +146,19 @@ func (ri *RefIndex) Close() error {
 
 // IndexStats describes a reference index.
 type IndexStats struct {
-	// Backend is the index kind: "hash", "minimizer" or "suffixarray".
+	// Backend labels the sampling: "hash" when MinimizerW is 0 (every
+	// k-mer indexed), "minimizer" otherwise.
 	Backend string
 	// K is the seed length; MinimizerW the sampling window (0 = none).
 	K, MinimizerW int
 	// RefLen is the indexed reference length in bases.
 	RefLen int
 	// Seeds is the number of indexed seed positions; Buckets the number of
-	// distinct seed keys (0 where the backend has no bucket structure).
+	// distinct seed keys.
 	Seeds, Buckets int
 	// Bytes approximates the in-memory footprint of the index structures.
 	Bytes int64
-	// RefDigest identifies the reference independent of backend (two
+	// RefDigest identifies the reference independent of sampling (two
 	// indexes over the same reference share it).
 	RefDigest uint64
 	// Source reports where the index came from: "built" in this process,

@@ -3,35 +3,37 @@ package genasm
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"genasm/internal/index"
+	"genasm/internal/indexfile"
 	"genasm/internal/seq"
 	"genasm/internal/simulate"
 )
 
-// diffTestMappers builds, for each backend, the in-memory mapper, a mapper
-// over the same index written to disk and loaded back, and — for the
-// backends MapperConfig can select (hash, minimizer) — the one-call
-// Engine.NewMapper over the same seeding knobs.
+// diffTestMappers builds, for the full and the minimizer-sampled index,
+// the in-memory mapper, a mapper over the same index written to disk and
+// loaded back, and the one-call Engine.NewMapper over the same seeding
+// knobs.
 func diffTestMappers(t *testing.T, e *Engine, refLetters []byte) map[string][]*Mapper {
 	t.Helper()
 	dir := t.TempDir()
 	out := make(map[string][]*Mapper)
-	for _, backend := range []IndexBackend{IndexHash, IndexMinimizer, IndexSuffixArray} {
-		cfg := RefIndexConfig{Backend: backend, SeedParams: SeedParams{SeedK: 13}, RefName: "chrD"}
-		if backend == IndexMinimizer {
-			cfg.MinimizerW = 5
-		}
+	for _, w := range []int{0, 5} {
+		cfg := RefIndexConfig{SeedParams: SeedParams{SeedK: 13, MinimizerW: w}, RefName: "chrD"}
 		built, err := e.BuildRefIndex(refLetters, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, string(backend)+".gidx")
+		backend := built.Stats().Backend
+		path := filepath.Join(dir, backend+".gidx")
 		if err := built.WriteFile(path); err != nil {
 			t.Fatal(err)
 		}
@@ -51,25 +53,21 @@ func diffTestMappers(t *testing.T, e *Engine, refLetters []byte) map[string][]*M
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[string(backend)] = []*Mapper{mMem, mFile}
-		if backend != IndexSuffixArray {
-			mNew, err := e.NewMapper(refLetters, MapperConfig{SeedParams: cfg.SeedParams, ErrorRate: 0.05, RefName: cfg.RefName})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[string(backend)] = append(out[string(backend)], mNew)
+		mNew, err := e.NewMapper(refLetters, MapperConfig{SeedParams: cfg.SeedParams, ErrorRate: 0.05, RefName: cfg.RefName})
+		if err != nil {
+			t.Fatal(err)
 		}
+		out[backend] = []*Mapper{mMem, mFile, mNew}
 	}
 	return out
 }
 
-// TestBackendDifferential pins the cross-backend and cross-storage
-// invariants over fuzzed reads: every backend's mmap-loaded form (and, for
-// hash and minimizer, its Engine.NewMapper form) maps identically to its
-// in-memory form, with the same IndexStats and byte-identical SAM, and the
-// hash and suffix-array backends (which see exactly the same seed hits)
-// agree with each other. The minimizer backend samples seeds, so it is
-// only held to its own storage-identity invariant.
+// TestBackendDifferential pins the cross-storage invariants over fuzzed
+// reads: the mmap-loaded and Engine.NewMapper forms of the full and the
+// minimizer index map identically to the in-memory form, with the same
+// IndexStats and byte-identical SAM. The minimizer index samples seeds,
+// so against the full index it is only held to the same location where
+// both map.
 func TestBackendDifferential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 0))
 	genome := seq.Genome(rng, seq.DefaultGenomeConfig(40000))
@@ -103,11 +101,8 @@ func TestBackendDifferential(t *testing.T) {
 				all[backend][j] = append(all[backend][j], mp)
 			}
 		}
-		hash, sa := all["hash"][0][i], all["suffixarray"][0][i]
-		if !reflect.DeepEqual(hash, sa) {
-			t.Fatalf("read %d: hash mapping %+v, suffix-array mapping %+v", i, hash, sa)
-		}
-		// The minimizer backend samples, so candidate sets can differ —
+		hash := all["hash"][0][i]
+		// The minimizer index samples, so candidate sets can differ —
 		// but on these low-error simulated reads it must still find the
 		// same location when it maps.
 		mini := all["minimizer"][0][i]
@@ -152,19 +147,19 @@ func TestRefIndexStatsAndSources(t *testing.T) {
 	refLetters := alphabetDecode(seq.Genome(rng, seq.DefaultGenomeConfig(5000)))
 	e := newTestEngine(t)
 
-	built, err := e.BuildRefIndex(refLetters, RefIndexConfig{Backend: IndexSuffixArray, SeedParams: SeedParams{SeedK: 11}})
+	built, err := e.BuildRefIndex(refLetters, RefIndexConfig{SeedParams: SeedParams{SeedK: 11, MinimizerW: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := built.Stats()
-	if st.Backend != "suffixarray" || st.K != 11 || st.RefLen != 5000 || st.Source != "built" {
+	if st.Backend != "minimizer" || st.K != 11 || st.MinimizerW != 6 || st.RefLen != 5000 || st.Source != "built" {
 		t.Errorf("built stats = %+v", st)
 	}
 	if st.FileBytes != 0 || st.LoadTime != 0 {
 		t.Errorf("built stats carry file fields: %+v", st)
 	}
 
-	path := filepath.Join(t.TempDir(), "sa.gidx")
+	path := filepath.Join(t.TempDir(), "mini.gidx")
 	if err := built.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +183,7 @@ func TestRefIndexStatsAndSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms := m.IndexStats(); ms.Backend != "suffixarray" || ms.Source != lst.Source {
+	if ms := m.IndexStats(); ms.Backend != "minimizer" || ms.Source != lst.Source {
 		t.Errorf("mapper IndexStats = %+v", ms)
 	}
 	if m.RefName() != "ref" || m.RefLen() != 5000 {
@@ -213,14 +208,12 @@ func TestRefIndexConfigValidation(t *testing.T) {
 	if _, err := e.BuildRefIndex(refLetters, RefIndexConfig{SeedParams: SeedParams{SeedK: 40}}); !errors.As(err, &kerr) {
 		t.Errorf("SeedK=40: want KRangeError, got %v", err)
 	}
-	if _, err := e.BuildRefIndex(refLetters, RefIndexConfig{Backend: "btree"}); err == nil {
-		t.Error("unknown backend accepted")
+	// A negative window must not silently build a full index.
+	if _, err := e.BuildRefIndex(refLetters, RefIndexConfig{SeedParams: SeedParams{MinimizerW: -3}}); err == nil {
+		t.Error("BuildRefIndex accepted MinimizerW=-3")
 	}
-	if _, err := e.BuildRefIndex(refLetters, RefIndexConfig{Backend: IndexHash, SeedParams: SeedParams{MinimizerW: 4}}); err == nil {
-		t.Error("hash backend with MinimizerW accepted")
-	}
-	if _, err := e.BuildRefIndex(refLetters, RefIndexConfig{Backend: IndexSuffixArray, SeedParams: SeedParams{MinimizerW: 4}}); err == nil {
-		t.Error("suffix-array backend with MinimizerW accepted")
+	if _, err := e.NewMapper(refLetters, MapperConfig{SeedParams: SeedParams{MinimizerW: -7}}); err == nil {
+		t.Error("NewMapper accepted MinimizerW=-7")
 	}
 	if _, err := newTestEngine(t, WithAlphabet(Protein)).BuildRefIndex(refLetters, RefIndexConfig{}); err == nil {
 		t.Error("protein engine should refuse BuildRefIndex")
@@ -248,5 +241,34 @@ func TestRefIndexConfigValidation(t *testing.T) {
 	// classic constructor too.
 	if _, err := e.NewMapper(refLetters, MapperConfig{SeedParams: SeedParams{SeedK: 32}}); !errors.As(err, &kerr) {
 		t.Errorf("NewMapper SeedK=32: want KRangeError, got %v", err)
+	}
+}
+
+// TestLoadRefIndexRetiredSuffixArray checks that an index file with the
+// retired suffix-array backend tag fails to load with the decoder's
+// unsupported-version error, which names the rebuild command.
+func TestLoadRefIndexRetiredSuffixArray(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("internal", "indexfile", "testdata", "hash-k11.gidx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.NativeEndian.Uint32(data[12:]) != 0x01020304 {
+		t.Skip("golden files are little-endian")
+	}
+	binary.NativeEndian.PutUint32(data[16:], 3)
+	n := len(data) - 4
+	binary.NativeEndian.PutUint32(data[n:], crc32.Checksum(data[:n], crc32.MakeTable(crc32.Castagnoli)))
+	path := filepath.Join(t.TempDir(), "sa.gidx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := indexfile.Decode(data)
+	ri, err := LoadRefIndex(path)
+	if err == nil {
+		ri.Close()
+		t.Fatal("LoadRefIndex accepted a suffix-array file")
+	}
+	if !errors.Is(err, indexfile.ErrVersion) || want == nil || err.Error() != want.Error() {
+		t.Errorf("LoadRefIndex error %v, want the decoder's %v", err, want)
 	}
 }
