@@ -466,3 +466,70 @@ func TestPackDistinct(t *testing.T) {
 		t.Fatalf("pack collisions: %d %d %d", a, b, c)
 	}
 }
+
+// votesRead builds a k=1 table and a read whose hits are exactly the given
+// votes per implied start (1 to 3 each). The read is unknown codes except
+// A, C, T at offsets o, o+1, o+2; the reference is G except "A", "AC" or
+// "ACT" at o+start, so each placement votes only for its own start.
+// Placements of starts in ascending order must not overlap.
+func votesRead(t *testing.T, votes map[int]int) (*Index, []byte) {
+	t.Helper()
+	const o = 40
+	ref := make([]byte, 400)
+	for i := range ref {
+		ref[i] = 2
+	}
+	for start, v := range votes {
+		copy(ref[o+start:], []byte{0, 1, 3}[:v])
+	}
+	idx, err := Build(ref, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make([]byte, o+3)
+	for i := range read {
+		read[i] = 4
+	}
+	copy(read[o:], []byte{0, 1, 3})
+	return idx, read
+}
+
+// TestCandidateBinEdgeCases pins how votes become candidates where the
+// drift bins meet their edges: start/16 truncates toward zero, so bin 0
+// spans starts −15..15; starts −31..−16 form bin −1, whose anchor clamps
+// to Pos 0 like bin 0's negative anchors, so two candidates can both
+// report Pos 0; on equal votes within a bin the smaller exact start is the
+// anchor; and candidates with equal votes are ranked by Pos.
+func TestCandidateBinEdgeCases(t *testing.T) {
+	cases := []struct {
+		name  string
+		votes map[int]int
+		want  []Candidate
+	}{
+		{"bin 0 spans -15..15", map[int]int{-15: 1, 15: 2, 20: 1},
+			[]Candidate{{Pos: 15, Votes: 3}, {Pos: 20, Votes: 1}}},
+		{"negative bins clamp to 0", map[int]int{-32: 1, -31: 1, -16: 2, -10: 1},
+			[]Candidate{{Pos: 0, Votes: 3}, {Pos: 0, Votes: 1}, {Pos: 0, Votes: 1}}},
+		{"bin -1 ties bin 0 at Pos 0", map[int]int{-20: 2, -5: 1, 3: 1},
+			[]Candidate{{Pos: 0, Votes: 2}, {Pos: 0, Votes: 2}}},
+		{"equal votes in a bin: smaller start anchors", map[int]int{33: 1, 36: 2, 42: 2},
+			[]Candidate{{Pos: 36, Votes: 5}}},
+		{"equal votes rank by Pos", map[int]int{200: 1, 100: 1, 50: 1, 70: 2},
+			[]Candidate{{Pos: 70, Votes: 2}, {Pos: 50, Votes: 1}, {Pos: 100, Votes: 1}, {Pos: 200, Votes: 1}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			idx, read := votesRead(t, tc.votes)
+			var s SeedScratch
+			for _, maxCands := range []int{0, 1, 2, len(tc.want), len(tc.want) + 1} {
+				want := tc.want
+				if maxCands > 0 && maxCands < len(want) {
+					want = want[:maxCands]
+				}
+				if got := idx.CandidateLocationsInto(&s, read, maxCands); !slices.Equal(got, want) {
+					t.Errorf("cap %d: candidates %v, want %v", maxCands, got, want)
+				}
+			}
+		})
+	}
+}
