@@ -42,7 +42,7 @@ func TestMapReadAllocBudget(t *testing.T) {
 		letters[i] = alphabetDecode(r.Seq)
 	}
 
-	// Warm-up grows the pooled scratch (workspaces, vote maps, CIGAR
+	// Warm-up grows the pooled scratch (workspaces, seeding arrays, CIGAR
 	// double-buffers) to steady state.
 	for _, l := range letters {
 		if _, err := m.MapRead(ctx, l); err != nil {

@@ -774,6 +774,9 @@ func BenchmarkIndexLoad(b *testing.B) {
 // over simulated short reads — per kind, on both the in-memory built
 // form (mem) and the mmap-loaded on-disk form (mmap). The pair guards the
 // promise that loading an index from disk does not slow the hot path.
+// The 200 kb tables fit in cache; backend=hash/mem-2Mbp seeds 250 bp
+// reads against a 2 Mbp table, whose lookups miss the caches, so it
+// shows whether seeding overlaps its memory misses.
 func BenchmarkSeedLookup(b *testing.B) {
 	rng := rand.New(rand.NewPCG(2033, 0))
 	genome := seq.Genome(rng, seq.DefaultGenomeConfig(200000))
@@ -816,4 +819,22 @@ func BenchmarkSeedLookup(b *testing.B) {
 			})
 		}
 	}
+	b.Run("backend=hash/mem-2Mbp", func(b *testing.B) {
+		rng := rand.New(rand.NewPCG(2034, 0))
+		genome := seq.Genome(rng, seq.DefaultGenomeConfig(2_000_000))
+		reads, err := simulate.Reads(rng, genome, 4096, simulate.Illumina250, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx, err := index.Build(genome, 15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var s index.SeedScratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			idx.CandidateLocationsInto(&s, reads[i%len(reads)].Seq, 8)
+		}
+	})
 }

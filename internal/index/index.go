@@ -290,16 +290,24 @@ func (idx *Index) Arrays() (keys []uint64, offs []uint32, locs []int32) {
 	return idx.keys, idx.offs, idx.locs
 }
 
-// find returns the locations of a packed k-mer (empty if absent): one
-// directory probe, then a binary search over the slot's keys that halves
-// the range without a data-dependent branch (slots hold one or two keys on
-// average, where a mispredicted branch costs more than the comparisons).
-// Manual loop, no closures: the seeding hot path stays allocation-free.
+// find returns the locations of a packed k-mer (empty if absent).
 func (idx *Index) find(key uint64) []int32 {
 	s := key >> idx.shift
-	lo, n := idx.dir[s], idx.dir[s+1]-idx.dir[s]
-	if n == 0 {
+	i := idx.search(key, idx.dir[s], idx.dir[s+1]-idx.dir[s])
+	if i == notFound {
 		return nil
+	}
+	return idx.locs[idx.offs[i]:idx.offs[i+1]]
+}
+
+// search returns the index of key among the n keys from keys[lo] — one
+// directory slot — or notFound. The binary search halves the range
+// without a data-dependent branch (slots hold one or two keys on average,
+// where a mispredicted branch costs more than the comparisons). Manual
+// loop, no closures: the seeding hot path stays allocation-free.
+func (idx *Index) search(key uint64, lo, n uint32) uint32 {
+	if n == 0 {
+		return notFound
 	}
 	for n > 1 {
 		half := n / 2
@@ -308,10 +316,10 @@ func (idx *Index) find(key uint64) []int32 {
 		}
 		n -= half
 	}
-	if idx.keys[lo] == key {
-		return idx.locs[idx.offs[lo]:idx.offs[lo+1]]
+	if idx.keys[lo] != key {
+		return notFound
 	}
-	return nil
+	return lo
 }
 
 // Lookup returns the reference positions of the seed (nil if absent). The
@@ -334,9 +342,18 @@ func (idx *Index) Lookup(kmer []byte) []int32 {
 // aggregates the votes into ranked candidates. The returned slice views
 // s.cands and stays valid until the scratch's next use. Read k-mers are
 // packed with a rolling 2-bit update (O(n) instead of O(n·k)); k-mers
-// containing codes outside the DNA alphabet cast no votes.
+// containing codes outside the DNA alphabet cast no votes. Reads must be
+// shorter than 2^31 bases.
+//
+// The lookups run in stages over the scratch's arrays — pack every key,
+// probe the directory for every key, search every slot, then read every
+// key's locations — rather than one k-mer at a time. A lookup is a chain
+// of dependent cache misses (directory, keys, offsets, locations), but the
+// lookups are independent of one another, so within a stage the misses of
+// many k-mers overlap. Go has no prefetch intrinsic; staging is how the
+// hot path gets memory-level parallelism.
 func (idx *Index) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandidates int) []Candidate {
-	s.begin()
+	s.keys, s.offs = s.keys[:0], s.offs[:0]
 	mask := kmerMask(idx.k)
 	var key uint64
 	valid := 0 // consecutive in-alphabet codes ending at the current base
@@ -347,12 +364,31 @@ func (idx *Index) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandida
 		}
 		valid++
 		key = key<<2 | uint64(c)
-		if valid < idx.k {
+		if valid >= idx.k {
+			s.keys = append(s.keys, key&mask)
+			s.offs = append(s.offs, int32(i-idx.k+1))
+		}
+	}
+
+	n := len(s.keys)
+	s.lo, s.n = slices.Grow(s.lo[:0], n)[:n], slices.Grow(s.n[:0], n)[:n]
+	for i, key := range s.keys {
+		slot := key >> idx.shift
+		s.lo[i], s.n[i] = idx.dir[slot], idx.dir[slot+1]-idx.dir[slot]
+	}
+
+	for i, key := range s.keys {
+		s.lo[i] = idx.search(key, s.lo[i], s.n[i])
+	}
+
+	s.starts = s.starts[:0]
+	for i, lo := range s.lo {
+		if lo == notFound {
 			continue
 		}
-		off := i - idx.k + 1
-		for _, pos := range idx.find(key & mask) {
-			s.vote(int(pos) - off)
+		off := s.offs[i]
+		for _, pos := range idx.locs[idx.offs[lo]:idx.offs[lo+1]] {
+			s.starts = append(s.starts, pos-off)
 		}
 	}
 	return s.collect(maxCandidates)

@@ -51,60 +51,54 @@ type Candidate struct {
 	Votes int
 }
 
-// binAgg aggregates the votes of one drift-tolerance bin.
-type binAgg struct {
-	votes     int
-	bestStart int
-	bestVotes int
-}
-
-// SeedScratch holds the per-read state of CandidateLocationsInto — vote
-// maps and the candidate list — so a mapping pipeline that seeds millions
-// of reads reuses one scratch per worker instead of reallocating per read.
-// The zero value is ready to use; a SeedScratch must not be shared between
-// concurrent calls.
+// SeedScratch holds the per-read state of CandidateLocationsInto — the
+// staged lookup arrays, the implied read starts and the candidate list — so
+// a mapping pipeline that seeds millions of reads reuses one scratch per
+// worker instead of reallocating per read. Its arrays grow to the longest
+// read seen and are reused from then on. The zero value is ready to use; a
+// SeedScratch must not be shared between concurrent calls.
 type SeedScratch struct {
-	exact map[int]int
-	bins  map[int]binAgg
-	cands []Candidate
+	keys   []uint64 // packed in-alphabet k-mers of the read
+	offs   []int32  // read offset of each key
+	lo     []uint32 // each key's first slot entry in Index.keys, then its match or notFound
+	n      []uint32 // the number of keys in each key's directory slot
+	starts []int32  // one implied read start per seed hit
+	cands  []Candidate
 }
 
-// begin readies the scratch for one read.
-func (s *SeedScratch) begin() {
-	if s.exact == nil {
-		s.exact = make(map[int]int, 128)
-		s.bins = make(map[int]binAgg, 16)
-	}
-	clear(s.exact)
-	clear(s.bins)
-}
+// notFound marks a read k-mer the table does not hold.
+const notFound = ^uint32(0)
 
-// vote records one seed hit implying the read starts at start.
-func (s *SeedScratch) vote(start int) { s.exact[start]++ }
-
-// collect aggregates the recorded votes into the ranked candidate list.
-// Votes are pooled in bins to tolerate indel drift, but each bin reports
-// its most-voted exact start so downstream aligners get a precise anchor.
-// Candidates come back most-voted first (position ascending on ties),
-// capped at maxCandidates (0 = no cap); the slice views s.cands and stays
-// valid until the scratch's next use.
+// collect aggregates the recorded starts into the ranked candidate list.
+// Votes are pooled in bins of start/16 to tolerate indel drift, but each
+// bin reports its most-voted exact start (the smallest on equal votes),
+// clamped to 0, so downstream aligners get a precise anchor. Sorting the
+// starts turns both counts into runs: equal starts are adjacent, and as
+// the truncating start/16 never decreases along ascending starts, each
+// bin is one contiguous stretch (bin 0 spans starts −15..15). Candidates
+// come back most-voted first (position ascending on ties), capped at
+// maxCandidates (0 = no cap); the slice views s.cands and stays valid
+// until the scratch's next use.
 func (s *SeedScratch) collect(maxCandidates int) []Candidate {
 	const bin = 16 // indel drift tolerance
-	for start, v := range s.exact {
-		b, ok := s.bins[start/bin]
-		if !ok {
-			b = binAgg{bestStart: start, bestVotes: v}
-		}
-		b.votes += v
-		if v > b.bestVotes || (v == b.bestVotes && start < b.bestStart) {
-			b.bestVotes, b.bestStart = v, start
-		}
-		s.bins[start/bin] = b
-	}
+	starts := s.starts
+	slices.Sort(starts)
 	s.cands = s.cands[:0]
-	for _, b := range s.bins {
-		pos := max(b.bestStart, 0)
-		s.cands = append(s.cands, Candidate{Pos: pos, Votes: b.votes})
+	for i := 0; i < len(starts); {
+		b := starts[i] / bin
+		votes, best, bestVotes := 0, starts[i], 0
+		for i < len(starts) && starts[i]/bin == b {
+			j := i + 1
+			for j < len(starts) && starts[j] == starts[i] {
+				j++
+			}
+			if j-i > bestVotes {
+				best, bestVotes = starts[i], j-i
+			}
+			votes += j - i
+			i = j
+		}
+		s.cands = append(s.cands, Candidate{Pos: max(int(best), 0), Votes: votes})
 	}
 	slices.SortFunc(s.cands, func(a, b Candidate) int {
 		if c := cmp.Compare(b.Votes, a.Votes); c != 0 {

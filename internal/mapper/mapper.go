@@ -135,9 +135,10 @@ type Mapping struct {
 }
 
 // mapScratch is the per-read scratch of the mapping pipeline: the
-// reverse-complement buffer, the seeding vote maps and candidate list, the
-// pre-alignment filter's searcher, and a CIGAR double-buffer (the current
-// candidate's alignment and the best one kept so far). One scratch serves
+// reverse-complement buffer, the seeding scratch (staged lookup arrays,
+// implied starts and candidate list), the pre-alignment filter's
+// searcher, and a CIGAR double-buffer (the current candidate's alignment
+// and the best one kept so far). One scratch serves
 // one in-flight MapRead; the Mapper pools them so steady-state mapping
 // performs no per-read scratch allocations.
 type mapScratch struct {
