@@ -417,6 +417,40 @@ func BenchmarkMapper(b *testing.B) {
 	}
 }
 
+// BenchmarkMapperLong is the long-read end-to-end mapping benchmark the
+// CI regression gate tracks beside BenchmarkMapper: the public Mapper
+// mapping 10 kbp PacBio reads at 10% error, half of them from the reverse
+// strand, with no pre-alignment filter. The alignment kernel and the
+// order candidates are tried in dominate it.
+func BenchmarkMapperLong(b *testing.B) {
+	rng := rand.New(rand.NewPCG(2030, 1))
+	genome := seq.Genome(rng, seq.DefaultGenomeConfig(1_000_000))
+	reads, err := simulate.Reads(rng, genome, 32, simulate.PacBio10, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := e.NewMapper(alphabetDecode(genome), MapperConfig{SeedParams: SeedParams{SeedK: 15}, ErrorRate: 0.10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	letters := make([][]byte, len(reads))
+	for i, r := range reads {
+		letters[i] = alphabetDecode(r.Seq)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.MapRead(ctx, letters[i%len(letters)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMapperTraced measures the observability overhead on the
 // BenchmarkMapper workload: the same pipeline untraced and with the
 // metrics-backed MapTrace the HTTP server attaches. The acceptance gate

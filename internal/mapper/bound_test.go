@@ -66,8 +66,12 @@ func checkBounds(t *testing.T, read int, calls []boundCall, rejectAbove int) (fr
 // strand, CIGAR, distance and the candidate, filter and align counts —
 // must be equal, and every bound passed must be exactly the one past which
 // the pipeline discards a result. Half the reads come from the reverse
-// strand, whose forward-strand candidates are the rejections the bound
-// cuts short, and a few unrelated reads map nowhere at all.
+// strand, and a few unrelated reads map nowhere at all. The rejections
+// the bound cuts short come from those unrelated reads and from the
+// candidates tried after a mapping above the expected error budget, plus
+// the odd higher-voted candidate that does not align. A reverse read's
+// weak forward-strand hits are no longer among them: MapRead tries the
+// stronger reverse-strand candidate first and stops there.
 func TestDistanceBoundKeepsMappings(t *testing.T) {
 	p, err := pool.New(pool.Config{Core: core.Config{FindFirstWindowStart: true}})
 	if err != nil {

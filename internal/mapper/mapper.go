@@ -135,19 +135,27 @@ type Mapping struct {
 }
 
 // mapScratch is the per-read scratch of the mapping pipeline: the
-// reverse-complement buffer, the seeding scratch (staged lookup arrays,
-// implied starts and candidate list), the pre-alignment filter's
-// searcher, and a CIGAR double-buffer (the current candidate's alignment
-// and the best one kept so far). One scratch serves
-// one in-flight MapRead; the Mapper pools them so steady-state mapping
-// performs no per-read scratch allocations.
+// reverse-complement buffer, one seeding scratch per strand (staged lookup
+// arrays, implied starts and candidate list — each strand's candidates
+// view its own scratch, and both are live while the strands are merged),
+// the pre-alignment filter's searcher, and a CIGAR double-buffer (the
+// current candidate's alignment and the best one kept so far). One
+// scratch serves one in-flight MapRead; the Mapper pools them so
+// steady-state mapping performs no per-read scratch allocations.
 type mapScratch struct {
-	rc   []byte
-	seed index.SeedScratch
-	flt  filter.Scratch
-	cur  cigar.Cigar
-	best cigar.Cigar
+	rc       []byte
+	fwd, rev index.SeedScratch
+	flt      filter.Scratch
+	cur      cigar.Cigar
+	best     cigar.Cigar
 }
+
+// weakVotes is the vote count below which a forward-strand candidate is
+// weak: before aligning one, MapRead seeds the reverse strand so that
+// stronger reverse-strand candidates go first. It is not a filter: it
+// decides when the reverse strand is seeded, every candidate stays
+// eligible, and a poor value costs alignment time, not mappings.
+const weakVotes = 3
 
 // Mapper maps reads against an indexed reference. It is safe for
 // concurrent use when its Aligner is (per-read scratch is pooled
@@ -198,6 +206,11 @@ func New(idx *index.Index, cfg Config) (*Mapper, error) {
 
 // MapRead maps one encoded read, trying both strands, and returns the
 // lowest-edit-distance alignment across all surviving candidates.
+// Candidates are tried strongest first: the forward strand's while they
+// have at least weakVotes votes, then both strands' merged by votes (the
+// forward one first on equal votes), so the reverse strand is seeded only
+// when the forward strand runs out of such candidates. The first mapping
+// within the expected error budget ends the read.
 func (m *Mapper) MapRead(read []byte) (Mapping, error) {
 	return m.MapReadContext(context.Background(), read)
 }
@@ -230,95 +243,99 @@ func (m *Mapper) MapReadContext(ctx context.Context, read []byte) (Mapping, erro
 	seedLen := min(len(read), 256)
 
 	// A mapping at or below the expected error budget is a confident hit:
-	// stop scanning further candidates (and skip the other strand), as
-	// production mappers do once the best chain is aligned.
+	// stop scanning further candidates (and, if it is not yet seeded, the
+	// other strand), as production mappers do once the best chain is
+	// aligned.
 	good := func() bool { return best.Mapped && best.Distance <= maxEdits }
 
-strands:
-	for _, rc := range []bool{false, true} {
-		if good() {
+	// Merge the strands' vote-ranked candidate lists, most votes first
+	// and the forward candidate on equal votes, as production mappers
+	// rank the hits of both strands before aligning any. The reverse
+	// strand is seeded lazily, once the forward candidates run out or
+	// turn weak: a weak hit on a random locus costs about as much to
+	// align as the true one, so a reverse-strand read must not align its
+	// forward strand's noise first.
+	fwd := m.seedStrand(&s.fwd, read[:seedLen])
+	var rev []index.Candidate
+	revSeeded := false
+	for !good() {
+		if !revSeeded && (len(fwd) == 0 || fwd[0].Votes < weakVotes) {
+			s.rc = seq.AppendReverseComplement(s.rc[:0], read)
+			rev = m.seedStrand(&s.rev, s.rc[:seedLen])
+			revSeeded = true
+		}
+		if len(fwd) == 0 && len(rev) == 0 {
 			break
 		}
-		r := read
-		if rc {
-			s.rc = seq.AppendReverseComplement(s.rc[:0], read)
-			r = s.rc
+		var cand index.Candidate
+		r, rc := read, false
+		if len(fwd) > 0 && (len(rev) == 0 || fwd[0].Votes >= rev[0].Votes) {
+			cand, fwd = fwd[0], fwd[1:]
+		} else {
+			cand, rev = rev[0], rev[1:]
+			r, rc = s.rc, true
 		}
-		seedStart := tr.now(tr != nil && tr.SeedingDone != nil)
-		cands := m.idx.CandidateLocationsInto(&s.seed, r[:seedLen], m.cfg.MaxCandidates)
-		if tr != nil && tr.SeedingDone != nil {
-			seeds := 0
-			for _, c := range cands {
-				seeds += c.Votes
+		if err := ctx.Err(); err != nil {
+			return Mapping{}, err
+		}
+		best.Candidates++
+		// Candidate anchors are near-exact (the seeding step reports
+		// the most-voted exact start), so only a small leading slack
+		// is needed; the trailing slack absorbs deletion drift — the
+		// paper's "text region of length m+k" (Section 6).
+		start := max(0, cand.Pos-16)
+		end := min(len(m.ref), cand.Pos+len(r)+maxEdits+16)
+		region := m.ref[start:end]
+
+		if m.cfg.Prefilter {
+			filterStart := tr.now(tr != nil && tr.FilterDone != nil)
+			ok, err := filter.GenASMDC{}.AcceptScratch(&s.flt, region, r, maxEdits)
+			if tr != nil && tr.FilterDone != nil {
+				tr.FilterDone(ok && err == nil, time.Since(filterStart))
 			}
-			tr.SeedingDone(seeds, len(cands), time.Since(seedStart))
-		}
-		for _, cand := range cands {
-			if err := ctx.Err(); err != nil {
+			if err != nil {
 				return Mapping{}, err
 			}
-			best.Candidates++
-			// Candidate anchors are near-exact (the seeding step reports
-			// the most-voted exact start), so only a small leading slack
-			// is needed; the trailing slack absorbs deletion drift — the
-			// paper's "text region of length m+k" (Section 6).
-			start := max(0, cand.Pos-16)
-			end := min(len(m.ref), cand.Pos+len(r)+maxEdits+16)
-			region := m.ref[start:end]
-
-			if m.cfg.Prefilter {
-				filterStart := tr.now(tr != nil && tr.FilterDone != nil)
-				ok, err := filter.GenASMDC{}.AcceptScratch(&s.flt, region, r, maxEdits)
-				if tr != nil && tr.FilterDone != nil {
-					tr.FilterDone(ok && err == nil, time.Since(filterStart))
-				}
-				if err != nil {
-					return Mapping{}, err
-				}
-				if !ok {
-					best.Filtered++
-					continue
-				}
-			}
-			best.Aligned++
-			// Branch and bound: a result above rejectAbove, or one that
-			// cannot beat the best mapping so far, would be discarded
-			// below, so the aligner may stop as soon as it crosses that
-			// (best.Distance is MaxInt until a candidate maps).
-			maxDist := min(rejectAbove, best.Distance-1)
-			alignStart := tr.now(tr != nil && tr.AlignDone != nil)
-			cg, off, err := m.cfg.Aligner.AlignRegionInto(ctx, region, r, maxDist, s.cur)
-			if tr != nil && tr.AlignDone != nil {
-				tr.AlignDone(err == nil, time.Since(alignStart))
-			}
-			s.cur = cg // keep the (possibly grown) buffer either way
-			if err != nil {
-				// Cancellation must surface; so must a quarantined panic
-				// (the pooled workspace is gone, retrying candidates on a
-				// fresh one would mask real corruption). A single
-				// over-budget candidate, or one past maxDist, is not
-				// fatal and the next one is tried.
-				if ctx.Err() != nil {
-					return Mapping{}, ctx.Err()
-				}
-				var pe *core.PanicError
-				if errors.As(err, &pe) {
-					return Mapping{}, err
-				}
+			if !ok {
+				best.Filtered++
 				continue
 			}
-			if d := cg.EditDistance(); d <= rejectAbove && d < best.Distance {
-				best.Mapped = true
-				best.Pos = start + off
-				best.RevComp = rc
-				best.Distance = d
-				// Keep this CIGAR by swapping the double-buffer: the next
-				// candidate aligns into the previous best's storage.
-				s.cur, s.best = s.best, cg
+		}
+		best.Aligned++
+		// Branch and bound: a result above rejectAbove, or one that
+		// cannot beat the best mapping so far, would be discarded
+		// below, so the aligner may stop as soon as it crosses that
+		// (best.Distance is MaxInt until a candidate maps).
+		maxDist := min(rejectAbove, best.Distance-1)
+		alignStart := tr.now(tr != nil && tr.AlignDone != nil)
+		cg, off, err := m.cfg.Aligner.AlignRegionInto(ctx, region, r, maxDist, s.cur)
+		if tr != nil && tr.AlignDone != nil {
+			tr.AlignDone(err == nil, time.Since(alignStart))
+		}
+		s.cur = cg // keep the (possibly grown) buffer either way
+		if err != nil {
+			// Cancellation must surface; so must a quarantined panic
+			// (the pooled workspace is gone, retrying candidates on a
+			// fresh one would mask real corruption). A single
+			// over-budget candidate, or one past maxDist, is not
+			// fatal and the next one is tried.
+			if ctx.Err() != nil {
+				return Mapping{}, ctx.Err()
 			}
-			if good() {
-				break strands
+			var pe *core.PanicError
+			if errors.As(err, &pe) {
+				return Mapping{}, err
 			}
+			continue
+		}
+		if d := cg.EditDistance(); d <= rejectAbove && d < best.Distance {
+			best.Mapped = true
+			best.Pos = start + off
+			best.RevComp = rc
+			best.Distance = d
+			// Keep this CIGAR by swapping the double-buffer: the next
+			// candidate aligns into the previous best's storage.
+			s.cur, s.best = s.best, cg
 		}
 	}
 	if best.Mapped {
@@ -332,6 +349,22 @@ strands:
 		tr.ReadDone(best.Candidates, best.Filtered, best.Aligned, best.Mapped, time.Since(readStart))
 	}
 	return best, nil
+}
+
+// seedStrand runs the seeding step over one strand's read prefix with
+// scratch s and reports it to the trace. The candidates view s.
+func (m *Mapper) seedStrand(s *index.SeedScratch, prefix []byte) []index.Candidate {
+	tr := m.cfg.Trace
+	seedStart := tr.now(tr != nil && tr.SeedingDone != nil)
+	cands := m.idx.CandidateLocationsInto(s, prefix, m.cfg.MaxCandidates)
+	if tr != nil && tr.SeedingDone != nil {
+		seeds := 0
+		for _, c := range cands {
+			seeds += c.Votes
+		}
+		tr.SeedingDone(seeds, len(cands), time.Since(seedStart))
+	}
+	return cands
 }
 
 // Stats aggregates mapping outcomes over a read set.

@@ -18,8 +18,10 @@ type Trace struct {
 	// SeedingDone runs after the seeding step of one strand scan: seeds
 	// is the total number of seed hits voting for the returned candidate
 	// locations, candidates how many locations were produced, d the time
-	// spent seeding. Called up to twice per read (forward, then — unless
-	// a confident hit ended the read early — reverse complement).
+	// spent seeding. Called once or twice per read: the forward strand
+	// first, then the reverse complement, which is seeded only if the
+	// read has no confident hit when its forward candidates run out or
+	// the next one has fewer than three votes.
 	SeedingDone func(seeds, candidates int, d time.Duration)
 	// FilterDone runs after the pre-alignment filter judged one candidate
 	// region; accepted reports whether the candidate survived to the

@@ -140,6 +140,11 @@ func (m *Mapper) RefLen() int { return m.idxStats.RefLen }
 
 // MapRead maps one read (letters), trying both strands, and returns the
 // lowest-edit-distance alignment across all surviving candidates.
+// Candidates are tried strongest first: the forward strand's while they
+// have at least three seed votes, then both strands' merged by votes, so
+// the reverse strand is seeded only when the forward strand runs out of
+// such candidates. The first alignment within the expected error rate
+// ends the read.
 func (m *Mapper) MapRead(ctx context.Context, read []byte) (ReadMapping, error) {
 	enc, err := m.e.encode("read", read)
 	if err != nil {
