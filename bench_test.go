@@ -10,6 +10,7 @@ package genasm
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"path/filepath"
 	"slices"
@@ -446,6 +447,47 @@ func BenchmarkMapperLong(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.MapRead(ctx, letters[i%len(letters)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteSAM is the output path the CI regression gate tracks:
+// one op writes the SAM of 32 mapped 10 kbp PacBio reads at 10% error
+// (BenchmarkMapperLong's reads, header included) to io.Discard, so it
+// measures CIGAR rendering, sequence decoding and line building alone.
+func BenchmarkWriteSAM(b *testing.B) {
+	rng := rand.New(rand.NewPCG(2030, 1))
+	genome := seq.Genome(rng, seq.DefaultGenomeConfig(1_000_000))
+	reads, err := simulate.Reads(rng, genome, 32, simulate.PacBio10, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := e.NewMapper(alphabetDecode(genome), MapperConfig{SeedParams: SeedParams{SeedK: 15}, ErrorRate: 0.10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]Read, len(reads))
+	for i, r := range reads {
+		batch[i] = Read{Name: fmt.Sprintf("pacbio%d", i), Seq: alphabetDecode(r.Seq)}
+	}
+	mappings, err := m.MapReads(context.Background(), batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, mp := range mappings {
+		if !mp.Mapped {
+			b.Fatalf("read %d did not map", i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.WriteSAM(io.Discard, mappings); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -337,7 +337,7 @@ func runMap(ctx context.Context, args []string) error {
 			if mp.RevComp {
 				strand = "-"
 			}
-			fmt.Fprintf(out, "%s\t%d\t%s\tNM:%d\t%s\n", mp.Name, mp.Pos, strand, mp.Distance, mp.ClassicCIGAR)
+			fmt.Fprintf(out, "%s\t%d\t%s\tNM:%d\t%s\n", mp.Name, mp.Pos, strand, mp.Distance, mp.ClassicCIGAR())
 		}
 	}
 	if readErr != nil {

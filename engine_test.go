@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"genasm/internal/cigar"
 	"genasm/internal/dp"
 	"genasm/internal/seq"
 )
@@ -491,6 +492,16 @@ func TestEngineMapper(t *testing.T) {
 		t.Errorf("distance %d, want <= 2", mp.Distance)
 	}
 
+	// The CIGAR strings are rendered from the kept runs on demand: the
+	// extended one carries the distance, the classic one is its M/I/D
+	// form and the one the SAM record holds.
+	if c, err := cigar.Parse(mp.CIGAR()); err != nil || c.EditDistance() != mp.Distance || c.Format(false) != mp.ClassicCIGAR() {
+		t.Errorf("CIGAR() %q, ClassicCIGAR() %q, distance %d (%v)", mp.CIGAR(), mp.ClassicCIGAR(), mp.Distance, err)
+	}
+	if unmapped := (ReadMapping{Name: "u"}); unmapped.CIGAR() != "" || unmapped.ClassicCIGAR() != "" {
+		t.Errorf("unmapped read: CIGAR() %q, ClassicCIGAR() %q, want empty", unmapped.CIGAR(), unmapped.ClassicCIGAR())
+	}
+
 	var sb strings.Builder
 	if err := m.WriteSAM(&sb, mappings); err != nil {
 		t.Fatal(err)
@@ -498,6 +509,9 @@ func TestEngineMapper(t *testing.T) {
 	sam := sb.String()
 	if !strings.Contains(sam, "SN:chrT") || !strings.Contains(sam, "r0\t") {
 		t.Errorf("SAM output missing header or record:\n%s", sam)
+	}
+	if !strings.Contains(sam, "\t"+mp.ClassicCIGAR()+"\t") {
+		t.Errorf("SAM record lacks ClassicCIGAR() %q:\n%s", mp.ClassicCIGAR(), sam)
 	}
 
 	// Non-DNA engines must refuse to map.

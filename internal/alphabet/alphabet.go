@@ -9,6 +9,7 @@ package alphabet
 
 import (
 	"fmt"
+	"slices"
 
 	"genasm/internal/bitvec"
 )
@@ -105,11 +106,20 @@ func (a *Alphabet) MustEncode(s []byte) []byte {
 
 // Decode converts dense codes back to letters.
 func (a *Alphabet) Decode(codes []byte) []byte {
-	out := make([]byte, len(codes))
+	return a.AppendDecode(make([]byte, 0, len(codes)), codes)
+}
+
+// AppendDecode appends the letters of codes to dst and returns the
+// extended buffer: Decode without the allocation, for writers that build
+// their output in a reused buffer.
+func (a *Alphabet) AppendDecode(dst, codes []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, len(codes))[:n+len(codes)]
+	out := dst[n:]
 	for i, c := range codes {
 		out[i] = a.letters[c]
 	}
-	return out
+	return dst
 }
 
 // PatternMasks holds the Bitap pattern bitmasks PM for one pattern: one

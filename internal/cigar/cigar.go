@@ -9,8 +9,9 @@ package cigar
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
+	"unsafe"
 )
 
 // Op is a single alignment operation.
@@ -127,6 +128,10 @@ func (b *Builder) AppendCigar(c Cigar) {
 // Reset clears the builder for reuse, retaining storage.
 func (b *Builder) Reset() { b.runs = b.runs[:0] }
 
+// Grow makes room for n more runs, so that a builder sized up front
+// appends them without reallocating.
+func (b *Builder) Grow(n int) { b.runs = slices.Grow(b.runs, n) }
+
 // Len returns the total number of operations.
 func (c Cigar) Len() int {
 	n := 0
@@ -202,37 +207,83 @@ func (c Cigar) Counts() (match, subst, ins, del int) {
 func (c Cigar) String() string { return c.Format(true) }
 
 // Format renders the CIGAR string. With extended=false, matches and
-// substitutions are merged into 'M' runs as in classic SAM.
+// substitutions are merged into 'M' runs as in classic SAM. The string
+// costs one allocation: the rendering goes into an exactly sized buffer
+// that the string then keeps.
 func (c Cigar) Format(extended bool) string {
-	var sb strings.Builder
+	b := c.AppendFormat(make([]byte, 0, c.formatLen(extended)), extended)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendFormat appends the string Format renders to dst and returns the
+// extended buffer: the allocation-free form for writers that build their
+// output in a reused buffer.
+func (c Cigar) AppendFormat(dst []byte, extended bool) []byte {
 	if extended {
 		for _, r := range c {
-			sb.WriteString(strconv.Itoa(r.Len))
-			sb.WriteByte(r.Op.Byte())
+			dst = appendRun(dst, r.Len, r.Op.Byte())
 		}
-		return sb.String()
+		return dst
 	}
 	// Classic: coalesce = and X into M.
 	pendingM := 0
-	flush := func() {
+	for _, r := range c {
+		if r.Op == OpMatch || r.Op == OpSubst {
+			pendingM += r.Len
+			continue
+		}
 		if pendingM > 0 {
-			sb.WriteString(strconv.Itoa(pendingM))
-			sb.WriteByte('M')
+			dst = appendRun(dst, pendingM, 'M')
 			pendingM = 0
 		}
+		dst = appendRun(dst, r.Len, r.Op.Byte())
 	}
+	if pendingM > 0 {
+		dst = appendRun(dst, pendingM, 'M')
+	}
+	return dst
+}
+
+// formatLen is the length of the string Format renders.
+func (c Cigar) formatLen(extended bool) int {
+	n, pendingM := 0, 0
 	for _, r := range c {
-		switch r.Op {
-		case OpMatch, OpSubst:
+		if !extended && (r.Op == OpMatch || r.Op == OpSubst) {
 			pendingM += r.Len
-		default:
-			flush()
-			sb.WriteString(strconv.Itoa(r.Len))
-			sb.WriteByte(r.Op.Byte())
+			continue
 		}
+		if pendingM > 0 {
+			n += runWidth(pendingM)
+			pendingM = 0
+		}
+		n += runWidth(r.Len)
 	}
-	flush()
-	return sb.String()
+	if pendingM > 0 {
+		n += runWidth(pendingM)
+	}
+	return n
+}
+
+// appendRun appends one run's length and op letter, with a fast path for
+// the one- and two-digit lengths most runs have.
+func appendRun(dst []byte, n int, op byte) []byte {
+	switch {
+	case uint(n) < 10:
+		return append(dst, byte('0'+n), op)
+	case uint(n) < 100:
+		return append(dst, byte('0'+n/10), byte('0'+n%10), op)
+	}
+	return append(strconv.AppendInt(dst, int64(n), 10), op)
+}
+
+// runWidth is the number of bytes appendRun appends for a length n >= 0
+// (a negative length, which no builder makes, only costs Format a regrow).
+func runWidth(n int) int {
+	w := 2
+	for ; n >= 10; n /= 10 {
+		w++
+	}
+	return w
 }
 
 // Ops expands the run-length encoding into one Op per operation.

@@ -125,8 +125,10 @@ func TestAlignWithinStopsEarly(t *testing.T) {
 // TextEnd-TextStart text letters, its edit count must equal Distance,
 // Distance must be at least the dp semi-global (fit) optimum, and
 // TextStart must lie in the text; the bounded call must obey the
-// AlignWithin contract; and the workspace that ran the bounded call must
-// then align exactly as a fresh one.
+// AlignWithin contract; the workspace that ran the bounded call must then
+// align exactly as a fresh one; and the other kernel must return the same
+// Distance, CIGAR, TextStart and TextEnd, which puts the single-word fast
+// walker against the baseline's generic one.
 func FuzzAlign(f *testing.F) {
 	f.Fuzz(func(t *testing.T, textIn, patternIn []byte, win, ov, mode uint8, maxDistIn int16) {
 		if len(patternIn) == 0 || len(patternIn) > 512 || len(textIn) > 1024 {
@@ -174,6 +176,19 @@ func FuzzAlign(f *testing.F) {
 				cfg, maxDist, want, want.Cigar, fresh, fresh.Cigar)
 		}
 		checkBound(t, got, gotErr, want, nil, maxDist, fmt.Sprintf("%+v", cfg))
+
+		otherCfg := cfg
+		otherCfg.Kernel = KernelBaseline + KernelScrooge - cfg.Kernel
+		other, err := mustWS(t, otherCfg).Align(text, pattern)
+		if err != nil {
+			t.Fatalf("%+v: %v", otherCfg, err)
+		}
+		if other.Distance != want.Distance || other.Cigar.String() != want.Cigar.String() ||
+			other.TextStart != want.TextStart || other.TextEnd != want.TextEnd {
+			t.Fatalf("%+v: kernels disagree: %s d=%d [%d, %d) vs %s kernel %s d=%d [%d, %d)",
+				cfg, want.Cigar, want.Distance, want.TextStart, want.TextEnd,
+				otherCfg.Kernel, other.Cigar, other.Distance, other.TextStart, other.TextEnd)
+		}
 
 		if q := want.Cigar.QueryLen(); q != len(pattern) {
 			t.Fatalf("%+v: CIGAR %s consumes %d of %d pattern letters", cfg, want.Cigar, q, len(pattern))

@@ -294,6 +294,10 @@ type Workspace struct {
 	// windows and alignments so candidate evaluation is allocation-free.
 	tbScratch cigar.Builder
 	tbBestOps cigar.Cigar
+	// tbForks and tbReplay are tbSelectFast's scratch: the forks of the
+	// recorded walk and two buffers for the walks resumed from them.
+	tbForks  []tbFork
+	tbReplay [2]cigar.Builder
 }
 
 // New creates a Workspace from the configuration. A zero Config gives the
@@ -329,6 +333,13 @@ func New(cfg Config) (*Workspace, error) {
 		w.carryTmp[1] = make([]uint64, w.nw)
 		if w.nw == 1 {
 			w.scanPM = make([]uint64, 2*cfg.WindowSize)
+			// The traceback scratch at its bounds: a walk takes at most
+			// one fork per error and makes at most two runs per error
+			// plus one, so tbSelectFast never grows it.
+			w.tbForks = make([]tbFork, 0, cfg.MaxWindowErrors)
+			w.tbScratch.Grow(2*cfg.MaxWindowErrors + 1)
+			w.tbReplay[0].Grow(2*cfg.MaxWindowErrors + 1)
+			w.tbReplay[1].Grow(2*cfg.MaxWindowErrors + 1)
 		}
 	}
 	w.ones = make([]uint64, w.nw)

@@ -14,6 +14,74 @@ type tbResult struct {
 	orderSensitive bool
 }
 
+// tbState is the single-word walker's state between two steps: the
+// position in the window, the error level, the previous op, the run not
+// yet flushed to the builder and the consumption so far.
+type tbState struct {
+	patternI, textI, curError int
+	prev, runOp               cigar.Op
+	runLen                    int
+	res                       tbResult
+}
+
+// tbFork is one order-sensitive step of a recorded walk: the state just
+// before the step, the number of runs the walk had flushed by then, the
+// error edges viable there and the op the walk took. A walk under
+// another order is identical up to the first fork where that order picks
+// a different op, so tbSelectFast resumes it there.
+type tbFork struct {
+	tbState
+	flushed int
+	viable  uint8 // viableDel | viableSub | viableIns
+	chosen  cigar.Op
+}
+
+// Viable-edge bits of an error decision.
+const (
+	viableDel uint8 = 1 << iota
+	viableSub
+	viableIns
+)
+
+// pickViable is pickError over a viable-edge mask: the first viable
+// error case in the order's priority, OpNone when none is viable.
+func pickViable(order Order, viable uint8) cigar.Op {
+	del, sub, ins := viable&viableDel != 0, viable&viableSub != 0, viable&viableIns != 0
+	switch order {
+	case OrderGapFirst:
+		if ins {
+			return cigar.OpIns
+		}
+		if del {
+			return cigar.OpDel
+		}
+		if sub {
+			return cigar.OpSubst
+		}
+	case OrderDelFirst:
+		if del {
+			return cigar.OpDel
+		}
+		if sub {
+			return cigar.OpSubst
+		}
+		if ins {
+			return cigar.OpIns
+		}
+	default: // OrderSubFirst, Algorithm 2 as printed
+		if sub {
+			return cigar.OpSubst
+		}
+		if ins {
+			return cigar.OpIns
+		}
+		if del {
+			return cigar.OpDel
+		}
+	}
+	return cigar.OpNone
+}
+
 // tbWindow is GenASM-TB over one window (Algorithm 2 lines 6-30). It walks
 // forward through the stored bitvectors starting at text position startLoc
 // with patternI at the MSB, following a chain of 0s and emitting one CIGAR
@@ -37,7 +105,8 @@ type tbResult struct {
 // that minimal paths avoid). Phantom moves never count as consumed text.
 func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, b *cigar.Builder) tbResult {
 	if w.cfg.Kernel == KernelScrooge && w.nw == 1 {
-		return w.tbWindowFast(mp, nt, pad, startLoc, dist, final, b)
+		st := tbState{patternI: mp - 1, textI: startLoc, curError: dist}
+		return w.tbWindowFast(st, nt, pad, final, w.cfg.Order, cigar.OpNone, false, b)
 	}
 	patternI := mp - 1
 	textI := startLoc
@@ -145,15 +214,21 @@ func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, b *cig
 // per-step function calls and slice-header construction of the generic
 // walker. Behaviour is identical by construction — each branch mirrors
 // the corresponding matchZero/insZero/delZero/subZero derivation — and
-// pinned by the kernel differential tests.
-func (w *Workspace) tbWindowFast(mp, nt, pad, startLoc, dist int, final bool, b *cigar.Builder) tbResult {
-	patternI := mp - 1
-	textI := startLoc
-	curError := dist
+// pinned by the kernel differential tests and the per-step oracle in
+// tb_oracle_test.go.
+//
+// The walk starts from st under the given error order. A match run is
+// consumed in one loop: once no gap can be extended, a step is a match
+// exactly when the match edge is 0, and after a match no gap can be
+// extended, so the run needs only the match test per step. A non-None
+// force is taken as the first step's op instead of deciding it (a fork
+// resumed under another order, see tbSelectFast). With record set, every
+// order-sensitive step is appended to w.tbForks.
+func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Order, force cigar.Op, record bool, b *cigar.Builder) tbResult {
+	patternI, textI, curError := st.patternI, st.textI, st.curError
+	prev, runOp, runLen, res := st.prev, st.runOp, st.runLen, st.res
 	limit := w.cfg.WindowSize - w.cfg.Overlap
-	prev := cigar.OpNone
 	affine := !w.cfg.NoAffineExtend
-	order := w.cfg.Order
 	stride := w.stride
 	store := w.rStore
 	pm := w.scanPM
@@ -161,81 +236,90 @@ func (w *Workspace) tbWindowFast(mp, nt, pad, startLoc, dist int, final bool, b 
 
 	// Ops are run-length merged locally and flushed per run, so the
 	// builder is called once per run instead of once per step.
-	runOp := cigar.OpNone
-	runLen := 0
-
-	var res tbResult
 	for patternI >= 0 && textI < end {
 		if !final && (res.patternConsumed >= limit || res.textConsumed >= limit) {
 			break
 		}
-		j := uint(patternI)
-		base := textI * stride
-		next := base + stride
-
-		status := cigar.OpNone
-		if affine && curError > 0 {
-			if prev == cigar.OpIns {
-				if j == 0 || store[base+curError-1]>>(j-1)&1 == 0 {
-					status = cigar.OpIns
-				}
-			} else if prev == cigar.OpDel {
-				if store[next+curError-1]>>j&1 == 0 {
-					status = cigar.OpDel
-				}
-			}
-		}
-		if status == cigar.OpNone && pm[textI]>>j&1 == 0 &&
-			(j == 0 || store[next+curError]>>(j-1)&1 == 0) {
-			status = cigar.OpMatch
-		}
-		if status == cigar.OpNone && curError > 0 {
-			e := curError - 1
-			delV := store[next+e]>>j&1 == 0
-			subV := j == 0 || store[next+e]>>(j-1)&1 == 0
-			insV := j == 0 || store[base+e]>>(j-1)&1 == 0
-			switch order {
-			case OrderGapFirst:
-				if insV {
-					status = cigar.OpIns
-				} else if delV {
-					status = cigar.OpDel
-				} else if subV {
-					status = cigar.OpSubst
-				}
-			case OrderDelFirst:
-				if delV {
-					status = cigar.OpDel
-				} else if subV {
-					status = cigar.OpSubst
-				} else if insV {
-					status = cigar.OpIns
-				}
-			default: // OrderSubFirst, Algorithm 2 as printed
-				if subV {
-					status = cigar.OpSubst
-				} else if insV {
-					status = cigar.OpIns
-				} else if delV {
-					status = cigar.OpDel
-				}
-			}
-			if !res.orderSensitive {
-				n := 0
-				if delV {
-					n++
-				}
-				if subV {
-					n++
-				}
-				if insV {
-					n++
-				}
-				res.orderSensitive = n > 1
-			}
-		}
+		status := force
+		force = cigar.OpNone
 		if status == cigar.OpNone {
-			break // unreachable when dist came from dcWindow
+			j := uint(patternI)
+			base := textI * stride
+			next := base + stride
+			if affine && curError > 0 {
+				if prev == cigar.OpIns {
+					if j == 0 || store[base+curError-1]>>(j-1)&1 == 0 {
+						status = cigar.OpIns
+					}
+				} else if prev == cigar.OpDel {
+					if store[next+curError-1]>>j&1 == 0 {
+						status = cigar.OpDel
+					}
+				}
+			}
+			if status == cigar.OpNone {
+				// Match run. Phantom positions need no special case: their
+				// scanPM word is all ones, so the run stops at the text end.
+				n := min(patternI+1, end-textI)
+				if !final {
+					n = min(n, limit-max(res.patternConsumed, res.textConsumed))
+				}
+				run := 0
+				for i := next + curError; run < n; i += stride {
+					jj := j - uint(run)
+					if pm[textI+run]>>jj&1 != 0 || (jj != 0 && store[i]>>(jj-1)&1 != 0) {
+						break
+					}
+					run++
+				}
+				if run > 0 {
+					if runOp == cigar.OpMatch {
+						runLen += run
+					} else {
+						if runLen > 0 {
+							b.Append(runOp, runLen)
+						}
+						runOp, runLen = cigar.OpMatch, run
+					}
+					prev = cigar.OpMatch
+					patternI -= run
+					textI += run
+					res.patternConsumed += run
+					res.textConsumed += run
+					continue
+				}
+				if curError > 0 {
+					e := curError - 1
+					var viable uint8
+					if store[next+e]>>j&1 == 0 {
+						viable |= viableDel
+					}
+					if j == 0 || store[next+e]>>(j-1)&1 == 0 {
+						viable |= viableSub
+					}
+					if j == 0 || store[base+e]>>(j-1)&1 == 0 {
+						viable |= viableIns
+					}
+					status = pickViable(order, viable)
+					if viable&(viable-1) != 0 {
+						res.orderSensitive = true
+						if record {
+							w.tbForks = append(w.tbForks, tbFork{
+								tbState: tbState{
+									patternI: patternI, textI: textI, curError: curError,
+									prev: prev, runOp: runOp, runLen: runLen, res: res,
+								},
+								flushed: len(b.Cigar()),
+								viable:  viable,
+								chosen:  status,
+							})
+						}
+					}
+				}
+			}
+			if status == cigar.OpNone {
+				break // unreachable when dist came from dcWindow
+			}
 		}
 
 		if textI >= nt {
@@ -269,6 +353,7 @@ func (w *Workspace) tbWindowFast(mp, nt, pad, startLoc, dist int, final bool, b 
 			continue
 		}
 
+		// Only error ops reach here: matches are consumed as runs above.
 		if status == runOp {
 			runLen++
 		} else {
@@ -278,15 +363,13 @@ func (w *Workspace) tbWindowFast(mp, nt, pad, startLoc, dist int, final bool, b 
 			runOp, runLen = status, 1
 		}
 		prev = status
-		if status != cigar.OpMatch {
-			curError--
-			res.errorsUsed++
-		}
-		if status.ConsumesText() {
+		curError--
+		res.errorsUsed++
+		if status != cigar.OpIns {
 			textI++
 			res.textConsumed++
 		}
-		if status.ConsumesQuery() {
+		if status != cigar.OpDel {
 			patternI--
 			res.patternConsumed++
 		}
@@ -390,6 +473,9 @@ func (w *Workspace) tbSelect(mp, nt, pad, loc, dist int, final bool, b *cigar.Bu
 	if w.cfg.NoOrderSelection {
 		return w.tbWindow(mp, nt, pad, loc, dist, final, b)
 	}
+	if w.cfg.Kernel == KernelScrooge && w.nw == 1 {
+		return w.tbSelectFast(mp, nt, pad, loc, dist, final, b)
+	}
 	savedOrder := w.cfg.Order
 	defer func() { w.cfg.Order = savedOrder }()
 	orders := [...]Order{savedOrder, OrderDelFirst, OrderGapFirst, OrderSubFirst}
@@ -400,15 +486,6 @@ func (w *Workspace) tbSelect(mp, nt, pad, loc, dist int, final bool, b *cigar.Bu
 		bestRes  tbResult
 		haveBest bool
 	)
-	// Cost: error density over consumed characters (scaled to avoid
-	// floats); lower is better.
-	cost := func(r tbResult) int {
-		consumed := r.patternConsumed + r.textConsumed
-		if consumed == 0 {
-			return int(^uint(0) >> 1)
-		}
-		return r.errorsUsed * 4096 / consumed
-	}
 	for oi, o := range orders {
 		if oi > 0 && o == savedOrder {
 			continue
@@ -416,7 +493,7 @@ func (w *Workspace) tbSelect(mp, nt, pad, loc, dist int, final bool, b *cigar.Bu
 		w.cfg.Order = o
 		scratch.Reset()
 		r := w.tbWindow(mp, nt, pad, loc, dist, final, scratch)
-		if !haveBest || cost(r) < cost(bestRes) {
+		if !haveBest || selectCost(r) < selectCost(bestRes) {
 			haveBest = true
 			bestRes = r
 			bestOps = scratch.Cigar().CloneInto(bestOps)
@@ -429,6 +506,62 @@ func (w *Workspace) tbSelect(mp, nt, pad, loc, dist int, final bool, b *cigar.Bu
 	}
 	b.AppendCigar(bestOps)
 	w.tbBestOps = bestOps
+	return bestRes
+}
+
+// selectCost is tbSelect's cost of a walk: error density over consumed
+// characters (scaled to avoid floats); lower is better.
+func selectCost(r tbResult) int {
+	consumed := r.patternConsumed + r.textConsumed
+	if consumed == 0 {
+		return int(^uint(0) >> 1)
+	}
+	return r.errorsUsed * 4096 / consumed
+}
+
+// tbSelectFast is tbSelect for the single-word Scrooge walker, deciding
+// the order from one recorded walk instead of three full ones. The
+// configured order walks once and records its forks. Every other order
+// walks the same steps up to its first fork with a different op: with
+// none, its walk is the first one and cannot win the strict comparison,
+// so it is skipped; otherwise it resumes from that fork, behind a copy of
+// the runs the first walk had flushed there. The candidates, their cost
+// and the tie-break (the earlier order wins) are tbSelect's.
+func (w *Workspace) tbSelectFast(mp, nt, pad, loc, dist int, final bool, b *cigar.Builder) tbResult {
+	first := &w.tbScratch
+	first.Reset()
+	w.tbForks = w.tbForks[:0]
+	st := tbState{patternI: mp - 1, textI: loc, curError: dist}
+	bestRes := w.tbWindowFast(st, nt, pad, final, w.cfg.Order, cigar.OpNone, true, first)
+	bestOps := first
+	if len(w.tbForks) > 0 {
+		bestCost := selectCost(bestRes)
+		for _, o := range [...]Order{OrderDelFirst, OrderGapFirst, OrderSubFirst} {
+			if o == w.cfg.Order {
+				continue
+			}
+			fi := 0
+			for fi < len(w.tbForks) && pickViable(o, w.tbForks[fi].viable) == w.tbForks[fi].chosen {
+				fi++
+			}
+			if fi == len(w.tbForks) {
+				continue // the first walk again
+			}
+			f := &w.tbForks[fi]
+			// Two replay buffers: one may hold the best walk so far.
+			cand := &w.tbReplay[0]
+			if bestOps == cand {
+				cand = &w.tbReplay[1]
+			}
+			cand.Reset()
+			cand.AppendCigar(first.Cigar()[:f.flushed])
+			r := w.tbWindowFast(f.tbState, nt, pad, final, o, pickViable(o, f.viable), false, cand)
+			if c := selectCost(r); c < bestCost {
+				bestRes, bestCost, bestOps = r, c, cand
+			}
+		}
+	}
+	b.AppendCigar(bestOps.Cigar())
 	return bestRes
 }
 

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 
 	"genasm/internal/alphabet"
 	"genasm/internal/cigar"
@@ -49,6 +50,7 @@ type Record struct {
 type Writer struct {
 	bw     *bufio.Writer
 	wroteH bool
+	line   []byte // WriteRecord's reused line buffer
 }
 
 // NewWriter wraps w.
@@ -62,39 +64,60 @@ func (w *Writer) WriteHeader(refName string, refLen int) error {
 		return fmt.Errorf("sam: header already written")
 	}
 	w.wroteH = true
-	_, err := fmt.Fprintf(w.bw, "@HD\tVN:1.6\tSO:unknown\n@SQ\tSN:%s\tLN:%d\n@PG\tID:genasm\tPN:genasm\n", sanitize(refName), refLen)
+	_, err := fmt.Fprintf(w.bw, "@HD\tVN:1.6\tSO:unknown\n@SQ\tSN:%s\tLN:%d\n@PG\tID:genasm\tPN:genasm\n", appendName(nil, refName), refLen)
 	return err
 }
 
-// WriteRecord emits one alignment line.
+// WriteRecord emits one alignment line. The line is built in a buffer the
+// Writer reuses, so a steady stream of records allocates nothing.
 func (w *Writer) WriteRecord(r Record) error {
-	rname := sanitize(r.RName)
-	pos := r.Pos
-	cg := "*"
-	if r.Flag&FlagUnmapped != 0 {
-		rname, pos = "*", 0
+	mapped := r.Flag&FlagUnmapped == 0
+	b := appendName(w.line[:0], r.QName)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Flag), 10)
+	b = append(b, '\t')
+	if mapped {
+		b = appendName(b, r.RName)
+		b = append(b, '\t')
+		b = strconv.AppendInt(b, int64(r.Pos), 10)
 	} else {
-		cg = r.Cigar.Format(false)
+		b = append(b, "*\t0"...)
 	}
-	seq := alphabet.DNA.Decode(r.Seq)
-	_, err := fmt.Fprintf(w.bw, "%s\t%d\t%s\t%d\t%d\t%s\t*\t0\t0\t%s\t*\tNM:i:%d\tAS:i:%d\n",
-		sanitize(r.QName), r.Flag, rname, pos, r.MapQ, cg, seq, r.EditDistance, r.Score)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.MapQ), 10)
+	b = append(b, '\t')
+	if mapped {
+		b = r.Cigar.AppendFormat(b, false)
+	} else {
+		b = append(b, '*')
+	}
+	b = append(b, "\t*\t0\t0\t"...)
+	b = alphabet.DNA.AppendDecode(b, r.Seq)
+	b = append(b, "\t*\tNM:i:"...)
+	b = strconv.AppendInt(b, int64(r.EditDistance), 10)
+	b = append(b, "\tAS:i:"...)
+	b = strconv.AppendInt(b, int64(r.Score), 10)
+	b = append(b, '\n')
+	w.line = b
+	_, err := w.bw.Write(b)
 	return err
 }
 
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// sanitize keeps query names single-field.
-func sanitize(s string) string {
+// appendName appends a name as one SAM field: tab, newline, carriage
+// return and space become '_', and an empty name becomes "*".
+func appendName(dst []byte, s string) []byte {
 	if s == "" {
-		return "*"
+		return append(dst, '*')
 	}
-	out := []byte(s)
-	for i, c := range out {
+	n := len(dst)
+	dst = append(dst, s...)
+	for i, c := range dst[n:] {
 		if c == '\t' || c == '\n' || c == '\r' || c == ' ' {
-			out[i] = '_'
+			dst[n+i] = '_'
 		}
 	}
-	return string(out)
+	return dst
 }

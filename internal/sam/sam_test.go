@@ -1,6 +1,9 @@
 package sam
 
 import (
+	"fmt"
+	"io"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -84,7 +87,120 @@ func TestDoubleHeaderRejected(t *testing.T) {
 }
 
 func TestEmptyQName(t *testing.T) {
-	if got := sanitize(""); got != "*" {
-		t.Errorf("sanitize empty = %q", got)
+	if got := string(appendName(nil, "")); got != "*" {
+		t.Errorf("appendName empty = %q", got)
+	}
+}
+
+// fprintfWriteRecord is WriteRecord as it was before lines were built by
+// appending, kept as a test-only oracle: sanitized name copies, a decoded
+// sequence and one fmt.Fprintf per record.
+func fprintfWriteRecord(w io.Writer, r Record) error {
+	sanitize := func(s string) string {
+		if s == "" {
+			return "*"
+		}
+		out := []byte(s)
+		for i, c := range out {
+			if c == '\t' || c == '\n' || c == '\r' || c == ' ' {
+				out[i] = '_'
+			}
+		}
+		return string(out)
+	}
+	rname := sanitize(r.RName)
+	pos := r.Pos
+	cg := "*"
+	if r.Flag&FlagUnmapped != 0 {
+		rname, pos = "*", 0
+	} else {
+		cg = r.Cigar.Format(false)
+	}
+	seq := alphabet.DNA.Decode(r.Seq)
+	_, err := fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%s\t*\t0\t0\t%s\t*\tNM:i:%d\tAS:i:%d\n",
+		sanitize(r.QName), r.Flag, rname, pos, r.MapQ, cg, seq, r.EditDistance, r.Score)
+	return err
+}
+
+// oracleRecords are records covering what WriteRecord renders: names with
+// tab, space, CR and LF, empty QName and RName, unmapped records (with
+// and without a CIGAR and position set), an empty CIGAR and sequence, and
+// 10 kbp sequences with long CIGARs.
+func oracleRecords() []Record {
+	rng := rand.New(rand.NewPCG(24, 5))
+	long := func(n int) ([]byte, cigar.Cigar) {
+		seq := make([]byte, n)
+		for i := range seq {
+			seq[i] = byte(rng.IntN(4))
+		}
+		var b cigar.Builder
+		for q := 0; q < n; {
+			op := cigar.Op(1 + rng.IntN(4))
+			k := min(1+rng.IntN(40), n-q)
+			if op.ConsumesQuery() {
+				q += k
+			}
+			b.Append(op, k)
+		}
+		return seq, b.Cigar()
+	}
+	short := alphabet.DNA.MustEncode([]byte("ACGTACGTAC"))
+	cg, _ := cigar.Parse("3=1X2I4=1D")
+	recs := []Record{
+		{QName: "read 1", RName: "chr1", Pos: 42, MapQ: 60, Cigar: cg, Seq: short, EditDistance: 4, Score: -14},
+		{QName: "a\tb\nc\rd e", RName: "chr 1\t\r\n", Pos: 1, MapQ: 60, Cigar: cg, Seq: short, Flag: FlagReverse},
+		{QName: "", RName: "", Pos: 7, Cigar: cg, Seq: short},
+		{QName: "", Flag: FlagUnmapped, Seq: short},
+		{QName: "orphan", Flag: FlagUnmapped | FlagReverse, RName: "chr1", Pos: 99, MapQ: 3, Cigar: cg, Seq: short, EditDistance: 2, Score: 5},
+		{QName: "empty", RName: "chr1", Pos: 1},
+		{QName: "\t", RName: " ", Pos: 1_000_000_000, MapQ: 255, Cigar: cg, Seq: short, EditDistance: 1 << 40, Score: -(1 << 40)},
+	}
+	for i := range 4 {
+		seq, c := long(10_000)
+		rec := Record{QName: fmt.Sprintf("m64011/%d/ccs long", i), RName: "chrV", Pos: 1 + rng.IntN(1<<20), MapQ: 60,
+			Cigar: c, Seq: seq, EditDistance: c.EditDistance(), Score: cigar.Minimap2.Score(c)}
+		if i%2 == 1 {
+			rec.Flag = FlagReverse
+		}
+		if i == 3 {
+			rec.Flag = FlagUnmapped
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// TestWriteRecordMatchesFprintfOracle requires WriteRecord's bytes to
+// equal fprintfWriteRecord's for every oracle record, each alone and all
+// through one Writer in sequence (so the reused line buffer shrinks and
+// grows between records).
+func TestWriteRecordMatchesFprintfOracle(t *testing.T) {
+	var all, wantAll strings.Builder
+	sw := NewWriter(&all)
+	for i, r := range oracleRecords() {
+		var got, want strings.Builder
+		w := NewWriter(&got)
+		if err := w.WriteRecord(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fprintfWriteRecord(&want, r); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("record %d:\n got  %q\n want %q", i, got.String(), want.String())
+		}
+		if err := sw.WriteRecord(r); err != nil {
+			t.Fatal(err)
+		}
+		wantAll.WriteString(want.String())
+	}
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if all.String() != wantAll.String() {
+		t.Fatal("records written through one Writer differ from the oracle's")
 	}
 }

@@ -305,8 +305,8 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, rc *ht
 			line.Mapped = mp.Mapped
 			line.Pos = mp.Pos
 			line.RevComp = mp.RevComp
-			line.CIGAR = mp.CIGAR
-			line.ClassicCIGAR = mp.ClassicCIGAR
+			line.CIGAR = mp.CIGAR()
+			line.ClassicCIGAR = mp.ClassicCIGAR()
 			line.Distance = mp.Distance
 			s.m.alignments.Inc()
 		}

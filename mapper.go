@@ -45,7 +45,10 @@ type Read struct {
 	Seq  []byte
 }
 
-// ReadMapping is the result of mapping one read.
+// ReadMapping is the result of mapping one read. It keeps the best
+// alignment's runs, not its CIGAR strings: the CIGAR and ClassicCIGAR
+// methods render them when called, and WriteSAM renders the runs straight
+// into each record, so mapping and writing SAM never build the strings.
 type ReadMapping struct {
 	// Name of the read (copied from the Read, empty for MapRead).
 	Name string
@@ -55,9 +58,6 @@ type ReadMapping struct {
 	Pos int
 	// RevComp reports whether the reverse-complement strand aligned.
 	RevComp bool
-	// CIGAR is the extended CIGAR string ('='/'X'/'I'/'D') of the best
-	// alignment; ClassicCIGAR merges '=' and 'X' into 'M' runs.
-	CIGAR, ClassicCIGAR string
 	// Distance is the edit distance of the best alignment.
 	Distance int
 	// Candidates, Filtered and Aligned count the candidate locations
@@ -66,6 +66,25 @@ type ReadMapping struct {
 
 	runs cigar.Cigar
 	seq  []byte // encoded read, for SAM output
+}
+
+// CIGAR returns the extended CIGAR string ('='/'X'/'I'/'D') of the best
+// alignment, or "" when the read did not map. Each call renders the
+// string anew.
+func (mp ReadMapping) CIGAR() string {
+	if !mp.Mapped {
+		return ""
+	}
+	return mp.runs.Format(true)
+}
+
+// ClassicCIGAR is CIGAR with '=' and 'X' merged into 'M' runs, as in
+// classic SAM.
+func (mp ReadMapping) ClassicCIGAR() string {
+	if !mp.Mapped {
+		return ""
+	}
+	return mp.runs.Format(false)
 }
 
 // Mapper maps reads against an indexed reference with the full four-step
@@ -154,7 +173,7 @@ func (m *Mapper) MapRead(ctx context.Context, read []byte) (ReadMapping, error) 
 	if err != nil {
 		return ReadMapping{}, err
 	}
-	out := ReadMapping{
+	return ReadMapping{
 		Mapped:     mp.Mapped,
 		Pos:        mp.Pos,
 		RevComp:    mp.RevComp,
@@ -164,12 +183,7 @@ func (m *Mapper) MapRead(ctx context.Context, read []byte) (ReadMapping, error) 
 		Aligned:    mp.Aligned,
 		runs:       mp.Cigar,
 		seq:        enc,
-	}
-	if mp.Mapped {
-		out.CIGAR = mp.Cigar.String()
-		out.ClassicCIGAR = mp.Cigar.Format(false)
-	}
-	return out, nil
+	}, nil
 }
 
 // MappingResult pairs one streamed read's ReadMapping with its error.

@@ -323,7 +323,7 @@ func TestMapStreamMatchesMapReads(t *testing.T) {
 			w := want[res.Index]
 			g := res.Mapping
 			if g.Name != w.Name || g.Mapped != w.Mapped || g.Pos != w.Pos || g.RevComp != w.RevComp ||
-				g.CIGAR != w.CIGAR || g.Distance != w.Distance {
+				g.CIGAR() != w.CIGAR() || g.Distance != w.Distance {
 				t.Fatalf("%s: read %d differs:\n stream: %+v\n slice:  %+v", name, res.Index, g, w)
 			}
 			if i != res.Index && name == "ordered" {
