@@ -10,7 +10,9 @@ package genasm
 
 import (
 	"context"
+	"io"
 	"math/rand/v2"
+	"strconv"
 	"testing"
 
 	"genasm/internal/seq"
@@ -95,4 +97,44 @@ func TestMapReadTracedAllocBudget(t *testing.T) {
 	checkMapReadAllocBudget(t, 60000, 8, simulate.Illumina250, MapperConfig{
 		SeedParams: SeedParams{SeedK: 15}, ErrorRate: 0.05, Prefilter: true, Trace: metricsMapTrace(),
 	}, 3)
+}
+
+// TestWriteSAMAllocBudget holds Mapper.WriteSAM's steady state to at most
+// one allocation per call (the measured value is 0; a GC may empty the
+// writer pool mid-run): the writer, its output buffer and its line buffer
+// are reused across calls.
+func TestWriteSAMAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2030, 1))
+	genome := seq.Genome(rng, seq.DefaultGenomeConfig(60000))
+	reads, err := simulate.Reads(rng, genome, 8, simulate.Illumina250, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.NewMapper(alphabetDecode(genome), MapperConfig{SeedParams: SeedParams{SeedK: 15}, ErrorRate: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Read, len(reads))
+	for i, r := range reads {
+		batch[i] = Read{Name: "r" + strconv.Itoa(i), Seq: alphabetDecode(r.Seq)}
+	}
+	mappings, err := m.MapReads(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteSAM(io.Discard, mappings); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := m.WriteSAM(io.Discard, mappings); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("WriteSAM allocs/op = %.1f, budget 1", allocs)
+	}
 }

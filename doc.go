@@ -77,15 +77,16 @@
 //
 // # Kernels
 //
-// The engine always runs the Scrooge kernel: Scrooge's SENE and DENT
-// optimizations store one bitvector per traceback entry instead of four
-// per-edge vectors, and no stores for entries the windowed traceback
-// cannot reach. Pooled workspaces are about 3x smaller than with the
-// paper's original storage layout, and alignment is 3.6-4.9x faster. That
-// baseline layout is internal (core.KernelBaseline): it is a test oracle
-// and a paper benchmark, not an engine option. Both layouts produce
-// identical alignments and are differentially fuzz-tested against each
-// other.
+// The engine always runs the Scrooge kernel: Scrooge's SENE optimization
+// stores one bitvector per traceback entry instead of four per-edge
+// vectors, and the DC scan runs level-major, computing each error level
+// across the window from the level below and stopping at the first level
+// that matches, so a window computes exactly the levels of its distance.
+// Pooled workspaces are about 3x smaller than with the paper's original
+// storage layout, and alignment is several times faster. That baseline
+// layout is internal (core.KernelBaseline): it is a test oracle and a
+// paper benchmark, not an engine option. Both layouts produce identical
+// alignments and are differentially fuzz-tested against each other.
 //
 // # Result retention and CIGAR arenas
 //

@@ -117,10 +117,7 @@ func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Align
 		if terminal {
 			pad = mp
 		}
-		// Non-final anchored windows run a consumption-capped traceback,
-		// letting the Scrooge kernel skip unreachable stores (DENT).
-		capTB := !final && !search
-		res := w.dcWindow(text[curText:curText+nt], pattern[curPattern:curPattern+mp], search, pad, capTB)
+		res := w.dcWindow(text[curText:curText+nt], pattern[curPattern:curPattern+mp], search, pad)
 		if res.dist < 0 {
 			return Alignment{}, fmt.Errorf("%w: window at pattern %d, text %d", ErrWindowBudget, curPattern, curText)
 		}

@@ -10,11 +10,9 @@ import (
 	"genasm/internal/alphabet"
 )
 
-// diffET aligns the pair with early termination on and off and fails on
-// any divergence: ET may only change how fast a hopeless window is
-// rejected, never what is reported — distance, CIGAR, text span, or the
-// ErrWindowBudget error itself.
-func diffET(t *testing.T, et, noET *Workspace, text, pattern []byte, global bool, label string) {
+// diffBudget aligns the pair on both kernels and fails on any divergence:
+// distance, CIGAR, text span, or the ErrWindowBudget error itself.
+func diffBudget(t *testing.T, scrooge, baseline *Workspace, text, pattern []byte, global bool, label string) {
 	t.Helper()
 	align := func(w *Workspace) (Alignment, error) {
 		if global {
@@ -22,40 +20,33 @@ func diffET(t *testing.T, et, noET *Workspace, text, pattern []byte, global bool
 		}
 		return w.Align(text, pattern)
 	}
-	ae, errE := align(et)
-	an, errN := align(noET)
-	if (errE == nil) != (errN == nil) {
-		t.Fatalf("%s: error divergence: ET %v vs no-ET %v", label, errE, errN)
+	as, errS := align(scrooge)
+	ab, errB := align(baseline)
+	if (errS == nil) != (errB == nil) {
+		t.Fatalf("%s: error divergence: scrooge %v vs baseline %v", label, errS, errB)
 	}
-	if errE != nil {
-		if errors.Is(errE, ErrWindowBudget) != errors.Is(errN, ErrWindowBudget) {
-			t.Fatalf("%s: error kind divergence: ET %v vs no-ET %v", label, errE, errN)
+	if errS != nil {
+		if errors.Is(errS, ErrWindowBudget) != errors.Is(errB, ErrWindowBudget) {
+			t.Fatalf("%s: error kind divergence: scrooge %v vs baseline %v", label, errS, errB)
 		}
 		return
 	}
-	if ae.Cigar.String() != an.Cigar.String() {
-		t.Fatalf("%s: CIGAR divergence:\n  ET     %s\n  no-ET  %s", label, ae.Cigar, an.Cigar)
+	if as.Cigar.String() != ab.Cigar.String() {
+		t.Fatalf("%s: CIGAR divergence:\n  scrooge  %s\n  baseline %s", label, as.Cigar, ab.Cigar)
 	}
-	if ae.Distance != an.Distance || ae.TextStart != an.TextStart || ae.TextEnd != an.TextEnd {
-		t.Fatalf("%s: result divergence: ET %+v vs no-ET %+v", label, ae, an)
+	if as.Distance != ab.Distance || as.TextStart != ab.TextStart || as.TextEnd != ab.TextEnd {
+		t.Fatalf("%s: result divergence: scrooge %+v vs baseline %+v", label, as, ab)
 	}
 }
 
-// etPair builds one workspace pair differing only in NoEarlyTermination.
-func etPair(t testing.TB, cfg Config) (et, noET *Workspace) {
-	t.Helper()
-	cfg.NoEarlyTermination = false
-	et = mustWS(t, cfg)
-	cfg.NoEarlyTermination = true
-	noET = mustWS(t, cfg)
-	return et, noET
-}
-
-// TestEarlyTerminationDifferentialSweep drives ET-on vs ET-off across the
-// space where ET can fire: budget-capped windows (MaxWindowErrors below
-// the window size), several alphabets and window geometries, adaptive on
-// and off, anchored and search-mode first windows. Unrelated pairs make
-// ErrWindowBudget frequent — the path ET accelerates.
+// TestEarlyTerminationDifferentialSweep drives the Scrooge kernel against
+// the baseline where windows fail their error budget: budget-capped
+// windows (MaxWindowErrors below the window size), several alphabets and
+// window geometries, adaptive on and off, anchored and search-mode first
+// windows. Unrelated pairs make ErrWindowBudget frequent. The Scrooge
+// scan rejects such a window after its kMax levels, with no early exit
+// of its own (the name is kept from the early termination it used to
+// have), and must report exactly what the baseline reports.
 func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 	type cfgCase struct {
 		name string
@@ -86,13 +77,13 @@ func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 
 	for ci, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			et, noET := etPair(t, c.cfg)
+			s, b := kernelPair(t, c.cfg)
 			size := 4
 			if c.cfg.Alphabet != nil {
 				size = c.cfg.Alphabet.Size()
 			}
 			rng := rand.New(rand.NewPCG(7, uint64(ci)))
-			budget := et.Config().MaxWindowErrors
+			budget := s.Config().MaxWindowErrors
 			for trial := 0; trial < 40; trial++ {
 				n := 1 + rng.IntN(260)
 				text := make([]byte, n)
@@ -101,7 +92,7 @@ func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 				}
 				var pattern []byte
 				switch trial % 3 {
-				case 0: // unrelated: drives ErrWindowBudget, where ET fires
+				case 0: // unrelated: drives ErrWindowBudget
 					pattern = make([]byte, 1+rng.IntN(260))
 					for i := range pattern {
 						pattern[i] = byte(rng.IntN(size))
@@ -115,24 +106,24 @@ func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 					continue
 				}
 				label := fmt.Sprintf("%s trial %d", c.name, trial)
-				diffET(t, et, noET, text, pattern, trial%2 == 0, label)
+				diffBudget(t, s, b, text, pattern, trial%2 == 0, label)
 			}
 		})
 	}
 }
 
 // TestEarlyTerminationQuick fuzzes arbitrary byte pairs through a
-// budget-capped DNA configuration in both modes.
+// budget-capped DNA configuration on both kernels, in both modes.
 func TestEarlyTerminationQuick(t *testing.T) {
 	for _, global := range []bool{true, false} {
-		et, noET := etPair(t, Config{MaxWindowErrors: 5})
+		s, b := kernelPair(t, Config{MaxWindowErrors: 5})
 		prop := func(rawText, rawPattern []byte) bool {
 			text := quickSeqs(rawText, 300)
 			pattern := quickSeqs(rawPattern, 300)
 			if len(pattern) == 0 {
 				return true
 			}
-			diffET(t, et, noET, text, pattern, global, fmt.Sprintf("global=%v", global))
+			diffBudget(t, s, b, text, pattern, global, fmt.Sprintf("global=%v", global))
 			return !t.Failed()
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
@@ -142,8 +133,8 @@ func TestEarlyTerminationQuick(t *testing.T) {
 }
 
 // TestEarlyTerminationRejectsFast pins that a hopeless budget-capped
-// alignment still reports ErrWindowBudget with ET on (the fast path must
-// not turn failures into something else).
+// alignment reports ErrWindowBudget (a scan that stops at the window's
+// budget must not turn failures into something else).
 func TestEarlyTerminationRejectsFast(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	text := randSeq(rng, 256)

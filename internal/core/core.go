@@ -44,14 +44,16 @@ const (
 type Kernel int
 
 const (
-	// KernelScrooge (the default) applies two optimizations from Scrooge
-	// (Lindegger et al.): SENE stores one bitvector per (text position,
-	// error level) entry — the R status vector itself — instead of the
-	// three per-edge vectors, re-deriving the match/substitution/
-	// insertion/deletion edges on demand during traceback; DENT
-	// additionally skips storing the entries a windowed traceback can
-	// never reach. Together they cut the stored TB memory ~3x and remove
-	// three of the four stores per inner-loop step.
+	// KernelScrooge (the default) applies SENE from Scrooge (Lindegger et
+	// al.): it stores one bitvector per (error level, text position)
+	// entry — the R status vector itself — instead of the three per-edge
+	// vectors, re-deriving the match/substitution/insertion/deletion edges
+	// on demand during traceback. That cuts the stored TB memory ~3x and
+	// removes three of the four stores per inner-loop step. Its DC scan
+	// runs level-major: each error level is computed across the whole
+	// window from the level below, and the adaptive scan stops at the
+	// first level that matches, so it computes exactly the window
+	// distance's levels.
 	KernelScrooge Kernel = iota
 	// KernelBaseline is the paper's original TB-SRAM layout: the three
 	// intermediate per-edge bitvectors (match, insertion, deletion) are
@@ -108,11 +110,11 @@ type Config struct {
 	// and cause ErrWindowBudget when exceeded.
 	MaxWindowErrors int
 	// Adaptive enables the software optimization of computing only as
-	// many error levels as the window needs (retrying with doubled k on
-	// failure; the Scrooge kernel carries the already-computed levels into
-	// the retry instead of recomputing them). The hardware always computes
-	// all 64 levels; disable for hardware-faithful operation counts.
-	// Defaults to true.
+	// many error levels as the window needs: the Scrooge kernel stops its
+	// level-major scan at the window's distance; the baseline kernel
+	// starts at 8 levels and rescans with doubled k on failure. The
+	// hardware always computes all 64 levels; disable for
+	// hardware-faithful operation counts. Defaults to true.
 	Adaptive bool
 	// NoAdaptive disables Adaptive when set (kept separate so the zero
 	// Config enables the optimization).
@@ -120,15 +122,6 @@ type Config struct {
 	// Order is the preferred traceback priority of the error cases (it is
 	// tried first and wins ties during per-window order selection).
 	Order Order
-	// NoEarlyTermination disables the Scrooge kernel's early termination
-	// of anchored window scans: by default, a scan running at the window's
-	// full error budget aborts as soon as a running lower bound on the
-	// window distance proves the budget cannot be met (the GenASM-GPU
-	// optimization), turning the ErrWindowBudget path from a full scan
-	// into a partial one. Early termination never changes results — it is
-	// differentially tested against full scans — so this switch exists for
-	// those tests and for operation-count-faithful runs.
-	NoEarlyTermination bool
 	// NoOrderSelection disables the per-window selection among the three
 	// error orders, restoring the single fixed order of Algorithm 2 as
 	// printed. Selection is on by default because a fixed greedy order
@@ -147,8 +140,8 @@ type Config struct {
 	// candidate region start is approximate.
 	FindFirstWindowStart bool
 	// Kernel selects the DC/TB storage layout. The zero value is
-	// KernelScrooge (SENE+DENT); KernelBaseline restores the paper's
-	// original per-edge stores.
+	// KernelScrooge (SENE, level-major scan); KernelBaseline restores the
+	// paper's original per-edge stores.
 	Kernel Kernel
 }
 
@@ -235,6 +228,7 @@ type Workspace struct {
 	cfg    Config
 	nw     int // words per bitvector row (ceil(W/64))
 	stride int // error levels per stored text position (maxK+1)
+	npos   int // text positions per stored Scrooge level (2W+1)
 
 	// ctx, when non-nil, is consulted once per DC window so a pathological
 	// alignment cannot wedge a worker past its deadline (see SetContext).
@@ -243,7 +237,7 @@ type Workspace struct {
 	pm alphabet.PatternMasks
 
 	// R status rows, (maxK+1) x nw each (KernelBaseline only; the Scrooge
-	// scan rolls through scr instead).
+	// scan computes straight into rStore).
 	r, oldR [][]uint64
 
 	// Stored intermediate bitvectors, the TB-SRAM contents of
@@ -253,33 +247,21 @@ type Workspace struct {
 	mStore, iStore, dStore []uint64
 
 	// rStore is KernelScrooge's single entry store (SENE): the R status
-	// bitvector per (textPos, level), indexed [textPos*stride + level]*nw,
-	// from which the traceback re-derives all four edge bitvectors. One
-	// extra position holds the scan's initial all-ones rows.
+	// bitvector per (level, textPos), indexed [level*npos + textPos]*nw,
+	// from which the traceback re-derives all four edge bitvectors. Each
+	// level's row spans the window's 2W text positions plus one for the
+	// scan's initial all-ones entry, so a match run reads consecutive
+	// words.
 	rStore []uint64
-	// scr is the Scrooge scan's two-iteration rolling scratch for text
-	// positions whose entries DENT decides not to store.
-	scr [2][]uint64
 
-	// carry holds, for every text position of the current window (one row
-	// per position, 2W+1 rows), the top error level of the most recent
-	// Scrooge scan. It is what lets the adaptive k-doubling loop continue a
-	// failed scan — computing only the new levels lo..k from the carried
-	// level lo-1 — instead of recomputing every level from scratch.
-	carry []uint64
-	// carryTmp buffers the two most recent carry rows of a multi-word
-	// continuation scan, so the scan can overwrite carry in place while
-	// still reading the previous scan's values one position behind.
-	carryTmp [2][]uint64
-
-	// scanText/scanNT are the most recent dcScan's window text and real
+	// scanText/scanNT are the most recent DC window's text and real
 	// (un-padded) length; the SENE traceback needs them to re-derive the
 	// match bitvector from the pattern masks.
 	scanText []byte
 	scanNT   int
 	// scanPM caches the pattern-mask word per scanned text position
 	// (all-ones for phantom padding), filled by the single-word Scrooge
-	// scan so the traceback's match queries are one array read.
+	// scan's level 0 so the traceback's match queries are one array read.
 	scanPM []uint64
 
 	// ones is an all-ones pattern-mask row used for phantom end-padding
@@ -316,7 +298,7 @@ func New(cfg Config) (*Workspace, error) {
 		w.oldR = newRows(w.stride, w.nw)
 		// Stores cover up to 2W text positions: W real characters plus up
 		// to W phantom end-padding iterations in the terminal window (see
-		// dcScan).
+		// dcWindow).
 		storeWords := 2 * cfg.WindowSize * w.stride * w.nw
 		w.mStore = make([]uint64, storeWords)
 		w.iStore = make([]uint64, storeWords)
@@ -325,12 +307,8 @@ func New(cfg Config) (*Workspace, error) {
 		// One stored bitvector per entry (SENE) over the same 2W text
 		// positions, plus one position for the scan's initial all-ones
 		// rows — a ~3x smaller footprint than the three per-edge stores.
-		w.rStore = make([]uint64, (2*cfg.WindowSize+1)*w.stride*w.nw)
-		w.scr[0] = make([]uint64, w.stride*w.nw)
-		w.scr[1] = make([]uint64, w.stride*w.nw)
-		w.carry = make([]uint64, (2*cfg.WindowSize+1)*w.nw)
-		w.carryTmp[0] = make([]uint64, w.nw)
-		w.carryTmp[1] = make([]uint64, w.nw)
+		w.npos = 2*cfg.WindowSize + 1
+		w.rStore = make([]uint64, w.stride*w.npos*w.nw)
 		if w.nw == 1 {
 			w.scanPM = make([]uint64, 2*cfg.WindowSize)
 			// The traceback scratch at its bounds: a walk takes at most
@@ -392,7 +370,7 @@ func (w *Workspace) dRow(textPos, level int) []uint64 {
 
 // rEntry returns KernelScrooge's stored R entry at (textPos, level).
 func (w *Workspace) rEntry(textPos, level int) []uint64 {
-	o := (textPos*w.stride + level) * w.nw
+	o := (level*w.npos + textPos) * w.nw
 	return w.rStore[o : o+w.nw]
 }
 
@@ -426,7 +404,7 @@ func (w *Workspace) pmAt(textPos int) []uint64 {
 // where it keeps the traceback's per-step queries free of slice-header
 // construction.
 func (w *Workspace) rWord(textPos, level int) uint64 {
-	return w.rStore[textPos*w.stride+level]
+	return w.rStore[level*w.npos+textPos]
 }
 
 // pmWord is the single-word form of pmAt.
@@ -499,9 +477,7 @@ func (w *Workspace) subZero(textPos, level, j int) bool {
 // Scrooge kernel's footprint is ~3x below the baseline's.
 func (w *Workspace) FootprintBytes() int {
 	words := len(w.mStore) + len(w.iStore) + len(w.dStore) +
-		len(w.rStore) + len(w.scr[0]) + len(w.scr[1]) + len(w.ones) +
-		len(w.carry) + len(w.carryTmp[0]) + len(w.carryTmp[1]) +
-		len(w.scanPM)
+		len(w.rStore) + len(w.ones) + len(w.scanPM)
 	for _, row := range w.r {
 		words += len(row)
 	}

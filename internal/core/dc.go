@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"genasm/internal/bitvec"
-)
+import "genasm/internal/bitvec"
 
 // dcResult is the outcome of running GenASM-DC over one window.
 type dcResult struct {
@@ -14,15 +10,15 @@ type dcResult struct {
 	// loc is the text position the traceback starts from (0 when
 	// anchored; the best matching location in search mode).
 	loc int
-	// levels is the number of error levels actually computed (for the
-	// adaptive optimization and for operation accounting).
+	// levels is the highest error level the scan computed: the stored
+	// entries cover levels 0..levels (exactly dist with the Scrooge
+	// kernel's adaptive scan).
 	levels int
 }
 
 // dcWindow runs GenASM-DC over one window: it searches subpattern within
 // subtext, filling the workspace's stored bitvectors (the TB-SRAM
-// contents) for the text positions and error levels the traceback can
-// read.
+// contents) for every text position and computed error level.
 //
 // In anchored mode the result distance is the minimum d whose R[d] has a 0
 // MSB after the final iteration (text position 0), i.e. the best alignment
@@ -37,82 +33,43 @@ type dcResult struct {
 // would live at unscanned text positions), so terminal windows pass
 // pad = len(subpattern) to make the anchored distance exact.
 //
-// capTB promises that the following traceback is consumption-capped at
-// W-O characters (a non-final, non-search window); the Scrooge kernel
-// uses it to skip storing entries past that reach (DENT).
-//
-// The adaptive loop applies two Scrooge/GenASM-GPU-style optimizations:
-// when a scan at k levels fails, the Scrooge kernel continues it —
-// computing only the new levels k+1..2k from the carried level-k row per
-// text position — instead of recomputing every level from scratch, so the
-// total level work of a window is ~kNeed instead of ~2·kNeed; and a scan
-// running at the window's full error budget terminates early once a
-// running lower bound proves the budget cannot be met (see the early
-// termination block in dcScanScrooge), making ErrWindowBudget windows
-// cheap to reject.
-func (w *Workspace) dcWindow(subtext, subpattern []byte, search bool, pad int, capTB bool) dcResult {
+// With Config.Adaptive the scan computes only the levels the window
+// needs: the Scrooge kernel scans level-major and stops at the window's
+// distance (see dcScanScrooge); the baseline kernel, kept close to the
+// paper's Algorithm 1, starts at 8 levels and rescans with doubled k on
+// failure.
+func (w *Workspace) dcWindow(subtext, subpattern []byte, search bool, pad int) dcResult {
 	mp := len(subpattern)
-	kMax := w.cfg.MaxWindowErrors
-	if kMax > mp {
-		// A window alignment never needs more error levels than the
-		// pattern length: an all-insertion path always reaches the MSB at
-		// level mp (R[d] bit d-1 is 0 by induction on the shifted-in zero
-		// of the insertion case).
-		kMax = mp
-	}
+	// A window alignment never needs more error levels than the pattern
+	// length: an all-insertion path always reaches the MSB at level mp
+	// (R[d] bit d-1 is 0 by induction on the shifted-in zero of the
+	// insertion case).
+	kMax := min(w.cfg.MaxWindowErrors, mp)
 
 	w.pm.GenerateInto(w.cfg.Alphabet, subpattern)
+	// The SENE traceback re-derives match edges from the window text.
+	w.scanText, w.scanNT = subtext, len(subtext)
+	if w.cfg.Kernel == KernelScrooge {
+		return w.dcScanScrooge(mp, kMax, search, pad)
+	}
 
 	k := kMax
 	if w.cfg.Adaptive {
-		k = 8
-		if k > kMax {
-			k = kMax
-		}
+		k = min(8, kMax)
 	}
-	lo := 0
 	for {
-		// Early termination is sound only when the scan computes every
-		// level of the window budget (a partial chain could otherwise
-		// climb through levels the scan does not track) and only for
-		// anchored scans (search mode wants the minimum over every
-		// position, which the bound does not serve).
-		et := !search && !w.cfg.NoEarlyTermination && k == kMax
-		res := w.dcScan(subtext, mp, lo, k, search, pad, capTB, et)
+		res := w.dcScanBaseline(subtext, mp, k, search, pad)
 		if res.dist >= 0 || k >= kMax {
 			return res
 		}
-		if w.cfg.Kernel == KernelScrooge {
-			// Level-carry: the failed scan saved its top level for every
-			// text position, so the retry computes only the new levels.
-			lo = k + 1
-		}
-		k *= 2
-		if k > kMax {
-			k = kMax
-		}
+		k = min(2*k, kMax)
 	}
-}
-
-// dcScan is one right-to-left pass of the DC recurrence computing error
-// levels lo..k (Algorithm 1 lines 7-22), dispatched to the configured
-// kernel's storage layout. lo > 0 (Scrooge only) continues an earlier scan
-// of the same window from its carried level lo-1; et enables early
-// termination of hopeless anchored scans (Scrooge, single-word). It
-// records the window text for the SENE traceback queries before either
-// scan runs.
-func (w *Workspace) dcScan(subtext []byte, mp, lo, k int, search bool, pad int, capTB, et bool) dcResult {
-	w.scanText, w.scanNT = subtext, len(subtext)
-	if w.cfg.Kernel == KernelBaseline {
-		return w.dcScanBaseline(subtext, mp, k, search, pad)
-	}
-	return w.dcScanScrooge(subtext, mp, lo, k, search, pad, capTB, et)
 }
 
 // dcScanBaseline stores the intermediate match/insertion/deletion
 // bitvectors of Algorithm 1 lines 15-18 for every text position — the
 // paper's original TB-SRAM layout. It always recomputes every level from
-// scratch (no level-carry), keeping the reference kernel as close to the
+// scratch, position-major, keeping the reference kernel as close to the
 // paper's Algorithm 1 as possible.
 func (w *Workspace) dcScanBaseline(subtext []byte, mp, k int, search bool, pad int) dcResult {
 	// The window's bitvectors span only as many words as the sub-pattern
@@ -192,252 +149,146 @@ func (w *Workspace) dcScanBaseline(subtext []byte, mp, k int, search bool, pad i
 	return dcResult{dist: bestDist, loc: bestLoc, levels: k}
 }
 
-// dcScanScrooge stores one R entry per (text position, level) — SENE —
-// writing directly into the entry store for positions the traceback can
-// reach and rolling through two scratch rows for the rest (DENT). The
-// inner step issues a single store where the baseline issues four.
-//
-// With lo > 0 the scan continues an earlier scan of the same window: only
-// levels lo..k are computed, seeded from the carried level lo-1 the
-// earlier scan saved per text position (w.carry). The recurrence for a
-// level depends only on that level and the one below it, so a continued
-// scan produces bit-identical entries to a full rescan at ~half the work.
-// Every scan saves its own top level into w.carry (one extra store per
-// position) so it, too, can be continued.
-//
-// With et (anchored scans at the full window budget k), the scan aborts
-// as soon as no remaining text position can produce a match within k
-// errors. The bound: a 0 at bit j of R[d] can, in the best case, climb
-// one bit per remaining text position (a match consumes text and extends
-// the chain) plus one bit per unspent error level (an insertion extends
-// the chain in place, costing a level), so its best final bit is
-// j + (k-d) + i. Chains not yet born — a 0 entering at bit 0 of some
-// level at a future position p < i — are bounded by k + p <= k + i - 1.
-// If neither bound reaches the MSB, bit mp-1 of no R[d<=k] can be 0 at
-// position 0 and the window is hopeless: the scan stops and dcWindow
-// reports ErrWindowBudget without computing the remaining positions.
-// Because every level of the budget is computed, every live chain is
-// visible in the current rows (plus, for continued scans, the carried
-// level bounding the levels below lo), which is what makes the bound
-// sound; it is differentially tested to never change results.
-func (w *Workspace) dcScanScrooge(subtext []byte, mp, lo, k int, search bool, pad int, capTB, et bool) dcResult {
-	// nw is the number of words the sub-pattern needs this scan; rows in
-	// the entry store stay spaced by the workspace word count (snw) so
-	// that rEntry's indexing holds for every window length.
-	nw := bitvec.Words(mp)
-	if nw == 0 {
-		nw = 1
-	}
-	snw := w.nw
-	nt := len(subtext)
-	msb := mp - 1
-	rowW := w.stride * snw
-
-	// top is the virtual position holding the scan's initial all-ones
-	// rows; the first scanned position is top-1.
-	top := nt + pad
-
-	// DENT: a consumption-capped traceback visits text positions at most
-	// W-O-1 and reads entries one past that, so nothing beyond W-O needs
-	// storing. Uncapped windows (search-mode, final) store everything.
-	storeLimit := top
-	if capTB {
-		if lim := w.cfg.WindowSize - w.cfg.Overlap; lim < storeLimit {
-			storeLimit = lim
-		}
-	}
-
-	// Continued scans leave levels 0..lo-1 (already stored by the earlier
-	// scans) untouched and initialize only their own levels at the top.
-	if top <= storeLimit {
-		bitvec.Fill(w.rStore[top*rowW+lo*snw:top*rowW+(k+1)*snw], ^uint64(0))
-	} else {
-		bitvec.Fill(w.scr[top&1][lo*snw:(k+1)*snw], ^uint64(0))
-	}
-
-	// hzMask keeps early termination's highest-zero scans within the
-	// pattern's bits (bits >= mp are recurrence artifacts).
-	hzMask := ^uint64(0)
-	if mp < 64 {
-		hzMask = 1<<uint(mp) - 1
-	}
-
-	// carryPrev / carryPrevRow roll the previous scan's carried level one
-	// position behind this scan's overwrite of w.carry; at the virtual
-	// top every level is all ones.
-	carryPrev := ^uint64(0)
-	bitvec.Fill(w.carryTmp[top&1][:nw], ^uint64(0))
-
-	bestDist, bestLoc := -1, 0
-	// The previous position's buffer selection carries across iterations
-	// (position i's rows are position i-1's previous rows).
-	prevBuf, prevOff := w.rStore, top*rowW
-	if top > storeLimit {
-		prevBuf, prevOff = w.scr[top&1], 0
-	}
-	for i := top - 1; i >= 0; i-- {
-		curBuf, curOff := w.rStore, i*rowW
-		if i > storeLimit {
-			curBuf, curOff = w.scr[i&1], 0
-		}
-
-		if snw == 1 {
-			// Single-word fast path (W <= 64, the default config): the
-			// whole iteration stays in registers, one entry store per
-			// level plus the carry store.
-			cur := curBuf[curOff : curOff+k+1]
-			prev := prevBuf[prevOff : prevOff+k+1]
-			pm0 := ^uint64(0)
-			if i < nt {
-				pm0 = w.pm.MaskWord(subtext[i])
-			}
-			if lo == 0 {
-				// One-read match queries for tbWindowFast; continued
-				// scans would rewrite identical values.
-				w.scanPM[i] = pm0
-			}
-			carryCur := w.carry[i]
-			// rp is R[d-1] at this position, old1 is R[d-1] at the
-			// previous position; a continued scan seeds both from the
-			// carried level lo-1.
-			var rp, old1 uint64
-			start := lo
-			if lo == 0 {
-				rp = prev[0]<<1 | pm0
-				cur[0] = rp
-				old1 = prev[0]
-				start = 1
-			} else {
-				rp = carryCur
-				old1 = carryPrev
-			}
-			// Two levels per step: the serial rp chain stays, but the
-			// loop overhead halves.
-			d := start
-			for ; d < k; d += 2 {
-				o := prev[d]
-				rd := old1 & (old1 << 1) & (rp << 1) & (o<<1 | pm0)
-				cur[d] = rd
-				o2 := prev[d+1]
-				rd2 := o & (o << 1) & (rd << 1) & (o2<<1 | pm0)
-				cur[d+1] = rd2
-				rp = rd2
-				old1 = o2
-			}
-			if d == k {
-				o := prev[d]
-				rd := old1 & (old1 << 1) & (rp << 1) & (o<<1 | pm0)
-				cur[d] = rd
-				rp = rd
-			}
-			w.carry[i] = rp // rp is cur[k], the level a continuation seeds from
-			carryPrev = carryCur
-			if search && i < nt {
-				for d := lo; d <= k; d++ {
-					if cur[d]>>uint(msb)&1 == 0 {
-						if bestDist < 0 || d < bestDist || (d == bestDist && i < bestLoc) {
-							bestDist, bestLoc = d, i
-						}
-						break
-					}
-				}
-			}
-			if et && k+i-1 < msb {
-				// pot is the best final bit any live chain can still
-				// reach (see the doc comment); -1 when nothing is alive.
-				pot := -1
-				for d := lo; d <= k; d++ {
-					if z := ^cur[d] & hzMask; z != 0 {
-						if c := 63 - bits.LeadingZeros64(z) + k - d; c > pot {
-							pot = c
-						}
-					}
-				}
-				if lo > 0 {
-					// Levels below lo are not recomputed; their zeros are
-					// a subset of the carried level's (R rows grow with
-					// d), bounded as if they sat at level 0.
-					if z := ^carryCur & hzMask; z != 0 {
-						if c := 63 - bits.LeadingZeros64(z) + k; c > pot {
-							pot = c
-						}
-					}
-				}
-				if pot+i < msb {
-					return dcResult{dist: -1, levels: k}
-				}
-			}
-			prevBuf, prevOff = curBuf, curOff
+// dcScanScrooge is the Scrooge kernel's DC: it stores one R entry per
+// (error level, text position) — SENE — and computes them level-major.
+// Level 0 is the shift-or chain over the window; level d is computed over
+// every position from the stored level d-1 (scroogeLevel). After each
+// level the scan checks for a match: at position 0 when anchored, at the
+// smallest matching position below the text end in search mode. With
+// Config.Adaptive it stops at the first hit, so a window costs exactly
+// dist+1 levels, and the traceback reads nothing above them; otherwise it
+// computes every level up to kMax, as the hardware does. A window with no
+// hit within kMax reports dist -1 (ErrWindowBudget).
+func (w *Workspace) dcScanScrooge(mp, kMax int, search bool, pad int) dcResult {
+	top := w.scanNT + pad
+	res := dcResult{dist: -1, levels: kMax}
+	for d := 0; d <= kMax; d++ {
+		w.scroogeLevel(d, mp, top)
+		if res.dist >= 0 {
 			continue
 		}
+		if loc := w.levelHit(d, mp, search); loc >= 0 {
+			res.dist, res.loc = d, loc
+			if w.cfg.Adaptive {
+				res.levels = d
+				break
+			}
+		}
+	}
+	return res
+}
 
+// levelHit returns the text position the traceback starts from when the
+// stored level d matches the whole pattern (a 0 MSB): 0 when anchored, the
+// smallest such position below the text end in search mode; -1 when none
+// does.
+func (w *Workspace) levelHit(d, mp int, search bool) int {
+	n := min(w.scanNT, 1)
+	if search {
+		n = w.scanNT
+	}
+	msb := mp - 1
+	if w.nw == 1 {
+		for i, r := range w.rStore[d*w.npos:][:n] {
+			if r>>uint(msb)&1 == 0 {
+				return i
+			}
+		}
+		return -1
+	}
+	for i := range n {
+		if bitvec.IsZeroBit(w.rEntry(i, d), msb) {
+			return i
+		}
+	}
+	return -1
+}
+
+// scroogeLevel computes the Scrooge entry store's level d for every text
+// position of the current window, right to left from the all-ones
+// virtual position top (Algorithm 1 lines 7-22, one level at a time).
+// Level 0 is R[0] = (R[0] << 1) | PM; level d > 0 reads only the stored
+// level d-1, so any level can be added after the scan — which is how
+// tbBest deepens a terminal window.
+func (w *Workspace) scroogeLevel(d, mp, top int) {
+	nt := w.scanNT
+	if w.nw == 1 {
+		// Single-word rows (W <= 64, the default config): one store per
+		// entry, the whole chain in registers.
+		row := w.rStore[d*w.npos:][:top+1]
+		row[top] = ^uint64(0)
+		pm := w.scanPM[:top]
+		r := ^uint64(0) // R[d] at the previous position
+		if d == 0 {
+			// Level 0 also caches each position's pattern-mask word for
+			// the traceback's match queries (all ones on phantom padding).
+			for i := top - 1; i >= nt; i-- {
+				pm[i] = ^uint64(0)
+				r = r<<1 | pm[i]
+				row[i] = r
+			}
+			for i := nt - 1; i >= 0; i-- {
+				pm[i] = w.pm.MaskWord(w.scanText[i])
+				r = r<<1 | pm[i]
+				row[i] = r
+			}
+			return
+		}
+		// old1 is R[d-1] at the previous position (the deletion term)
+		// and old1s its shift (the substitution term), which was that
+		// position's insertion term: each word of level d-1 is loaded and
+		// shifted once.
+		below := w.rStore[(d-1)*w.npos:][:top+1]
+		old1 := below[top]
+		old1s := old1 << 1
+		// Two positions per step: the serial r chain stays, the loop
+		// overhead halves.
+		i := top - 1
+		for ; i >= 1; i -= 2 {
+			rp := below[i]
+			rs := rp << 1
+			r = old1 & old1s & rs & (r<<1 | pm[i])
+			row[i] = r
+			old1 = below[i-1]
+			old1s = old1 << 1
+			r = rp & rs & old1s & (r<<1 | pm[i-1])
+			row[i-1] = r
+		}
+		if i == 0 {
+			row[0] = old1 & old1s & (below[0] << 1) & (r<<1 | pm[0])
+		}
+		return
+	}
+
+	// Multi-word rows: the window's bitvectors span only as many words
+	// as the sub-pattern needs, in slots spaced by the workspace's word
+	// count so rEntry's indexing holds for every window length.
+	nw := max(bitvec.Words(mp), 1)
+	entry := func(level, i int) []uint64 {
+		o := (level*w.npos + i) * w.nw
+		return w.rStore[o : o+nw]
+	}
+	bitvec.Fill(entry(d, top), ^uint64(0))
+	for i := top - 1; i >= 0; i-- {
 		curPM := w.ones[:nw]
 		if i < nt {
-			curPM = w.pm.Mask(subtext[i])
+			curPM = w.pm.Mask(w.scanText[i])
 		}
-
-		// Multi-word path. ccOld/cpOld are the previous scan's carried
-		// rows at this and the previous position (the in-place overwrite
-		// of w.carry runs one position ahead of the reads).
-		ccOld := w.carryTmp[i&1][:nw]
-		if lo > 0 {
-			copy(ccOld, w.carry[i*snw:i*snw+nw])
+		if d == 0 {
+			bitvec.ShiftLeft1Or(entry(0, i), entry(0, i+1), curPM)
+			continue
 		}
-		cpOld := w.carryTmp[(i+1)&1][:nw]
-
-		start := lo
-		if lo == 0 {
-			bitvec.ShiftLeft1Or(curBuf[curOff:curOff+nw], prevBuf[prevOff:prevOff+nw], curPM)
-			start = 1
+		rd, rd1, old1, old := entry(d, i), entry(d-1, i), entry(d-1, i+1), entry(d, i+1)
+		var carryS, carryI, carryM uint64
+		for wi := range nw {
+			del := old1[wi]
+			ins := rd1[wi]<<1 | carryI
+			sub := old1[wi]<<1 | carryS
+			match := old[wi]<<1 | carryM | curPM[wi]
+			carryI = rd1[wi] >> 63
+			carryS = old1[wi] >> 63
+			carryM = old[wi] >> 63
+			rd[wi] = del & sub & ins & match
 		}
-		for d := start; d <= k; d++ {
-			rd := curBuf[curOff+d*snw : curOff+d*snw+nw]
-			rd1 := ccOld
-			old1 := cpOld
-			if d > lo || lo == 0 {
-				rd1 = curBuf[curOff+(d-1)*snw : curOff+(d-1)*snw+nw]
-				old1 = prevBuf[prevOff+(d-1)*snw : prevOff+(d-1)*snw+nw]
-			}
-			old := prevBuf[prevOff+d*snw : prevOff+d*snw+nw]
-			var carryS, carryI, carryM uint64
-			for wi := 0; wi < nw; wi++ {
-				del := old1[wi]
-				ins := rd1[wi]<<1 | carryI
-				sub := old1[wi]<<1 | carryS
-				match := old[wi]<<1 | carryM | curPM[wi]
-				carryI = rd1[wi] >> 63
-				carryS = old1[wi] >> 63
-				carryM = old[wi] >> 63
-				rd[wi] = del & sub & ins & match
-			}
-		}
-		copy(w.carry[i*snw:i*snw+nw], curBuf[curOff+k*snw:curOff+k*snw+nw])
-		if search && i < nt {
-			for d := lo; d <= k; d++ {
-				if bitvec.IsZeroBit(curBuf[curOff+d*snw:curOff+d*snw+nw], msb) {
-					if bestDist < 0 || d < bestDist || (d == bestDist && i < bestLoc) {
-						bestDist, bestLoc = d, i
-					}
-					break
-				}
-			}
-		}
-		prevBuf, prevOff = curBuf, curOff
 	}
-
-	if !search {
-		// Anchored: inspect the final iteration's levels at text pos 0
-		// (position 0 is always stored). Levels below lo were checked by
-		// the scan that computed them.
-		if nt == 0 {
-			return dcResult{dist: -1, levels: k}
-		}
-		for d := lo; d <= k; d++ {
-			if bitvec.IsZeroBit(w.rEntry(0, d), msb) {
-				return dcResult{dist: d, loc: 0, levels: k}
-			}
-		}
-		return dcResult{dist: -1, levels: k}
-	}
-	return dcResult{dist: bestDist, loc: bestLoc, levels: k}
 }

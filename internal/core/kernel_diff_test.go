@@ -20,8 +20,8 @@ func kernelPair(t testing.TB, cfg Config) (scrooge, baseline *Workspace) {
 }
 
 // diffAlign aligns the pair on both kernels and fails on any divergence in
-// CIGAR, distance or text span — the SENE/DENT rework must be bit-exact
-// against the paper's per-edge storage.
+// CIGAR, distance or text span — the SENE level-major kernel must be
+// bit-exact against the paper's per-edge storage.
 func diffAlign(t *testing.T, scrooge, baseline *Workspace, text, pattern []byte, global bool, label string) {
 	t.Helper()
 	align := func(w *Workspace) (Alignment, error) {
@@ -73,9 +73,8 @@ type sweepCase struct {
 }
 
 // sweepConfigs is the configuration space both kernels must agree across:
-// alphabets, window geometries (single- and multi-word, small overlaps
-// that stress DENT's store window), error budgets, search mode, traceback
-// orders and the adaptive toggle.
+// alphabets, window geometries (single- and multi-word, small overlaps),
+// error budgets, search mode, traceback orders and the adaptive toggle.
 func sweepConfigs() []sweepCase {
 	alphabets := []*alphabet.Alphabet{alphabet.DNA, alphabet.Protein, alphabet.Bytes}
 	windows := []struct{ w, o int }{{64, 24}, {32, 8}, {16, 4}, {128, 48}, {64, 0}}
@@ -93,9 +92,9 @@ func sweepConfigs() []sweepCase {
 		sweepCase{"dna/k8", Config{MaxWindowErrors: 8}},
 		sweepCase{"dna/k16-W32", Config{WindowSize: 32, Overlap: 8, MaxWindowErrors: 16}},
 		sweepCase{"dna/noadaptive", Config{NoAdaptive: true}},
-		sweepCase{"dna/noet", Config{NoEarlyTermination: true}},
+		sweepCase{"dna/search-noadaptive", Config{FindFirstWindowStart: true, NoAdaptive: true}},
 		sweepCase{"dna/k4-budget", Config{MaxWindowErrors: 4}},
-		sweepCase{"dna/k4-budget-noet", Config{MaxWindowErrors: 4, NoEarlyTermination: true}},
+		sweepCase{"dna/k4-budget-noadaptive", Config{MaxWindowErrors: 4, NoAdaptive: true}},
 		sweepCase{"dna/gapfirst", Config{Order: OrderGapFirst}},
 		sweepCase{"dna/delfirst", Config{Order: OrderDelFirst}},
 		sweepCase{"dna/fixedorder", Config{NoOrderSelection: true}},
@@ -176,7 +175,7 @@ func mutateAlpha(rng *rand.Rand, s []byte, e, size int) []byte {
 
 // TestKernelEquivalenceEdgeShapes pins the shapes where the storage
 // layouts differ most: terminal windows with maximal phantom padding,
-// windows exactly at the DENT store boundary, and empty text.
+// windows at the W-O consumption cap, and empty text.
 func TestKernelEquivalenceEdgeShapes(t *testing.T) {
 	s, b := kernelPair(t, Config{})
 	W, O := DefaultWindowSize, DefaultOverlap
@@ -184,8 +183,8 @@ func TestKernelEquivalenceEdgeShapes(t *testing.T) {
 	shapes := []struct{ nt, mp int }{
 		{0, 5},           // empty text: all insertions
 		{1, 2},           // trailing insertion via phantom padding
-		{W - O - 1, W},   // text shorter than the DENT window
-		{W - O, W - O},   // exactly the store limit
+		{W - O - 1, W},   // text shorter than the consumption cap
+		{W - O, W - O},   // exactly the consumption cap
 		{W, W},           // one full window
 		{W + 1, W},       // just over one window
 		{2*W - 1, W + 3}, // terminal window with near-max padding

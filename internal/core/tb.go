@@ -209,10 +209,10 @@ func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, b *cig
 
 // tbWindowFast is tbWindow specialized for the Scrooge kernel's
 // single-word layout (W <= 64, the default configuration): every edge
-// query is an inline shift of a directly-indexed rStore word and the
-// match bitmask is one read of the scanPM cache, eliminating the
-// per-step function calls and slice-header construction of the generic
-// walker. Behaviour is identical by construction — each branch mirrors
+// query is an inline shift of a directly-indexed rStore word (a match
+// run reads one level's consecutive words) and the match bitmask is one
+// read of the scanPM cache, eliminating the per-step function calls and
+// slice-header construction of the generic walker. Behaviour is identical by construction — each branch mirrors
 // the corresponding matchZero/insZero/delZero/subZero derivation — and
 // pinned by the kernel differential tests and the per-step oracle in
 // tb_oracle_test.go.
@@ -229,7 +229,7 @@ func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Orde
 	prev, runOp, runLen, res := st.prev, st.runOp, st.runLen, st.res
 	limit := w.cfg.WindowSize - w.cfg.Overlap
 	affine := !w.cfg.NoAffineExtend
-	stride := w.stride
+	npos := w.npos
 	store := w.rStore
 	pm := w.scanPM
 	end := nt + pad
@@ -244,15 +244,16 @@ func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Orde
 		force = cigar.OpNone
 		if status == cigar.OpNone {
 			j := uint(patternI)
-			base := textI * stride
-			next := base + stride
+			// at is the entry (curError, textI); at-npos is the same
+			// position one level below.
+			at := curError*npos + textI
 			if affine && curError > 0 {
 				if prev == cigar.OpIns {
-					if j == 0 || store[base+curError-1]>>(j-1)&1 == 0 {
+					if j == 0 || store[at-npos]>>(j-1)&1 == 0 {
 						status = cigar.OpIns
 					}
 				} else if prev == cigar.OpDel {
-					if store[next+curError-1]>>j&1 == 0 {
+					if store[at-npos+1]>>j&1 == 0 {
 						status = cigar.OpDel
 					}
 				}
@@ -265,7 +266,7 @@ func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Orde
 					n = min(n, limit-max(res.patternConsumed, res.textConsumed))
 				}
 				run := 0
-				for i := next + curError; run < n; i += stride {
+				for i := at + 1; run < n; i++ {
 					jj := j - uint(run)
 					if pm[textI+run]>>jj&1 != 0 || (jj != 0 && store[i]>>(jj-1)&1 != 0) {
 						break
@@ -289,15 +290,15 @@ func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Orde
 					continue
 				}
 				if curError > 0 {
-					e := curError - 1
+					below := at - npos
 					var viable uint8
-					if store[next+e]>>j&1 == 0 {
+					if store[below+1]>>j&1 == 0 {
 						viable |= viableDel
 					}
-					if j == 0 || store[next+e]>>(j-1)&1 == 0 {
+					if j == 0 || store[below+1]>>(j-1)&1 == 0 {
 						viable |= viableSub
 					}
-					if j == 0 || store[base+e]>>(j-1)&1 == 0 {
+					if j == 0 || store[below]>>(j-1)&1 == 0 {
 						viable |= viableIns
 					}
 					status = pickViable(order, viable)
@@ -417,21 +418,17 @@ func (w *Workspace) tbBest(subtext, subpattern []byte, pad, loc, dmin, levels in
 	maxD := dmin
 	for d := dmin; d <= maxD; d++ {
 		if d > levels {
-			// Deeper candidate levels than DC computed: extend the scan
-			// with the missing levels (the Scrooge kernel carries the
-			// levels already stored; the baseline rewrites its stores in
-			// full). Early termination stays off: these levels feed
-			// speculative traceback candidates, so the stores must be
-			// written end to end even when no candidate can succeed.
-			lo := 0
+			// Deeper candidate levels than DC computed: the Scrooge
+			// kernel adds the missing rows on top of the stored ones; the
+			// baseline rescans its stores in full, up to the sweep's cap.
 			if w.cfg.Kernel == KernelScrooge {
-				lo = levels + 1
+				for ; levels < d; levels++ {
+					w.scroogeLevel(levels+1, mp, nt+pad)
+				}
+			} else {
+				levels = maxD
+				w.dcScanBaseline(subtext, mp, levels, false, pad)
 			}
-			levels = min(kCap, maxD)
-			if d > levels {
-				break
-			}
-			w.dcScan(subtext, mp, lo, levels, false, pad, false, false)
 		}
 		for oi, o := range orders {
 			if oi > 0 && o == savedOrder {

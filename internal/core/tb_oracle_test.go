@@ -19,7 +19,7 @@ func stepTBWindowFast(w *Workspace, mp, nt, pad, startLoc, dist int, final bool,
 	prev := cigar.OpNone
 	affine := !w.cfg.NoAffineExtend
 	order := w.cfg.Order
-	stride := w.stride
+	npos := w.npos
 	store := w.rStore
 	pm := w.scanPM
 	end := nt + pad
@@ -33,30 +33,31 @@ func stepTBWindowFast(w *Workspace, mp, nt, pad, startLoc, dist int, final bool,
 			break
 		}
 		j := uint(patternI)
-		base := textI * stride
-		next := base + stride
+		// entry (level, position) is store[level*npos+position].
+		base := textI
+		next := base + 1
 
 		status := cigar.OpNone
 		if affine && curError > 0 {
 			if prev == cigar.OpIns {
-				if j == 0 || store[base+curError-1]>>(j-1)&1 == 0 {
+				if j == 0 || store[(curError-1)*npos+base]>>(j-1)&1 == 0 {
 					status = cigar.OpIns
 				}
 			} else if prev == cigar.OpDel {
-				if store[next+curError-1]>>j&1 == 0 {
+				if store[(curError-1)*npos+next]>>j&1 == 0 {
 					status = cigar.OpDel
 				}
 			}
 		}
 		if status == cigar.OpNone && pm[textI]>>j&1 == 0 &&
-			(j == 0 || store[next+curError]>>(j-1)&1 == 0) {
+			(j == 0 || store[curError*npos+next]>>(j-1)&1 == 0) {
 			status = cigar.OpMatch
 		}
 		if status == cigar.OpNone && curError > 0 {
-			e := curError - 1
-			delV := store[next+e]>>j&1 == 0
-			subV := j == 0 || store[next+e]>>(j-1)&1 == 0
-			insV := j == 0 || store[base+e]>>(j-1)&1 == 0
+			e := (curError - 1) * npos
+			delV := store[e+next]>>j&1 == 0
+			subV := j == 0 || store[e+next]>>(j-1)&1 == 0
+			insV := j == 0 || store[e+base]>>(j-1)&1 == 0
 			switch order {
 			case OrderGapFirst:
 				if insV {
@@ -204,9 +205,9 @@ func sameTB(a, b tbResult) bool {
 // oracles above, window by window. Windows come from random texts (a
 // third of them over two letters) with 10% indel-heavy or 5%
 // substitution-heavy copies, or unrelated sequences, as patterns, under
-// every order with affine extension on and off, as non-final (capped,
-// DENT-stored) windows and as final ones with and without phantom
-// padding (padded ones walked at every stored level, as tbBest walks
+// every order with affine extension on and off, as non-final (capped)
+// windows and as final ones with and without phantom padding (padded
+// ones also walked at eight levels above the minimum, as tbBest walks
 // them). Each single walk, under every order, and each selection must
 // consume the same counts with the same errors and emit the same CIGAR.
 // The cases forked selection distinguishes must all occur: an order whose
@@ -250,7 +251,7 @@ func TestTracebackMatchesStepOracle(t *testing.T) {
 					}
 				}
 				sub, pat := text[:nt], pattern[:mp]
-				res := w.dcWindow(sub, pat, false, pad, !final)
+				res := w.dcWindow(sub, pat, false, pad)
 				if res.dist < 0 {
 					continue
 				}
@@ -259,10 +260,14 @@ func TestTracebackMatchesStepOracle(t *testing.T) {
 
 				var got, want cigar.Builder
 				// Terminal windows are also walked above the DC minimum,
-				// at every level the scan stored, as tbBest walks them.
+				// as tbBest walks them: the scan stopped at the minimum,
+				// so the rows above it are added here, up to tbBest's cap.
 				maxD := res.dist
 				if pad > 0 {
-					maxD = res.levels
+					maxD = min(w.cfg.MaxWindowErrors, max(mp, nt), res.dist+8)
+					for d := res.levels + 1; d <= maxD; d++ {
+						w.scroogeLevel(d, mp, nt+pad)
+					}
 				}
 				for d := res.dist; d <= maxD; d++ {
 					for _, o := range []Order{OrderSubFirst, OrderGapFirst, OrderDelFirst} {

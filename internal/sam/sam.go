@@ -50,12 +50,21 @@ type Record struct {
 type Writer struct {
 	bw     *bufio.Writer
 	wroteH bool
-	line   []byte // WriteRecord's reused line buffer
+	line   []byte // the reused line buffer
 }
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriter(w)}
+}
+
+// Reset discards any unflushed output and the header state and makes the
+// Writer emit a new stream to dst, keeping its buffers: a Writer reused
+// through Reset writes a stream without allocating. Reset(nil) drops the
+// reference to the previous destination.
+func (w *Writer) Reset(dst io.Writer) {
+	w.bw.Reset(dst)
+	w.wroteH = false
 }
 
 // WriteHeader emits the @HD and @SQ lines for a single reference.
@@ -64,7 +73,13 @@ func (w *Writer) WriteHeader(refName string, refLen int) error {
 		return fmt.Errorf("sam: header already written")
 	}
 	w.wroteH = true
-	_, err := fmt.Fprintf(w.bw, "@HD\tVN:1.6\tSO:unknown\n@SQ\tSN:%s\tLN:%d\n@PG\tID:genasm\tPN:genasm\n", appendName(nil, refName), refLen)
+	b := append(w.line[:0], "@HD\tVN:1.6\tSO:unknown\n@SQ\tSN:"...)
+	b = appendName(b, refName)
+	b = append(b, "\tLN:"...)
+	b = strconv.AppendInt(b, int64(refLen), 10)
+	b = append(b, "\n@PG\tID:genasm\tPN:genasm\n"...)
+	w.line = b
+	_, err := w.bw.Write(b)
 	return err
 }
 

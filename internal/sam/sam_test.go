@@ -204,3 +204,47 @@ func TestWriteRecordMatchesFprintfOracle(t *testing.T) {
 		t.Fatal("records written through one Writer differ from the oracle's")
 	}
 }
+
+// TestResetReusesWriter requires a Writer reused through Reset to emit
+// exactly what a fresh Writer emits: the header (checked against its
+// fmt.Sprintf rendering, names sanitized) and every oracle record, with
+// the previous stream's unflushed output and header state discarded.
+func TestResetReusesWriter(t *testing.T) {
+	stream := func(w *Writer) {
+		t.Helper()
+		if err := w.WriteHeader("chr 7", 123456); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range oracleRecords() {
+			if err := w.WriteRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fresh strings.Builder
+	stream(NewWriter(&fresh))
+	wantHeader := fmt.Sprintf("@HD\tVN:1.6\tSO:unknown\n@SQ\tSN:%s\tLN:%d\n@PG\tID:genasm\tPN:genasm\n", "chr_7", 123456)
+	if !strings.HasPrefix(fresh.String(), wantHeader) {
+		t.Fatalf("header:\n got  %q\n want %q", fresh.String()[:len(wantHeader)], wantHeader)
+	}
+
+	var discarded, reused strings.Builder
+	w := NewWriter(&discarded)
+	if err := w.WriteHeader("other", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRecord(oracleRecords()[0]); err != nil {
+		t.Fatal(err)
+	}
+	w.Reset(&reused)
+	stream(w)
+	if discarded.Len() != 0 {
+		t.Fatalf("Reset flushed the previous stream: %q", discarded.String())
+	}
+	if reused.String() != fresh.String() {
+		t.Fatal("a Writer reused through Reset differs from a fresh one")
+	}
+}

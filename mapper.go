@@ -6,6 +6,7 @@ import (
 	"io"
 	"iter"
 	"slices"
+	"sync"
 
 	"genasm/internal/cigar"
 	"genasm/internal/mapper"
@@ -270,11 +271,30 @@ func (m *Mapper) samRecord(idx int, mp ReadMapping) sam.Record {
 	return rec
 }
 
+// samWriters pools the SAM writers behind WriteSAM and WriteSAMStream, so
+// a call reuses an earlier call's output buffer and line buffer instead of
+// allocating and regrowing them.
+var samWriters = sync.Pool{New: func() any { return sam.NewWriter(nil) }}
+
+func getSAMWriter(dst io.Writer) *sam.Writer {
+	sw := samWriters.Get().(*sam.Writer)
+	sw.Reset(dst)
+	return sw
+}
+
+// putSAMWriter returns sw to the pool without its destination, which the
+// pool must not keep alive.
+func putSAMWriter(sw *sam.Writer) {
+	sw.Reset(nil)
+	samWriters.Put(sw)
+}
+
 // WriteSAM renders mappings as a SAM stream — header plus one record per
 // mapping, with the NM (edit distance) and AS (alignment score, Minimap2
 // scheme) tags. Mappings without a Name are written as "readN" by index.
 func (m *Mapper) WriteSAM(w io.Writer, mappings []ReadMapping) error {
-	sw := sam.NewWriter(w)
+	sw := getSAMWriter(w)
+	defer putSAMWriter(sw)
 	if err := sw.WriteHeader(m.refName, m.RefLen()); err != nil {
 		return err
 	}
@@ -297,7 +317,8 @@ func (m *Mapper) WriteSAM(w io.Writer, mappings []ReadMapping) error {
 // no in-band error channel). Mappings without a Name are written as
 // "readN" by stream index.
 func (m *Mapper) WriteSAMStream(w io.Writer, results iter.Seq[MappingResult]) error {
-	sw := sam.NewWriter(w)
+	sw := getSAMWriter(w)
+	defer putSAMWriter(sw)
 	if err := sw.WriteHeader(m.refName, m.RefLen()); err != nil {
 		return err
 	}
