@@ -74,9 +74,6 @@ func runJSONBench(path, label string) int {
 		fmt.Printf("%-40s %12.0f ns/op %10d B/op %8d allocs/op\n",
 			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
-	if ratio, ok := kernelSpeedup(file.Benchmarks); ok {
-		fmt.Printf("%-40s %12.2fx (scrooge vs baseline ns/op, short read)\n", "Align kernel speedup", ratio)
-	}
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "genasm-bench: %v\n", err)
@@ -91,24 +88,6 @@ func runJSONBench(path, label string) int {
 	return 0
 }
 
-// kernelSpeedup extracts the baseline/scrooge Align ratio from the suite
-// results.
-func kernelSpeedup(rs []BenchResult) (float64, bool) {
-	var base, scrooge float64
-	for _, r := range rs {
-		switch r.Name {
-		case "Align/kernel=baseline/short100bp":
-			base = r.NsPerOp
-		case "Align/kernel=scrooge/short100bp":
-			scrooge = r.NsPerOp
-		}
-	}
-	if base == 0 || scrooge == 0 {
-		return 0, false
-	}
-	return base / scrooge, true
-}
-
 type namedBench struct {
 	name string
 	fn   func(b *testing.B)
@@ -119,33 +98,30 @@ type namedBench struct {
 // BenchmarkMapper) as standalone testing.Benchmark functions.
 func benchSuite() []namedBench {
 	var suite []namedBench
-	for _, kern := range []core.Kernel{core.KernelBaseline, core.KernelScrooge} {
-		for _, c := range []struct {
-			name            string
-			refLen, readLen int
-			errRate         float64
-		}{
-			{"short100bp", 120, 100, 0.05},
-			{"long10kbp", 11500, 10000, 0.10},
-		} {
-			kern, c := kern, c
-			suite = append(suite, namedBench{
-				name: fmt.Sprintf("Align/kernel=%s/%s", kern, c.name),
-				fn: func(b *testing.B) {
-					rng := rand.New(rand.NewPCG(77, uint64(c.readLen)))
-					ref := seq.Random(rng, c.refLen)
-					read := mutateCodes(rng, ref[:c.readLen], c.errRate)
-					ws := core.MustNew(core.Config{Kernel: kern})
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := ws.Align(ref, read); err != nil {
-							b.Fatal(err)
-						}
+	for _, c := range []struct {
+		name            string
+		refLen, readLen int
+		errRate         float64
+	}{
+		{"short100bp", 120, 100, 0.05},
+		{"long10kbp", 11500, 10000, 0.10},
+	} {
+		suite = append(suite, namedBench{
+			name: "Align/kernel=scrooge/" + c.name,
+			fn: func(b *testing.B) {
+				rng := rand.New(rand.NewPCG(77, uint64(c.readLen)))
+				ref := seq.Random(rng, c.refLen)
+				read := mutateCodes(rng, ref[:c.readLen], c.errRate)
+				ws := core.MustNew(core.Config{})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := ws.Align(ref, read); err != nil {
+						b.Fatal(err)
 					}
-				},
-			})
-		}
+				}
+			},
+		})
 	}
 
 	// Names mirror the `go test -bench` leaves (BenchmarkCompiledSearch/

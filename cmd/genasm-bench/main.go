@@ -15,9 +15,9 @@
 //
 // Paper tables carry pass/fail checks against the paper's reported
 // numbers; any failed check makes the run exit non-zero so CI can gate on
-// it. -json runs the key-path benchmark suite (Align per kernel,
-// CompiledSearch, PoolThroughput, Mapper) and writes machine-readable
-// results. -compare diffs two result files (JSON or `go test -bench`
+// it. -json runs the key-path benchmark suite (Align on a short and a
+// long read, CompiledSearch, PoolThroughput, Mapper) and writes
+// machine-readable results. -compare diffs two result files (JSON or `go test -bench`
 // text) and exits non-zero on ns/op regressions beyond -max-regress
 // percent; when both files carry memory columns (-benchmem or JSON), it
 // also gates B/op and allocs/op at -max-regress-mem percent so hot-path

@@ -77,16 +77,16 @@
 //
 // # Kernels
 //
-// The engine always runs the Scrooge kernel: Scrooge's SENE optimization
-// stores one bitvector per traceback entry instead of four per-edge
+// The engine runs one kernel, Scrooge's: its SENE optimization stores one
+// bitvector per traceback entry instead of the paper's three per-edge
 // vectors, and the DC scan runs level-major, computing each error level
 // across the window from the level below and stopping at the first level
 // that matches, so a window computes exactly the levels of its distance.
 // Pooled workspaces are about 3x smaller than with the paper's original
-// storage layout, and alignment is several times faster. That baseline
-// layout is internal (core.KernelBaseline): it is a test oracle and a
-// paper benchmark, not an engine option. Both layouts produce identical
-// alignments and are differentially fuzz-tested against each other.
+// storage layout. That layout survives only as a test oracle in
+// internal/core: its Algorithm 1 scan pins the traceback's re-derived
+// edges bit for bit, and a single-word fast walker is differentially
+// tested and fuzzed against the generic one.
 //
 // # Result retention and CIGAR arenas
 //

@@ -128,7 +128,7 @@ func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Align
 		if terminal {
 			// The whole remainder of both sequences fits: pick the
 			// cheapest complete traceback (see tbBest).
-			tb = w.tbBest(text[curText:curText+nt], pattern[curPattern:curPattern+mp], pad, res.loc, res.dist, res.levels, global, b)
+			tb = w.tbBest(mp, nt, pad, res.loc, res.dist, res.levels, global, b)
 		} else {
 			tb = w.tbSelect(mp, nt, pad, res.loc, res.dist, final, b)
 		}

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -36,32 +35,31 @@ func TestAlignAllocFree(t *testing.T) {
 		// rare window shape grows a scratch buffer.
 		{"long10kbp", 11500, 10000, 500, 250, 250, 40},
 	}
-	for _, kern := range []Kernel{KernelScrooge, KernelBaseline} {
-		for _, c := range cases {
-			t.Run(fmt.Sprintf("kernel=%s/%s", kern, c.name), func(t *testing.T) {
-				ref, read := allocCase(c.refLen, c.readLen, c.subs, c.inss, c.dels)
-				ws := mustWS(t, Config{Kernel: kern})
-				// Warm-up: grow the CIGAR arena and traceback scratch to
-				// their steady-state capacity.
-				for range 3 {
-					if _, err := ws.Align(ref, read); err != nil {
-						t.Fatal(err)
-					}
+	for _, c := range cases {
+		// Leaf names match the root package's BenchmarkAlign.
+		t.Run("kernel=scrooge/"+c.name, func(t *testing.T) {
+			ref, read := allocCase(c.refLen, c.readLen, c.subs, c.inss, c.dels)
+			ws := mustWS(t, Config{})
+			// Warm-up: grow the CIGAR arena and traceback scratch to
+			// their steady-state capacity.
+			for range 3 {
+				if _, err := ws.Align(ref, read); err != nil {
+					t.Fatal(err)
 				}
-				runs := 20
-				if c.readLen > 1000 {
-					runs = 3
-				}
-				allocs := testing.AllocsPerRun(runs, func() {
-					if _, err := ws.Align(ref, read); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs > c.budget {
-					t.Errorf("Align allocs/op = %.1f, budget %.0f", allocs, c.budget)
+			}
+			runs := 20
+			if c.readLen > 1000 {
+				runs = 3
+			}
+			allocs := testing.AllocsPerRun(runs, func() {
+				if _, err := ws.Align(ref, read); err != nil {
+					t.Fatal(err)
 				}
 			})
-		}
+			if allocs > c.budget {
+				t.Errorf("Align allocs/op = %.1f, budget %.0f", allocs, c.budget)
+			}
+		})
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 	"genasm/internal/alphabet"
 )
 
-// diffBudget aligns the pair on both kernels and fails on any divergence:
+// diffBudget aligns the pair on both walkers and fails on any divergence:
 // distance, CIGAR, text span, or the ErrWindowBudget error itself.
-func diffBudget(t *testing.T, scrooge, baseline *Workspace, text, pattern []byte, global bool, label string) {
+func diffBudget(t *testing.T, fast, generic *Workspace, text, pattern []byte, global bool, label string) {
 	t.Helper()
 	align := func(w *Workspace) (Alignment, error) {
 		if global {
@@ -20,33 +20,34 @@ func diffBudget(t *testing.T, scrooge, baseline *Workspace, text, pattern []byte
 		}
 		return w.Align(text, pattern)
 	}
-	as, errS := align(scrooge)
-	ab, errB := align(baseline)
-	if (errS == nil) != (errB == nil) {
-		t.Fatalf("%s: error divergence: scrooge %v vs baseline %v", label, errS, errB)
+	af, errF := align(fast)
+	ag, errG := align(generic)
+	if (errF == nil) != (errG == nil) {
+		t.Fatalf("%s: error divergence: fast %v vs generic %v", label, errF, errG)
 	}
-	if errS != nil {
-		if errors.Is(errS, ErrWindowBudget) != errors.Is(errB, ErrWindowBudget) {
-			t.Fatalf("%s: error kind divergence: scrooge %v vs baseline %v", label, errS, errB)
+	if errF != nil {
+		if errors.Is(errF, ErrWindowBudget) != errors.Is(errG, ErrWindowBudget) {
+			t.Fatalf("%s: error kind divergence: fast %v vs generic %v", label, errF, errG)
 		}
 		return
 	}
-	if as.Cigar.String() != ab.Cigar.String() {
-		t.Fatalf("%s: CIGAR divergence:\n  scrooge  %s\n  baseline %s", label, as.Cigar, ab.Cigar)
+	if af.Cigar.String() != ag.Cigar.String() {
+		t.Fatalf("%s: CIGAR divergence:\n  fast    %s\n  generic %s", label, af.Cigar, ag.Cigar)
 	}
-	if as.Distance != ab.Distance || as.TextStart != ab.TextStart || as.TextEnd != ab.TextEnd {
-		t.Fatalf("%s: result divergence: scrooge %+v vs baseline %+v", label, as, ab)
+	if af.Distance != ag.Distance || af.TextStart != ag.TextStart || af.TextEnd != ag.TextEnd {
+		t.Fatalf("%s: result divergence: fast %+v vs generic %+v", label, af, ag)
 	}
 }
 
-// TestEarlyTerminationDifferentialSweep drives the Scrooge kernel against
-// the baseline where windows fail their error budget: budget-capped
+// TestEarlyTerminationDifferentialSweep drives the fast walker against
+// the generic one where windows fail their error budget: budget-capped
 // windows (MaxWindowErrors below the window size), several alphabets and
 // window geometries, adaptive on and off, anchored and search-mode first
-// windows. Unrelated pairs make ErrWindowBudget frequent. The Scrooge
-// scan rejects such a window after its kMax levels, with no early exit
-// of its own (the name is kept from the early termination it used to
-// have), and must report exactly what the baseline reports.
+// windows. Unrelated pairs make ErrWindowBudget frequent. The scan
+// rejects such a window after its kMax levels, with no early exit of its
+// own (the name is kept from the early termination it used to have); the
+// window oracle in dc_test.go pins that rejection against the per-edge
+// scan, and both walkers must report the same result around it.
 func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 	type cfgCase struct {
 		name string
@@ -77,7 +78,7 @@ func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 
 	for ci, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, b := kernelPair(t, c.cfg)
+			s, b := walkerPair(t, c.cfg)
 			size := 4
 			if c.cfg.Alphabet != nil {
 				size = c.cfg.Alphabet.Size()
@@ -113,10 +114,10 @@ func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 }
 
 // TestEarlyTerminationQuick fuzzes arbitrary byte pairs through a
-// budget-capped DNA configuration on both kernels, in both modes.
+// budget-capped DNA configuration on both walkers, in both modes.
 func TestEarlyTerminationQuick(t *testing.T) {
 	for _, global := range []bool{true, false} {
-		s, b := kernelPair(t, Config{MaxWindowErrors: 5})
+		s, b := walkerPair(t, Config{MaxWindowErrors: 5})
 		prop := func(rawText, rawPattern []byte) bool {
 			text := quickSeqs(rawText, 300)
 			pattern := quickSeqs(rawPattern, 300)

@@ -11,8 +11,8 @@ type dcResult struct {
 	// anchored; the best matching location in search mode).
 	loc int
 	// levels is the highest error level the scan computed: the stored
-	// entries cover levels 0..levels (exactly dist with the Scrooge
-	// kernel's adaptive scan).
+	// entries cover levels 0..levels (exactly dist with the adaptive
+	// scan).
 	levels int
 }
 
@@ -33,11 +33,8 @@ type dcResult struct {
 // would live at unscanned text positions), so terminal windows pass
 // pad = len(subpattern) to make the anchored distance exact.
 //
-// With Config.Adaptive the scan computes only the levels the window
-// needs: the Scrooge kernel scans level-major and stops at the window's
-// distance (see dcScanScrooge); the baseline kernel, kept close to the
-// paper's Algorithm 1, starts at 8 levels and rescans with doubled k on
-// failure.
+// By default the scan computes only the levels the window needs: it runs
+// level-major and stops at the window's distance (see dcScanScrooge).
 func (w *Workspace) dcWindow(subtext, subpattern []byte, search bool, pad int) dcResult {
 	mp := len(subpattern)
 	// A window alignment never needs more error levels than the pattern
@@ -49,116 +46,20 @@ func (w *Workspace) dcWindow(subtext, subpattern []byte, search bool, pad int) d
 	w.pm.GenerateInto(w.cfg.Alphabet, subpattern)
 	// The SENE traceback re-derives match edges from the window text.
 	w.scanText, w.scanNT = subtext, len(subtext)
-	if w.cfg.Kernel == KernelScrooge {
-		return w.dcScanScrooge(mp, kMax, search, pad)
-	}
-
-	k := kMax
-	if w.cfg.Adaptive {
-		k = min(8, kMax)
-	}
-	for {
-		res := w.dcScanBaseline(subtext, mp, k, search, pad)
-		if res.dist >= 0 || k >= kMax {
-			return res
-		}
-		k = min(2*k, kMax)
-	}
+	return w.dcScanScrooge(mp, kMax, search, pad)
 }
 
-// dcScanBaseline stores the intermediate match/insertion/deletion
-// bitvectors of Algorithm 1 lines 15-18 for every text position — the
-// paper's original TB-SRAM layout. It always recomputes every level from
-// scratch, position-major, keeping the reference kernel as close to the
-// paper's Algorithm 1 as possible.
-func (w *Workspace) dcScanBaseline(subtext []byte, mp, k int, search bool, pad int) dcResult {
-	// The window's bitvectors span only as many words as the sub-pattern
-	// needs; a multi-word workspace (W > 64) still processes short final
-	// windows with single-word rows.
-	nw := bitvec.Words(mp)
-	if nw == 0 {
-		nw = 1
-	}
-	nt := len(subtext)
-	msb := mp - 1
-
-	r, oldR := w.r, w.oldR
-	for d := 0; d <= k; d++ {
-		bitvec.Fill(r[d][:nw], ^uint64(0))
-	}
-
-	bestDist, bestLoc := -1, 0
-	for i := nt - 1 + pad; i >= 0; i-- {
-		curPM := w.ones[:nw]
-		if i < nt {
-			curPM = w.pm.Mask(subtext[i])
-		}
-		r, oldR = oldR, r // previous iteration's rows become oldR
-
-		// R[0] = (oldR[0] << 1) | PM  (exact-match level; also its own
-		// "match" bitvector for traceback).
-		bitvec.ShiftLeft1Or(r[0][:nw], oldR[0][:nw], curPM)
-		copy(w.mRow(i, 0), r[0][:nw])
-
-		for d := 1; d <= k; d++ {
-			rd, rd1, old1, old := r[d], r[d-1], oldR[d-1], oldR[d]
-			iRow := w.iRow(i, d)
-			dRow := w.dRow(i, d)
-			mRow := w.mRow(i, d)
-			var carryS, carryI, carryM uint64
-			for wi := 0; wi < nw; wi++ {
-				del := old1[wi]
-				ins := rd1[wi]<<1 | carryI
-				sub := old1[wi]<<1 | carryS
-				match := old[wi]<<1 | carryM | curPM[wi]
-				carryI = rd1[wi] >> 63
-				carryS = old1[wi] >> 63
-				carryM = old[wi] >> 63
-				dRow[wi] = del
-				iRow[wi] = ins
-				mRow[wi] = match
-				rd[wi] = del & sub & ins & match
-			}
-		}
-
-		if search && i < nt {
-			for d := 0; d <= k; d++ {
-				if bitvec.IsZeroBit(r[d], msb) {
-					if bestDist < 0 || d < bestDist || (d == bestDist && i < bestLoc) {
-						bestDist, bestLoc = d, i
-					}
-					break
-				}
-			}
-		}
-	}
-	w.r, w.oldR = r, oldR
-
-	if !search {
-		// Anchored: inspect the final iteration's levels at text pos 0.
-		if nt == 0 {
-			return dcResult{dist: -1, levels: k}
-		}
-		for d := 0; d <= k; d++ {
-			if bitvec.IsZeroBit(w.r[d], msb) {
-				return dcResult{dist: d, loc: 0, levels: k}
-			}
-		}
-		return dcResult{dist: -1, levels: k}
-	}
-	return dcResult{dist: bestDist, loc: bestLoc, levels: k}
-}
-
-// dcScanScrooge is the Scrooge kernel's DC: it stores one R entry per
-// (error level, text position) — SENE — and computes them level-major.
-// Level 0 is the shift-or chain over the window; level d is computed over
-// every position from the stored level d-1 (scroogeLevel). After each
-// level the scan checks for a match: at position 0 when anchored, at the
-// smallest matching position below the text end in search mode. With
-// Config.Adaptive it stops at the first hit, so a window costs exactly
-// dist+1 levels, and the traceback reads nothing above them; otherwise it
-// computes every level up to kMax, as the hardware does. A window with no
-// hit within kMax reports dist -1 (ErrWindowBudget).
+// dcScanScrooge is GenASM-DC with Scrooge's layout: it stores one R
+// entry per (error level, text position) — SENE — and computes them
+// level-major. Level 0 is the shift-or chain over the window; level d is
+// computed over every position from the stored level d-1 (scroogeLevel).
+// After each level the scan checks for a match: at position 0 when
+// anchored, at the smallest matching position below the text end in
+// search mode. It stops at the first hit, so a window costs exactly
+// dist+1 levels and the traceback reads nothing above them; with
+// Config.NoAdaptive it computes every level up to kMax, as the hardware
+// does. A window with no hit within kMax reports dist -1
+// (ErrWindowBudget).
 func (w *Workspace) dcScanScrooge(mp, kMax int, search bool, pad int) dcResult {
 	top := w.scanNT + pad
 	res := dcResult{dist: -1, levels: kMax}
@@ -169,7 +70,7 @@ func (w *Workspace) dcScanScrooge(mp, kMax int, search bool, pad int) dcResult {
 		}
 		if loc := w.levelHit(d, mp, search); loc >= 0 {
 			res.dist, res.loc = d, loc
-			if w.cfg.Adaptive {
+			if !w.cfg.NoAdaptive {
 				res.levels = d
 				break
 			}

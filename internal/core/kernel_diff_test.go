@@ -9,20 +9,21 @@ import (
 	"genasm/internal/alphabet"
 )
 
-// kernelPair builds one workspace per kernel from the same base config.
-func kernelPair(t testing.TB, cfg Config) (scrooge, baseline *Workspace) {
+// walkerPair builds two workspaces from the same config: one runs the
+// walker New picks (the single-word fast walker when W <= 64), the other
+// the generic walker over the edge queries.
+func walkerPair(t testing.TB, cfg Config) (fast, generic *Workspace) {
 	t.Helper()
-	cfg.Kernel = KernelScrooge
-	scrooge = mustWS(t, cfg)
-	cfg.Kernel = KernelBaseline
-	baseline = mustWS(t, cfg)
-	return scrooge, baseline
+	fast, generic = mustWS(t, cfg), mustWS(t, cfg)
+	generic.fast = false
+	return fast, generic
 }
 
-// diffAlign aligns the pair on both kernels and fails on any divergence in
-// CIGAR, distance or text span — the SENE level-major kernel must be
-// bit-exact against the paper's per-edge storage.
-func diffAlign(t *testing.T, scrooge, baseline *Workspace, text, pattern []byte, global bool, label string) {
+// diffAlign aligns the pair on both walkers and fails on any divergence
+// in CIGAR, distance or text span — the single-word walker must be
+// bit-exact against the generic one, whose edge queries the window oracle
+// in dc_test.go pins to the paper's per-edge stores.
+func diffAlign(t *testing.T, fast, generic *Workspace, text, pattern []byte, global bool, label string) {
 	t.Helper()
 	align := func(w *Workspace) (Alignment, error) {
 		if global {
@@ -30,27 +31,27 @@ func diffAlign(t *testing.T, scrooge, baseline *Workspace, text, pattern []byte,
 		}
 		return w.Align(text, pattern)
 	}
-	as, errS := align(scrooge)
-	ab, errB := align(baseline)
-	if (errS == nil) != (errB == nil) {
-		t.Fatalf("%s: error divergence: scrooge %v vs baseline %v", label, errS, errB)
+	af, errF := align(fast)
+	ag, errG := align(generic)
+	if (errF == nil) != (errG == nil) {
+		t.Fatalf("%s: error divergence: fast %v vs generic %v", label, errF, errG)
 	}
-	if errS != nil {
+	if errF != nil {
 		return
 	}
-	if as.Cigar.String() != ab.Cigar.String() {
-		t.Fatalf("%s: CIGAR divergence:\n  scrooge  %s\n  baseline %s", label, as.Cigar, ab.Cigar)
+	if af.Cigar.String() != ag.Cigar.String() {
+		t.Fatalf("%s: CIGAR divergence:\n  fast    %s\n  generic %s", label, af.Cigar, ag.Cigar)
 	}
-	if as.Distance != ab.Distance || as.TextStart != ab.TextStart || as.TextEnd != ab.TextEnd {
-		t.Fatalf("%s: result divergence: scrooge %+v vs baseline %+v", label, as, ab)
+	if af.Distance != ag.Distance || af.TextStart != ag.TextStart || af.TextEnd != ag.TextEnd {
+		t.Fatalf("%s: result divergence: fast %+v vs generic %+v", label, af, ag)
 	}
 }
 
-// TestKernelEquivalenceQuick drives both kernels with testing/quick pairs
+// TestKernelEquivalenceQuick drives both walkers with testing/quick pairs
 // under the default configuration, in global and semi-global mode.
 func TestKernelEquivalenceQuick(t *testing.T) {
 	for _, global := range []bool{true, false} {
-		s, b := kernelPair(t, Config{})
+		s, b := walkerPair(t, Config{})
 		prop := func(rawText, rawPattern []byte) bool {
 			text := quickSeqs(rawText, 300)
 			pattern := quickSeqs(rawPattern, 300)
@@ -72,9 +73,12 @@ type sweepCase struct {
 	cfg  Config
 }
 
-// sweepConfigs is the configuration space both kernels must agree across:
-// alphabets, window geometries (single- and multi-word, small overlaps),
-// error budgets, search mode, traceback orders and the adaptive toggle.
+// sweepConfigs is the configuration space both walkers must agree across:
+// alphabets, window geometries, error budgets, search mode, traceback
+// orders and the adaptive toggle. The multi-word geometries (W = 128)
+// run the generic walker on both sides, so the walker sweep only checks
+// that they align deterministically; the distance-bound sweep covers
+// them in full.
 func sweepConfigs() []sweepCase {
 	alphabets := []*alphabet.Alphabet{alphabet.DNA, alphabet.Protein, alphabet.Bytes}
 	windows := []struct{ w, o int }{{64, 24}, {32, 8}, {16, 4}, {128, 48}, {64, 0}}
@@ -131,11 +135,11 @@ func sweepPair(rng *rand.Rand, size, trial int) (text, pattern []byte) {
 	return text, pattern
 }
 
-// TestKernelEquivalenceConfigSweep runs both kernels over sweepConfigs.
+// TestKernelEquivalenceConfigSweep runs both walkers over sweepConfigs.
 func TestKernelEquivalenceConfigSweep(t *testing.T) {
 	for ci, c := range sweepConfigs() {
 		t.Run(c.name, func(t *testing.T) {
-			s, b := kernelPair(t, c.cfg)
+			s, b := walkerPair(t, c.cfg)
 			size := alphabetSize(c.cfg)
 			rng := rand.New(rand.NewPCG(42, uint64(ci)))
 			for trial := 0; trial < 25; trial++ {
@@ -173,11 +177,11 @@ func mutateAlpha(rng *rand.Rand, s []byte, e, size int) []byte {
 	return out
 }
 
-// TestKernelEquivalenceEdgeShapes pins the shapes where the storage
-// layouts differ most: terminal windows with maximal phantom padding,
-// windows at the W-O consumption cap, and empty text.
+// TestKernelEquivalenceEdgeShapes pins the shapes where the walkers'
+// bookkeeping differs most: terminal windows with maximal phantom
+// padding, windows at the W-O consumption cap, and empty text.
 func TestKernelEquivalenceEdgeShapes(t *testing.T) {
-	s, b := kernelPair(t, Config{})
+	s, b := walkerPair(t, Config{})
 	W, O := DefaultWindowSize, DefaultOverlap
 	rng := rand.New(rand.NewPCG(7, 7))
 	shapes := []struct{ nt, mp int }{
@@ -201,27 +205,15 @@ func TestKernelEquivalenceEdgeShapes(t *testing.T) {
 	}
 }
 
-// TestScroogeFootprintReduction pins the SENE memory win: the Scrooge
-// workspace must be at least 2.5x smaller than the baseline's per-edge
-// stores for the default configuration.
+// TestScroogeFootprintReduction pins the SENE memory win: the workspace
+// must be at least 2.5x smaller than the paper's per-edge stores for the
+// default configuration.
 func TestScroogeFootprintReduction(t *testing.T) {
-	s, b := kernelPair(t, Config{})
-	sf, bf := s.FootprintBytes(), b.FootprintBytes()
+	sf, bf := mustWS(t, Config{}).FootprintBytes(), newPerEdge(Config{}).footprintBytes()
 	if sf <= 0 || bf <= 0 {
-		t.Fatalf("footprints not reported: scrooge %d, baseline %d", sf, bf)
+		t.Fatalf("footprints not reported: scrooge %d, per-edge %d", sf, bf)
 	}
 	if ratio := float64(bf) / float64(sf); ratio < 2.5 {
-		t.Fatalf("scrooge footprint %dB vs baseline %dB: reduction %.2fx < 2.5x", sf, bf, ratio)
-	}
-}
-
-// TestKernelString covers the Stringer and the validation of unknown
-// kernels.
-func TestKernelString(t *testing.T) {
-	if KernelScrooge.String() != "scrooge" || KernelBaseline.String() != "baseline" {
-		t.Fatalf("kernel names: %s, %s", KernelScrooge, KernelBaseline)
-	}
-	if _, err := New(Config{Kernel: Kernel(99)}); err == nil {
-		t.Fatal("unknown kernel should fail validation")
+		t.Fatalf("scrooge footprint %dB vs per-edge %dB: reduction %.2fx < 2.5x", sf, bf, ratio)
 	}
 }

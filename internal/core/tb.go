@@ -43,8 +43,9 @@ const (
 	viableIns
 )
 
-// pickViable is pickError over a viable-edge mask: the first viable
-// error case in the order's priority, OpNone when none is viable.
+// pickViable selects among substitution, insertion-open and deletion-open
+// in the order's priority (Section 6, partial support for complex scoring
+// schemes): the first viable error case, OpNone when none is viable.
 func pickViable(order Order, viable uint8) cigar.Op {
 	del, sub, ins := viable&viableDel != 0, viable&viableSub != 0, viable&viableIns != 0
 	switch order {
@@ -103,10 +104,13 @@ func pickViable(order Order, viable uint8) cigar.Op {
 // substitution consumes the pattern character for one error — an insertion
 // — and a phantom deletion consumes nothing for one error (a wasted move
 // that minimal paths avoid). Phantom moves never count as consumed text.
-func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, b *cigar.Builder) tbResult {
-	if w.cfg.Kernel == KernelScrooge && w.nw == 1 {
+//
+// Error cases are tried in order's priority (pickViable). A single-word
+// workspace (w.fast) runs the same walk in tbWindowFast.
+func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, order Order, b *cigar.Builder) tbResult {
+	if w.fast {
 		st := tbState{patternI: mp - 1, textI: startLoc, curError: dist}
-		return w.tbWindowFast(st, nt, pad, final, w.cfg.Order, cigar.OpNone, false, b)
+		return w.tbWindowFast(st, nt, pad, final, order, cigar.OpNone, false, b)
 	}
 	patternI := mp - 1
 	textI := startLoc
@@ -139,19 +143,19 @@ func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, b *cig
 			status = cigar.OpMatch
 		}
 		if status == cigar.OpNone && curError > 0 {
-			status = w.pickError(textI, curError, patternI)
-			if status != cigar.OpNone && !res.orderSensitive {
-				n := 0
-				if w.delZero(textI, curError, patternI) {
-					n++
-				}
-				if w.subZero(textI, curError, patternI) {
-					n++
-				}
-				if w.insZero(textI, curError, patternI) {
-					n++
-				}
-				res.orderSensitive = n > 1
+			var viable uint8
+			if w.delZero(textI, curError, patternI) {
+				viable |= viableDel
+			}
+			if w.subZero(textI, curError, patternI) {
+				viable |= viableSub
+			}
+			if w.insZero(textI, curError, patternI) {
+				viable |= viableIns
+			}
+			status = pickViable(order, viable)
+			if viable&(viable-1) != 0 {
+				res.orderSensitive = true
 			}
 		}
 		if status == cigar.OpNone {
@@ -207,14 +211,15 @@ func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, b *cig
 	return res
 }
 
-// tbWindowFast is tbWindow specialized for the Scrooge kernel's
-// single-word layout (W <= 64, the default configuration): every edge
-// query is an inline shift of a directly-indexed rStore word (a match
-// run reads one level's consecutive words) and the match bitmask is one
-// read of the scanPM cache, eliminating the per-step function calls and
-// slice-header construction of the generic walker. Behaviour is identical by construction — each branch mirrors
-// the corresponding matchZero/insZero/delZero/subZero derivation — and
-// pinned by the kernel differential tests and the per-step oracle in
+// tbWindowFast is tbWindow specialized for single-word rows (W <= 64,
+// the default configuration): every edge query is an inline shift of a
+// directly-indexed rStore word (a match run reads one level's
+// consecutive words) and the match bitmask is one read of the scanPM
+// cache, eliminating the per-step function calls and slice-header
+// construction of the generic walker. Behaviour is identical by
+// construction — each branch mirrors the corresponding matchZero/insZero/
+// delZero/subZero derivation — and pinned by the walker differential
+// tests (fast vs generic walker) and the per-step oracle in
 // tb_oracle_test.go.
 //
 // The walk starts from st under the given error order. A match run is
@@ -391,8 +396,7 @@ func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Orde
 // trailing text when global). The candidate count is bounded by the first
 // candidate's cost, so the extra work is a small constant factor on the
 // final window only.
-func (w *Workspace) tbBest(subtext, subpattern []byte, pad, loc, dmin, levels int, global bool, b *cigar.Builder) tbResult {
-	mp, nt := len(subpattern), len(subtext)
+func (w *Workspace) tbBest(mp, nt, pad, loc, dmin, levels int, global bool, b *cigar.Builder) tbResult {
 	costOf := func(r tbResult) int {
 		c := r.errorsUsed + (mp - r.patternConsumed)
 		if global {
@@ -401,9 +405,7 @@ func (w *Workspace) tbBest(subtext, subpattern []byte, pad, loc, dmin, levels in
 		return c
 	}
 
-	savedOrder := w.cfg.Order
-	defer func() { w.cfg.Order = savedOrder }()
-	orders := [...]Order{savedOrder, OrderDelFirst, OrderGapFirst, OrderSubFirst}
+	orders := [...]Order{w.cfg.Order, OrderDelFirst, OrderGapFirst, OrderSubFirst}
 
 	scratch := &w.tbScratch
 	bestOps := w.tbBestOps[:0]
@@ -417,26 +419,17 @@ func (w *Workspace) tbBest(subtext, subpattern []byte, pad, loc, dmin, levels in
 	}
 	maxD := dmin
 	for d := dmin; d <= maxD; d++ {
-		if d > levels {
-			// Deeper candidate levels than DC computed: the Scrooge
-			// kernel adds the missing rows on top of the stored ones; the
-			// baseline rescans its stores in full, up to the sweep's cap.
-			if w.cfg.Kernel == KernelScrooge {
-				for ; levels < d; levels++ {
-					w.scroogeLevel(levels+1, mp, nt+pad)
-				}
-			} else {
-				levels = maxD
-				w.dcScanBaseline(subtext, mp, levels, false, pad)
-			}
+		// Deeper candidate levels than DC computed are added on top of
+		// the stored ones.
+		for ; levels < d; levels++ {
+			w.scroogeLevel(levels+1, mp, nt+pad)
 		}
 		for oi, o := range orders {
-			if oi > 0 && o == savedOrder {
+			if oi > 0 && o == w.cfg.Order {
 				continue // skip the duplicate of the configured order
 			}
-			w.cfg.Order = o
 			scratch.Reset()
-			r := w.tbWindow(mp, nt, pad, loc, d, true, scratch)
+			r := w.tbWindow(mp, nt, pad, loc, d, true, o, scratch)
 			if c := costOf(r); c < bestCost {
 				bestCost = c
 				bestRes = r
@@ -468,14 +461,12 @@ func (w *Workspace) tbBest(subtext, subpattern []byte, pad, loc, dmin, levels in
 // Config.NoOrderSelection restores the fixed Algorithm 2 behaviour.
 func (w *Workspace) tbSelect(mp, nt, pad, loc, dist int, final bool, b *cigar.Builder) tbResult {
 	if w.cfg.NoOrderSelection {
-		return w.tbWindow(mp, nt, pad, loc, dist, final, b)
+		return w.tbWindow(mp, nt, pad, loc, dist, final, w.cfg.Order, b)
 	}
-	if w.cfg.Kernel == KernelScrooge && w.nw == 1 {
+	if w.fast {
 		return w.tbSelectFast(mp, nt, pad, loc, dist, final, b)
 	}
-	savedOrder := w.cfg.Order
-	defer func() { w.cfg.Order = savedOrder }()
-	orders := [...]Order{savedOrder, OrderDelFirst, OrderGapFirst, OrderSubFirst}
+	orders := [...]Order{w.cfg.Order, OrderDelFirst, OrderGapFirst, OrderSubFirst}
 
 	scratch := &w.tbScratch
 	bestOps := w.tbBestOps[:0]
@@ -484,12 +475,11 @@ func (w *Workspace) tbSelect(mp, nt, pad, loc, dist int, final bool, b *cigar.Bu
 		haveBest bool
 	)
 	for oi, o := range orders {
-		if oi > 0 && o == savedOrder {
+		if oi > 0 && o == w.cfg.Order {
 			continue
 		}
-		w.cfg.Order = o
 		scratch.Reset()
-		r := w.tbWindow(mp, nt, pad, loc, dist, final, scratch)
+		r := w.tbWindow(mp, nt, pad, loc, dist, final, o, scratch)
 		if !haveBest || selectCost(r) < selectCost(bestRes) {
 			haveBest = true
 			bestRes = r
@@ -516,7 +506,7 @@ func selectCost(r tbResult) int {
 	return r.errorsUsed * 4096 / consumed
 }
 
-// tbSelectFast is tbSelect for the single-word Scrooge walker, deciding
+// tbSelectFast is tbSelect for the single-word walker, deciding
 // the order from one recorded walk instead of three full ones. The
 // configured order walks once and records its forks. Every other order
 // walks the same steps up to its first fork with a different op: with
@@ -560,43 +550,4 @@ func (w *Workspace) tbSelectFast(mp, nt, pad, loc, dist int, final bool, b *ciga
 	}
 	b.AppendCigar(bestOps.Cigar())
 	return bestRes
-}
-
-// pickError selects among substitution, insertion-open and deletion-open in
-// the configured priority order (Section 6, partial support for complex
-// scoring schemes).
-func (w *Workspace) pickError(textI, curError, patternI int) cigar.Op {
-	switch w.cfg.Order {
-	case OrderGapFirst:
-		if w.insZero(textI, curError, patternI) {
-			return cigar.OpIns
-		}
-		if w.delZero(textI, curError, patternI) {
-			return cigar.OpDel
-		}
-		if w.subZero(textI, curError, patternI) {
-			return cigar.OpSubst
-		}
-	case OrderDelFirst:
-		if w.delZero(textI, curError, patternI) {
-			return cigar.OpDel
-		}
-		if w.subZero(textI, curError, patternI) {
-			return cigar.OpSubst
-		}
-		if w.insZero(textI, curError, patternI) {
-			return cigar.OpIns
-		}
-	default: // OrderSubFirst, Algorithm 2 as printed
-		if w.subZero(textI, curError, patternI) {
-			return cigar.OpSubst
-		}
-		if w.insZero(textI, curError, patternI) {
-			return cigar.OpIns
-		}
-		if w.delZero(textI, curError, patternI) {
-			return cigar.OpDel
-		}
-	}
-	return cigar.OpNone
 }

@@ -65,8 +65,8 @@ type Stats struct {
 	// Capacity is the configured MaxWorkspaces.
 	Capacity int `json:"capacity"`
 	// WorkspaceBytes is one workspace's scratch footprint — the pool's
-	// worst-case memory is Capacity x WorkspaceBytes. The Scrooge kernel
-	// (the default) keeps this ~3x below the baseline layout.
+	// worst-case memory is Capacity x WorkspaceBytes. The Scrooge kernel's
+	// single entry store keeps this ~3x below the paper's per-edge layout.
 	WorkspaceBytes int `json:"workspace_bytes"`
 	// Quarantined counts workspaces discarded after a recovered panic
 	// (Do's isolation boundary). Each one was replaced by a fresh
