@@ -328,7 +328,7 @@ func BenchmarkAblationWindowing(b *testing.B) {
 }
 
 // BenchmarkAblationAdaptive measures the software-only adaptive error
-// level optimization (DESIGN.md Section 5).
+// level optimization.
 func BenchmarkAblationAdaptive(b *testing.B) {
 	region, read := benchCase(b, simulate.Illumina150, 98)
 	for _, cfg := range []struct {

@@ -1,24 +1,25 @@
 // Command genasm-bench regenerates every table and figure of the GenASM
 // paper's evaluation (Section 10) at laptop scale, and doubles as the
-// machine-readable benchmark harness behind the CI regression gate. See
-// DESIGN.md for the experiment index, EXPERIMENTS.md for recorded
-// paper-vs-measured results and BENCHMARKS.md for the benchmark workflow.
+// converter and comparator behind the CI benchmark-regression gate. See
+// PAPER.md for the paper and BENCHMARKS.md for the benchmark workflow.
 //
 // Usage:
 //
 //	genasm-bench [-exp all|table1|fig9|fig10|fig11|fig12|fig13|fig14|
 //	              filter|accuracy|ablation|sillax|asap|gasal2]
 //	             [-tiny] [-seed N]
-//	genasm-bench -json BENCH_dev.json [-label dev]
+//	go test -run '^$' -bench . -benchmem -count 4 . |
+//	    genasm-bench -json BENCH_dev.json [-label dev]
 //	genasm-bench -compare BENCH_base.json,BENCH_head.json [-max-regress 15]
 //	             [-max-regress-mem 10]
 //
 // Paper tables carry pass/fail checks against the paper's reported
 // numbers; any failed check makes the run exit non-zero so CI can gate on
-// it. -json runs the key-path benchmark suite (Align on a short and a
-// long read, CompiledSearch, PoolThroughput, Mapper) and writes
-// machine-readable results. -compare diffs two result files (JSON or `go test -bench`
-// text) and exits non-zero on ns/op regressions beyond -max-regress
+// it. -json reads `go test -bench` output on stdin and writes every sample
+// in the BENCH_*.json schema, named without the "Benchmark" prefix and the
+// -N GOMAXPROCS suffix. -compare diffs two result files (JSON or `go test
+// -bench` text) by each benchmark's median sample, prints each side's
+// ns/op range, and exits non-zero on ns/op regressions beyond -max-regress
 // percent; when both files carry memory columns (-benchmem or JSON), it
 // also gates B/op and allocs/op at -max-regress-mem percent so hot-path
 // allocation wins cannot silently rot.
@@ -41,7 +42,7 @@ func main() {
 		tiny = flag.Bool("tiny", false, "run at unit-test scale (fast smoke run)")
 		seed = flag.Uint64("seed", 0, "override the deterministic workload seed")
 
-		jsonOut       = flag.String("json", "", "run the key-path benchmark suite and write machine-readable results to this file (skips the paper tables)")
+		jsonOut       = flag.String("json", "", "convert `go test -bench` output read on stdin into a BENCH_*.json file at this path (skips the paper tables)")
 		label         = flag.String("label", "", "label recorded in -json output (e.g. the git SHA; default \"local\")")
 		compare       = flag.String("compare", "", "compare two benchmark result files given as base,head (JSON or `go test -bench` text) and exit non-zero on regression")
 		maxRegress    = flag.Float64("max-regress", 15, "with -compare: maximum allowed ns/op regression in percent")
@@ -53,7 +54,7 @@ func main() {
 		os.Exit(runCompare(*compare, *maxRegress, *maxRegressMem))
 	}
 	if *jsonOut != "" {
-		os.Exit(runJSONBench(*jsonOut, *label))
+		os.Exit(runConvert(os.Stdin, *jsonOut, *label))
 	}
 
 	scale := bench.Scale{}

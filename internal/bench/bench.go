@@ -9,8 +9,7 @@
 //   - paper: the numbers reported in the paper, for shape comparison.
 //
 // Workloads are deterministic (seeded) and scaled down from the paper's
-// dataset sizes; the scale is printed with each table and recorded in
-// EXPERIMENTS.md.
+// dataset sizes; the scale is printed with each table.
 package bench
 
 import (

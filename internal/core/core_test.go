@@ -228,8 +228,8 @@ func TestGlobalMatchesLevenshteinOnPlantedErrors(t *testing.T) {
 			exact++
 		}
 	}
-	// The windowed traceback is a heuristic (DESIGN.md Section 5); with
-	// W=64/O=24 and moderate error rates it should be exact nearly always.
+	// The windowed traceback is a heuristic; with W=64/O=24 and moderate
+	// error rates it should be exact nearly always.
 	if ratio := float64(exact) / float64(total); ratio < 0.95 {
 		t.Errorf("exact distance ratio %.2f < 0.95 (%d/%d)", ratio, exact, total)
 	}

@@ -8,7 +8,7 @@
 // These are the "expensive dynamic programming based algorithms" of
 // Section 2.2, with quadratic time and (unbanded) quadratic space, serving
 // as both correctness oracles for GenASM and software-baseline stand-ins in
-// the benchmark harness (see DESIGN.md).
+// the benchmark harness.
 package dp
 
 import (

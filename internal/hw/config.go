@@ -39,7 +39,7 @@ type Config struct {
 	// value 43 is calibrated so the model reproduces the two GenASM
 	// throughput points the paper reports in Figure 12 (236,686
 	// alignments/s at 1 kbp and 23,669 at 10 kbp for one accelerator at
-	// 1 GHz); see EXPERIMENTS.md.
+	// 1 GHz); TestCalibratedFigure12Points pins both.
 	WindowOverheadCycles float64
 }
 

@@ -1,10 +1,13 @@
 package loadgen_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand/v2"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -240,6 +243,29 @@ func TestGateFailure(t *testing.T) {
 	}
 	if loadgen.GatesPassed([]*loadgen.ScenarioResult{res}) {
 		t.Error("GatesPassed = true on failing run")
+	}
+}
+
+// TestReportRoundTrip pins the report schema: the committed load and chaos
+// reports decode into Report and encode back byte for byte, as
+// genasm-loadgen -out writes them.
+func TestReportRoundTrip(t *testing.T) {
+	for _, path := range []string{"../../BENCH_load-smoke.json", "../../BENCH_chaos.json"} {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep loadgen.Report
+		if err := json.Unmarshal(want, &rep); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		got, err := json.MarshalIndent(&rep, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = append(got, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("%s does not re-encode byte-identically", path)
+		}
 	}
 }
 

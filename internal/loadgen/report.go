@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"genasm/internal/metrics"
 	"genasm/internal/server"
+	"genasm/internal/stats"
 )
 
 // EndpointResult summarizes one endpoint's outcomes over a phase or the
@@ -337,26 +337,12 @@ func DiffSnapshots(before, after *ServerSnapshot) *ServerDelta {
 
 // report file --------------------------------------------------------------
 
-// benchResult mirrors cmd/genasm-bench's BenchResult schema so load
-// reports are directly consumable by `genasm-bench -compare`.
-type benchResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"b_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
 // Report is the BENCH_load-<label>.json schema: the BenchFile envelope
-// (label/go_version/goos/goarch/benchmarks) that genasm-bench -compare
-// reads, with the full load measurements attached under "load".
+// that genasm-bench -compare reads, with the full load measurements
+// attached under "load".
 type Report struct {
-	Label      string            `json:"label"`
-	GoVersion  string            `json:"go_version"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	Benchmarks []benchResult     `json:"benchmarks"`
-	Load       []*ScenarioResult `json:"load"`
+	stats.BenchFile
+	Load []*ScenarioResult `json:"load"`
 }
 
 // BuildReport assembles the report for a set of scenario results. Each
@@ -364,13 +350,7 @@ type Report struct {
 // pseudo-benchmarks whose ns_per_op is the percentile, so the existing
 // regression gate tracks service latency with no new tooling.
 func BuildReport(label string, results []*ScenarioResult) *Report {
-	rep := &Report{
-		Label:     label,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Load:      results,
-	}
+	rep := &Report{BenchFile: stats.NewBenchFile(label), Load: results}
 	for _, sr := range results {
 		paths := make([]string, 0, len(sr.Aggregate))
 		for path := range sr.Aggregate {
@@ -387,7 +367,7 @@ func BuildReport(label string, results []*ScenarioResult) *Report {
 				name string
 				ms   float64
 			}{{"p50", agg.P50Ms}, {"p95", agg.P95Ms}, {"p99", agg.P99Ms}} {
-				rep.Benchmarks = append(rep.Benchmarks, benchResult{
+				rep.Benchmarks = append(rep.Benchmarks, stats.BenchResult{
 					Name:       fmt.Sprintf("Load/%s/%s/%s", sr.Scenario, ep, q.name),
 					Iterations: int(agg.Completed),
 					NsPerOp:    q.ms * float64(time.Millisecond),

@@ -1,6 +1,6 @@
 // Package seq provides DNA sequence utilities: deterministic synthetic
-// genome generation (the stand-in for GRCh38 in this reproduction, see
-// DESIGN.md), reverse complementation, and FASTA I/O that delegates to
+// genome generation (the stand-in for GRCh38 in this reproduction),
+// reverse complementation, and FASTA I/O that delegates to
 // the public seqio package (see ReadFASTA for the parse semantics, which
 // are stricter than this package's historical verbatim parser).
 //

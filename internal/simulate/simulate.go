@@ -6,7 +6,7 @@
 // Real simulators draw errors from empirically calibrated models; what the
 // paper's evaluation depends on is read length, total error rate and the
 // substitution/insertion/deletion mix, which this package reproduces with a
-// seeded deterministic generator (see DESIGN.md, substitutions table).
+// seeded deterministic generator.
 package simulate
 
 import (
