@@ -118,9 +118,10 @@ const (
 // files carry memory columns — B/op and allocs/op against
 // maxRegressMemPct, so an accidentally reintroduced hot-path allocation
 // fails CI even when the cycle cost hides in noise. It prints each side's
-// ns/op range beside its median and returns a non-zero exit code on any
-// regression.
-func runCompare(spec string, maxRegressPct, maxRegressMemPct float64) int {
+// ns/op range beside its median to out, labels a row whose two ranges
+// overlap as noise (a label only: it changes no verdict), and returns a
+// non-zero exit code on any regression.
+func runCompare(out io.Writer, spec string, maxRegressPct, maxRegressMemPct float64) int {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
 		fmt.Fprintf(os.Stderr, "genasm-bench: -compare wants base,head (got %q)\n", spec)
@@ -157,13 +158,13 @@ func runCompare(spec string, maxRegressPct, maxRegressMemPct float64) int {
 	// to regress against and vanished ones nothing to gate — warn so the
 	// log shows what was not compared, and gate only the intersection.
 	for _, name := range headOnly {
-		fmt.Printf("warning: %s only in head (new benchmark, skipped)\n", name)
+		fmt.Fprintf(out, "warning: %s only in head (new benchmark, skipped)\n", name)
 	}
 	for _, name := range baseOnly {
-		fmt.Printf("warning: %s only in base (missing from head, skipped)\n", name)
+		fmt.Fprintf(out, "warning: %s only in base (missing from head, skipped)\n", name)
 	}
 	if len(names) == 0 {
-		fmt.Println("no common benchmarks between base and head; nothing to gate")
+		fmt.Fprintln(out, "no common benchmarks between base and head; nothing to gate")
 		return 0
 	}
 
@@ -171,7 +172,7 @@ func runCompare(spec string, maxRegressPct, maxRegressMemPct float64) int {
 	spread := func(m benchMetrics) string {
 		return fmt.Sprintf("%.0f [%.0f..%.0f]", m.ns, m.nsMin, m.nsMax)
 	}
-	fmt.Printf("%-45s %28s %28s %9s %s\n", "benchmark", "base ns/op [min..max]", "head ns/op [min..max]", "delta", "mem")
+	fmt.Fprintf(out, "%-45s %28s %28s %9s %s\n", "benchmark", "base ns/op [min..max]", "head ns/op [min..max]", "delta", "mem")
 	for _, name := range names {
 		b, h := base[name], head[name]
 		delta := (h.ns/b.ns - 1) * 100
@@ -193,7 +194,11 @@ func runCompare(spec string, maxRegressPct, maxRegressMemPct float64) int {
 				memRegressions++
 			}
 		}
-		fmt.Printf("%-45s %28s %28s %+8.1f%%%s  %s\n", name, spread(b), spread(h), delta, verdict, mem)
+		noise := ""
+		if b.nsMin <= h.nsMax && h.nsMin <= b.nsMax {
+			noise = "  noise"
+		}
+		fmt.Fprintf(out, "%-45s %28s %28s %+8.1f%%%s  %s%s\n", name, spread(b), spread(h), delta, verdict, mem, noise)
 	}
 	if nsRegressions > 0 {
 		fmt.Fprintf(os.Stderr, "genasm-bench: %d benchmark(s) regressed more than %.0f%% ns/op\n",

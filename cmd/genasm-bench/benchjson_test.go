@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -22,6 +23,24 @@ func writeBenchFile(t *testing.T, path string, results []stats.BenchResult) {
 	}
 }
 
+// writeAlignSamples writes one "Align" ns/op sample per value of base and
+// head into two bench files and returns their paths.
+func writeAlignSamples(t *testing.T, base, head []float64) (basePath, headPath string) {
+	t.Helper()
+	samples := func(ns []float64) []stats.BenchResult {
+		var out []stats.BenchResult
+		for _, v := range ns {
+			out = append(out, stats.BenchResult{Name: "Align", Iterations: 1000, NsPerOp: v})
+		}
+		return out
+	}
+	dir := t.TempDir()
+	basePath, headPath = filepath.Join(dir, "base.json"), filepath.Join(dir, "head.json")
+	writeBenchFile(t, basePath, samples(base))
+	writeBenchFile(t, headPath, samples(head))
+	return basePath, headPath
+}
+
 // TestCompareSkipsUnmatched pins the warn-and-skip contract: benchmarks
 // present only in head (a freshly added BENCH_load-*.json point) or only
 // in base must not fail the gate — only the intersection is compared.
@@ -37,12 +56,12 @@ func TestCompareSkipsUnmatched(t *testing.T) {
 		{Name: "Shared", NsPerOp: 105},
 		{Name: "Load/smoke-align/align/p99", NsPerOp: 2_000_000},
 	})
-	if code := runCompare(basePath+","+headPath, 10, 10); code != 0 {
+	if code := runCompare(io.Discard, basePath+","+headPath, 10, 10); code != 0 {
 		t.Fatalf("runCompare = %d, want 0 (head-only and base-only must be skipped)", code)
 	}
 	// The shared benchmark still gates: 105 vs 100 is a 5% regression,
 	// over a 1% threshold.
-	if code := runCompare(basePath+","+headPath, 1, 10); code != 1 {
+	if code := runCompare(io.Discard, basePath+","+headPath, 1, 10); code != 1 {
 		t.Fatalf("runCompare = %d, want 1 (shared benchmark regressed)", code)
 	}
 }
@@ -54,7 +73,7 @@ func TestCompareNoOverlap(t *testing.T) {
 	headPath := filepath.Join(dir, "head.json")
 	writeBenchFile(t, basePath, []stats.BenchResult{{Name: "Old", NsPerOp: 10}})
 	writeBenchFile(t, headPath, []stats.BenchResult{{Name: "New", NsPerOp: 10}})
-	if code := runCompare(basePath+","+headPath, 10, 10); code != 0 {
+	if code := runCompare(io.Discard, basePath+","+headPath, 10, 10); code != 0 {
 		t.Fatalf("runCompare = %d, want 0 for disjoint sets", code)
 	}
 }
@@ -73,20 +92,48 @@ func TestCompareMedian(t *testing.T) {
 		{"fast base outlier over a 16% slowdown", []float64{100, 50, 100, 100}, []float64{116, 116, 116, 116}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			samples := func(ns []float64) []stats.BenchResult {
-				var out []stats.BenchResult
-				for _, v := range ns {
-					out = append(out, stats.BenchResult{Name: "Align", Iterations: 1000, NsPerOp: v})
-				}
-				return out
-			}
-			basePath := filepath.Join(dir, "base.json")
-			headPath := filepath.Join(dir, "head.json")
-			writeBenchFile(t, basePath, samples(tc.base))
-			writeBenchFile(t, headPath, samples(tc.head))
-			if code := runCompare(basePath+","+headPath, 15, 10); code != tc.want {
+			basePath, headPath := writeAlignSamples(t, tc.base, tc.head)
+			if code := runCompare(io.Discard, basePath+","+headPath, 15, 10); code != tc.want {
 				t.Fatalf("runCompare = %d, want %d", code, tc.want)
+			}
+		})
+	}
+}
+
+// TestCompareNoiseLabel pins the noise label: a row whose base and head
+// ns/op ranges overlap ends in "noise", one whose ranges are disjoint
+// does not, and the label changes neither the REGRESSION verdict nor the
+// exit code.
+func TestCompareNoiseLabel(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		base, head []float64
+		regression bool
+		noise      bool
+	}{
+		{"overlap within threshold", []float64{100, 104, 110, 120}, []float64{105, 108, 112, 115}, false, true},
+		{"overlap past threshold", []float64{100, 100, 100, 200}, []float64{116, 116, 116, 116}, true, true},
+		{"disjoint slowdown", []float64{100, 100, 100, 100}, []float64{116, 116, 116, 116}, true, false},
+		{"disjoint speed-up", []float64{100, 101, 102, 103}, []float64{80, 81, 82, 83}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			basePath, headPath := writeAlignSamples(t, tc.base, tc.head)
+			var out strings.Builder
+			code := runCompare(&out, basePath+","+headPath, 15, 10)
+			var row string
+			for _, line := range strings.Split(out.String(), "\n") {
+				if strings.HasPrefix(line, "Align ") {
+					row = line
+				}
+			}
+			if want := map[bool]int{false: 0, true: 1}[tc.regression]; code != want {
+				t.Fatalf("runCompare = %d, want %d\n%s", code, want, out.String())
+			}
+			if got := strings.Contains(row, "REGRESSION"); got != tc.regression {
+				t.Fatalf("row %q: REGRESSION %v, want %v", row, got, tc.regression)
+			}
+			if got := strings.HasSuffix(row, "  noise"); got != tc.noise {
+				t.Fatalf("row %q: noise label %v, want %v", row, got, tc.noise)
 			}
 		})
 	}

@@ -19,10 +19,11 @@
 // in the BENCH_*.json schema, named without the "Benchmark" prefix and the
 // -N GOMAXPROCS suffix. -compare diffs two result files (JSON or `go test
 // -bench` text) by each benchmark's median sample, prints each side's
-// ns/op range, and exits non-zero on ns/op regressions beyond -max-regress
-// percent; when both files carry memory columns (-benchmem or JSON), it
-// also gates B/op and allocs/op at -max-regress-mem percent so hot-path
-// allocation wins cannot silently rot.
+// ns/op range (labelling a row whose ranges overlap "noise"), and exits
+// non-zero on ns/op regressions beyond -max-regress percent; when both
+// files carry memory columns (-benchmem or JSON), it also gates B/op and
+// allocs/op at -max-regress-mem percent so hot-path allocation wins
+// cannot silently rot.
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	if *compare != "" {
-		os.Exit(runCompare(*compare, *maxRegress, *maxRegressMem))
+		os.Exit(runCompare(os.Stdout, *compare, *maxRegress, *maxRegressMem))
 	}
 	if *jsonOut != "" {
 		os.Exit(runConvert(os.Stdin, *jsonOut, *label))

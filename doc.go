@@ -88,6 +88,16 @@
 // edges bit for bit, and a single-word fast walker is differentially
 // tested and fuzzed against the generic one.
 //
+// Windows take W pattern and W text letters, except the first window of a
+// search-mode alignment (read mapping's, whose region start is
+// approximate): when more windows follow, it spans 2W text letters, so a
+// true start up to W letters into the region still leaves room for the
+// window's W pattern letters. A read mapper's region starts 16 bp before
+// the seed anchor, and an anchor 18 bp early puts the true start 34
+// letters in. Each window's pattern bitmasks are rebuilt from its
+// pattern letters; over DNA they are gathered eight letters per step into
+// two bit planes and stored once per word.
+//
 // # Result retention and CIGAR arenas
 //
 // The public API returns caller-owned values: Alignment.CIGAR strings,

@@ -8,6 +8,7 @@
 package alphabet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -143,22 +144,13 @@ type PatternMasks struct {
 // size and to multi-word masks for long patterns (Section 5, long read
 // support).
 func GeneratePatternMasks(a *Alphabet, pattern []byte) *PatternMasks {
-	m := len(pattern)
-	nw := bitvec.Words(m)
-	if nw == 0 {
-		nw = 1 // keep masks indexable for empty patterns
-	}
-	pm := &PatternMasks{M: m, Words: nw, active: nw, Masks: make([][]uint64, a.Size())}
+	nw := max(bitvec.Words(len(pattern)), 1) // keep masks indexable for empty patterns
+	pm := &PatternMasks{Words: nw, Masks: make([][]uint64, a.Size())}
 	flat := make([]uint64, a.Size()*nw)
 	for code := range pm.Masks {
-		mask := flat[code*nw : (code+1)*nw]
-		bitvec.Fill(mask, ^uint64(0))
-		pm.Masks[code] = mask
+		pm.Masks[code] = flat[code*nw : (code+1)*nw]
 	}
-	for pos, code := range pattern {
-		bit := m - 1 - pos
-		bitvec.ClearBit(pm.Masks[code], bit)
-	}
+	pm.fill(pattern)
 	return pm
 }
 
@@ -167,23 +159,56 @@ func GeneratePatternMasks(a *Alphabet, pattern []byte) *PatternMasks {
 // allocation-free variant used by the windowed GenASM-DC inner loop, where a
 // fresh sub-pattern mask set is needed per window.
 func (pm *PatternMasks) GenerateInto(a *Alphabet, pattern []byte) {
-	m := len(pattern)
-	nw := bitvec.Words(m)
-	if nw == 0 {
-		nw = 1
-	}
-	if len(pm.Masks) != a.Size() || pm.Words < nw {
+	if len(pm.Masks) != a.Size() || pm.Words < bitvec.Words(len(pattern)) {
 		*pm = *GeneratePatternMasks(a, pattern)
 		return
 	}
-	pm.M = m
-	pm.active = nw
+	pm.fill(pattern)
+}
+
+// fill computes the masks of pattern, which holds codes of the masks'
+// alphabet, into the receiver's storage.
+//
+// Over an alphabet of at most four letters (DNA, RNA) each mask word is
+// built in registers and stored once: the word's letters are shifted into
+// two bit planes, one per code bit, and a letter's mask has a 1 wherever
+// either plane differs from that letter's code bit. Larger alphabets fill
+// every mask with ones and clear one bit per pattern letter.
+func (pm *PatternMasks) fill(pattern []byte) {
+	m := len(pattern)
+	nw := max(bitvec.Words(m), 1)
+	pm.M, pm.active = m, nw
+	if len(pm.Masks) <= 4 {
+		for wi := range nw {
+			// Word wi holds bits 64wi.. — pattern positions m-1-64wi down —
+			// and the first letter shifted in ends at the highest bit.
+			hiEnd := m - 64*wi
+			letters := pattern[max(hiEnd-64, 0):hiEnd]
+			var lo, hi uint64
+			// Eight letters per step: the multiply gathers one bit of each
+			// of x's bytes into its top byte, the first letter highest.
+			for ; len(letters) >= 8; letters = letters[8:] {
+				x := binary.LittleEndian.Uint64(letters)
+				lo = lo<<8 | (x&0x0101010101010101)*0x8040201008040201>>56
+				hi = hi<<8 | (x>>1&0x0101010101010101)*0x8040201008040201>>56
+			}
+			for _, c := range letters {
+				lo = lo<<1 | uint64(c&1)
+				hi = hi<<1 | uint64(c>>1)
+			}
+			above := ^uint64(0) << uint(min(hiEnd, 64)) // no letter: never a match
+			for code, mask := range pm.Masks {
+				c := uint64(code)
+				mask[wi] = (lo ^ -(c & 1)) | (hi ^ -(c >> 1)) | above
+			}
+		}
+		return
+	}
 	for code := range pm.Masks {
 		bitvec.Fill(pm.Masks[code][:nw], ^uint64(0))
 	}
 	for pos, code := range pattern {
-		bit := m - 1 - pos
-		bitvec.ClearBit(pm.Masks[code], bit)
+		bitvec.ClearBit(pm.Masks[code], m-1-pos)
 	}
 }
 

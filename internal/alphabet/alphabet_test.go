@@ -2,6 +2,7 @@ package alphabet
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"genasm/internal/bitvec"
@@ -120,6 +121,39 @@ func TestGenerateIntoReuses(t *testing.T) {
 	}
 }
 
+// TestGenerateIntoMatchesDefinition checks every mask bit against the
+// definition (bit j is 0 iff pattern[m-1-j] is the letter; bits at or
+// above m are 1) for random patterns of every length up to 200 over each
+// alphabet, regenerated in place over the previous pattern's masks.
+func TestGenerateIntoMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	for _, a := range []*Alphabet{DNA, RNA, Protein, Bytes} {
+		pm := GeneratePatternMasks(a, make([]byte, 200))
+		for m := range 201 {
+			pattern := make([]byte, m)
+			for i := range pattern {
+				pattern[i] = byte(rng.IntN(a.Size()))
+			}
+			pm.GenerateInto(a, pattern)
+			if pm.M != m {
+				t.Fatalf("%s m=%d: M = %d", a.Name(), m, pm.M)
+			}
+			for code := range a.Size() {
+				mask := pm.Mask(byte(code))
+				if len(mask) != max(bitvec.Words(m), 1) {
+					t.Fatalf("%s m=%d: %d active words", a.Name(), m, len(mask))
+				}
+				for j := range 64 * len(mask) {
+					want := j >= m || int(pattern[m-1-j]) != code
+					if got := !bitvec.IsZeroBit(mask, j); got != want {
+						t.Fatalf("%s m=%d letter %d bit %d: %v, want %v", a.Name(), m, code, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBytesAlphabetGenericSearch(t *testing.T) {
 	pattern := Bytes.MustEncode([]byte("hello"))
 	pm := GeneratePatternMasks(Bytes, pattern)
@@ -140,4 +174,18 @@ func TestEmptyPattern(t *testing.T) {
 	}
 	// Masks must stay indexable.
 	_ = pm.Mask(0)
+}
+
+// BenchmarkGenerateInto regenerates one W=64 window's DNA masks, as
+// GenASM-DC does once per window.
+func BenchmarkGenerateInto(b *testing.B) {
+	pattern := make([]byte, 64)
+	for i := range pattern {
+		pattern[i] = byte(i*7/3) & 3
+	}
+	pm := GeneratePatternMasks(DNA, pattern)
+	b.ResetTimer()
+	for range b.N {
+		pm.GenerateInto(DNA, pattern)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"genasm/internal/cigar"
@@ -39,12 +40,22 @@ func (w *Workspace) AlignWithin(text, pattern []byte, maxDist int) (Alignment, e
 }
 
 // validateCodes checks that every byte is a dense code of the configured
-// alphabet (the DC kernel indexes pattern-bitmask tables by code).
+// alphabet (the DC kernel indexes pattern-bitmask tables by code). When
+// the alphabet size is a power of two, a code is valid exactly when it has
+// no bit at or above log2(size), so eight codes are tested per step with a
+// replicated mask; the byte loop then names the first invalid one.
 func (w *Workspace) validateCodes(s []byte) error {
-	size := byte(w.cfg.Alphabet.Size() - 1)
-	for i, c := range s {
-		if c > size {
-			return fmt.Errorf("code %d at position %d outside %s alphabet (size %d); encode inputs with alphabet.Encode", c, i, w.cfg.Alphabet.Name(), w.cfg.Alphabet.Size())
+	n := w.cfg.Alphabet.Size()
+	i := 0
+	if n&(n-1) == 0 {
+		high := 0x0101010101010101 * uint64(^byte(n-1))
+		for i+8 <= len(s) && binary.LittleEndian.Uint64(s[i:])&high == 0 {
+			i += 8
+		}
+	}
+	for ; i < len(s); i++ {
+		if int(s[i]) >= n {
+			return fmt.Errorf("code %d at position %d outside %s alphabet (size %d); encode inputs with alphabet.Encode", s[i], i, w.cfg.Alphabet.Name(), n)
 		}
 	}
 	return nil
@@ -110,6 +121,14 @@ func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Align
 		final := mp == len(pattern)-curPattern
 
 		search := firstWindow && w.cfg.FindFirstWindowStart
+		if search && !final {
+			// The search window spans 2W text letters: a start up to W
+			// letters in still leaves room for the window's W pattern
+			// letters, so an approximate region start (a mapper's anchor
+			// slack) cannot push the true start out of the window. The
+			// entry store and scanPM already hold 2W positions.
+			nt = min(2*W, len(text)-curText)
+		}
 		terminal := final && len(text)-curText <= W
 		// Terminal windows get phantom end-padding so trailing pattern
 		// insertions at the text end are representable (see dcWindow).

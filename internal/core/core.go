@@ -238,8 +238,9 @@ func New(cfg Config) (*Workspace, error) {
 	w.stride = cfg.MaxWindowErrors + 1
 	// One stored bitvector per entry (SENE) over 2W text positions — W
 	// real characters plus up to W phantom end-padding iterations in the
-	// terminal window (see dcWindow) — plus one position for the scan's
-	// initial all-ones rows.
+	// terminal window (see dcWindow), or the 2W real characters of a
+	// search-mode first window (see align) — plus one position for the
+	// scan's initial all-ones rows.
 	w.npos = 2*cfg.WindowSize + 1
 	w.rStore = make([]uint64, w.stride*w.npos*w.nw)
 	w.fast = w.nw == 1

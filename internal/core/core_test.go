@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"genasm/internal/alphabet"
 	"genasm/internal/cigar"
+	"genasm/internal/dp"
 )
 
 func enc(s string) []byte { return alphabet.DNA.MustEncode([]byte(s)) }
@@ -506,6 +509,74 @@ func BenchmarkAlignLongRead10kbp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := w.Align(ref, read); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestValidateCodesEveryByte pins validateCodes's word-at-a-time check to
+// the per-byte rule: every byte value at every offset mod 8 (and in the
+// tail past the last full word) is accepted exactly when it is a code of
+// the alphabet, and the error names the first invalid code and its
+// position. A second invalid byte after the first must not be reported.
+func TestValidateCodesEveryByte(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 8))
+	for _, a := range []*alphabet.Alphabet{alphabet.DNA, alphabet.Protein, alphabet.Bytes} {
+		w := mustWS(t, Config{Alphabet: a})
+		s := make([]byte, 21)
+		for off := range s {
+			for v := range 256 {
+				for i := range s {
+					s[i] = byte(rng.IntN(a.Size()))
+				}
+				s[off] = byte(v)
+				if off+3 < len(s) {
+					s[off+3] = 255
+				}
+				var want string
+				for i, c := range s {
+					if int(c) >= a.Size() {
+						want = fmt.Sprintf("code %d at position %d outside %s alphabet (size %d); encode inputs with alphabet.Encode", c, i, a.Name(), a.Size())
+						break
+					}
+				}
+				var got string
+				if err := w.validateCodes(s); err != nil {
+					got = err.Error()
+				}
+				if got != want {
+					t.Fatalf("%s: byte %d at offset %d: got %q, want %q", a.Name(), v, off, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchWindowFindsLateStart pins the first search window's 2W text
+// span: a read anchored 7–18 bp early sits 23–34 letters into a region
+// that starts 16 bp before its anchor, so the window's 64 pattern letters
+// need more than W text letters after the start. Every such start must
+// align at the dp fit optimum, from the true start.
+func TestSearchWindowFindsLateStart(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 1))
+	ws := mustWS(t, Config{FindFirstWindowStart: true})
+	for lead := 23; lead <= 34; lead++ {
+		ref := randSeq(rng, 400)
+		text := append(randSeq(rng, lead), ref...)
+		// Substitutions only, spaced apart, and three letters inserted
+		// after the first 20: the insertion is what shifts a seed's
+		// anchor before the true start.
+		pattern := slices.Concat(ref[:20], randSeq(rng, 3), ref[20:300])
+		for i := 40; i < len(pattern); i += 37 {
+			pattern[i] = (pattern[i] + 1) % 4
+		}
+		aln, err := ws.Align(text, pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := -dp.Align(text, pattern, cigar.Unit, dp.Fit, 0).Score
+		if aln.Distance != opt || aln.TextStart != lead {
+			t.Errorf("start %d letters in: distance %d from %d, want the dp optimum %d from %d (%s)",
+				lead, aln.Distance, aln.TextStart, opt, lead, aln.Cigar)
 		}
 	}
 }

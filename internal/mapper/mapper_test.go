@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -279,6 +280,41 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	for _, cfg := range []Config{{}, {ErrorRate: 1, Prefilter: true}, {MaxCandidates: 1}} {
 		if _, err := New(idx, cfg); err != nil {
 			t.Errorf("New(%+v): %v", cfg, err)
+		}
+	}
+}
+
+// TestEarlyAnchorMapsOnTarget pins the shape of reads whose top
+// candidate is anchored 7–18 bp before the true start: letters inserted
+// in the read's first k bases shift the votes of every seed, so the
+// region (16 bp of slack before the anchor) puts the true start 23–34
+// letters into the aligner's first search window. Each read must map on
+// target from that first candidate, with no more edits than were put
+// into it. On target is within shift bases of the true start: the
+// inserted letters may equally align against the bases before it.
+func TestEarlyAnchorMapsOnTarget(t *testing.T) {
+	rng := rand.New(rand.NewPCG(288, 0))
+	genome := seq.Genome(rng, seq.DefaultGenomeConfig(300_000))
+	m := newMapper(t, genome, Config{ErrorRate: 0.10})
+	const p, readLen = 100_000, 2000
+	for _, shift := range []int{7, 12, 18} {
+		read := slices.Concat(genome[p:p+10], seq.Random(rng, shift), genome[p+10:p+readLen])
+		edits := shift
+		for i := 40; i < len(read); i += 25 {
+			read[i] = (read[i] + 1) % 4
+			edits++
+		}
+		var s index.SeedScratch
+		if c := m.idx.CandidateLocationsInto(&s, read[:256], 0); len(c) == 0 || c[0].Pos != p-shift {
+			t.Fatalf("shift %d: top candidates %v, want one anchored at %d", shift, c, p-shift)
+		}
+		got, err := m.MapRead(read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Mapped || got.RevComp || abs(got.Pos-p) > shift || got.Distance > edits || got.Aligned != 1 {
+			t.Errorf("shift %d: mapped=%v at %d (revcomp %v) with distance %d after %d alignments, want %d±%d with at most %d after 1",
+				shift, got.Mapped, got.Pos, got.RevComp, got.Distance, got.Aligned, p, shift, edits)
 		}
 	}
 }
