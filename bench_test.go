@@ -327,29 +327,6 @@ func BenchmarkAblationWindowing(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationAdaptive measures the software-only adaptive error
-// level optimization.
-func BenchmarkAblationAdaptive(b *testing.B) {
-	region, read := benchCase(b, simulate.Illumina150, 98)
-	for _, cfg := range []struct {
-		name string
-		c    core.Config
-	}{
-		{"Adaptive", core.Config{}},
-		{"AllLevels", core.Config{NoAdaptive: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			ws := core.MustNew(cfg.c)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ws.Align(region, read); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAlign is the kernel benchmark the CI regression gate tracks:
 // the core Align hot path (DC + TB, no encoding, no pool) on a short and
 // a long read. One untimed Align grows the workspace's CIGAR scratch

@@ -138,7 +138,8 @@ func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Align
 		}
 		res := w.dcWindow(text[curText:curText+nt], pattern[curPattern:curPattern+mp], search, pad)
 		if res.dist < 0 {
-			return Alignment{}, fmt.Errorf("%w: window at pattern %d, text %d", ErrWindowBudget, curPattern, curText)
+			// Impossible: level mp always matches (see dcScanScrooge).
+			return Alignment{}, fmt.Errorf("core: window at pattern %d, text %d matched at no error level", curPattern, curText)
 		}
 		if search {
 			textStart = curText + res.loc
@@ -147,14 +148,14 @@ func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Align
 		if terminal {
 			// The whole remainder of both sequences fits: pick the
 			// cheapest complete traceback (see tbBest).
-			tb = w.tbBest(mp, nt, pad, res.loc, res.dist, res.levels, global, b)
+			tb = w.tbBest(mp, nt, pad, res.loc, res.dist, global, b)
 		} else {
 			tb = w.tbSelect(mp, nt, pad, res.loc, res.dist, final, b)
 		}
 		windows++
 		if tb.patternConsumed == 0 && tb.textConsumed == 0 && res.loc == 0 {
 			// No progress is impossible when DC reported a valid distance;
-			// guard against config pathologies rather than looping forever.
+			// guard against a broken invariant rather than looping forever.
 			return Alignment{}, fmt.Errorf("core: traceback made no progress at pattern %d, text %d", curPattern, curText)
 		}
 		curPattern += tb.patternConsumed

@@ -11,15 +11,15 @@ import (
 // (lines 15-18) of every (text position, error level) entry, and the
 // substitution bitvector is re-derived as deletion<<1. Stores are indexed
 // [textPos*stride + level]*nw over 2W text positions (W real characters
-// plus up to W phantom end-padding ones); mStore holds levels 0..k,
-// iStore and dStore levels 1..k (level 0 slots unused).
+// plus up to W phantom end-padding ones); mStore holds levels 0..W,
+// iStore and dStore levels 1..W (level 0 slots unused).
 type perEdge struct {
 	alpha      *alphabet.Alphabet
 	nw, stride int
 	pm         alphabet.PatternMasks
 	ones       []uint64
 	// r and oldR are the R status rows of the current and the previous
-	// text position, (maxK+1) x nw each.
+	// text position, (W+1) x nw each.
 	r, oldR                []uint64
 	mStore, iStore, dStore []uint64
 }
@@ -30,7 +30,7 @@ func newPerEdge(cfg Config) *perEdge {
 	p := &perEdge{
 		alpha:  cfg.Alphabet,
 		nw:     bitvec.Words(cfg.WindowSize),
-		stride: cfg.MaxWindowErrors + 1,
+		stride: cfg.WindowSize + 1,
 	}
 	p.r = make([]uint64, p.stride*p.nw)
 	p.oldR = make([]uint64, p.stride*p.nw)
@@ -62,11 +62,11 @@ func (p *perEdge) entry(store []uint64, textPos, level int) []uint64 {
 
 // scan is GenASM-DC as Algorithm 1 prints it: position-major, right to
 // left over subtext after pad phantom positions, computing every level up
-// to k from scratch and storing the three per-edge bitvectors of each
-// entry. Its (dist, loc) follow dcWindow's rules: the minimum level with
+// to the pattern length from scratch and storing the three per-edge
+// bitvectors of each entry. Its (dist, loc) follow dcWindow's rules: the minimum level with
 // a 0 MSB at position 0 when anchored, the minimum-distance smallest
 // position below the text end in search mode.
-func (p *perEdge) scan(subtext, subpattern []byte, k int, search bool, pad int) dcResult {
+func (p *perEdge) scan(subtext, subpattern []byte, search bool, pad int) dcResult {
 	mp, nt := len(subpattern), len(subtext)
 	p.pm.GenerateInto(p.alpha, subpattern)
 	// The window's bitvectors span only as many words as the sub-pattern
@@ -76,10 +76,10 @@ func (p *perEdge) scan(subtext, subpattern []byte, k int, search bool, pad int) 
 	row := func(rows []uint64, d int) []uint64 { return rows[d*p.nw : d*p.nw+nw] }
 
 	r, oldR := p.r, p.oldR
-	for d := 0; d <= k; d++ {
+	for d := 0; d <= mp; d++ {
 		bitvec.Fill(row(r, d), ^uint64(0))
 	}
-	res := dcResult{dist: -1, levels: k}
+	res := dcResult{dist: -1}
 	for i := nt - 1 + pad; i >= 0; i-- {
 		curPM := p.ones[:nw]
 		if i < nt {
@@ -88,7 +88,7 @@ func (p *perEdge) scan(subtext, subpattern []byte, k int, search bool, pad int) 
 		r, oldR = oldR, r
 		bitvec.ShiftLeft1Or(row(r, 0), row(oldR, 0), curPM)
 		copy(p.entry(p.mStore, i, 0), row(r, 0))
-		for d := 1; d <= k; d++ {
+		for d := 1; d <= mp; d++ {
 			rd, rd1, old1, old := row(r, d), row(r, d-1), row(oldR, d-1), row(oldR, d)
 			iRow, dRow, mRow := p.entry(p.iStore, i, d), p.entry(p.dStore, i, d), p.entry(p.mStore, i, d)
 			var carryS, carryI, carryM uint64
@@ -107,7 +107,7 @@ func (p *perEdge) scan(subtext, subpattern []byte, k int, search bool, pad int) 
 		if i >= nt || (!search && i > 0) {
 			continue
 		}
-		for d := 0; d <= k; d++ {
+		for d := 0; d <= mp; d++ {
 			if bitvec.IsZeroBit(row(r, d), msb) {
 				// Positions run downward, so an equal distance moves the
 				// start to the smaller position.

@@ -67,7 +67,7 @@ func TestDistanceBoundContract(t *testing.T) {
 				size := alphabetSize(c.cfg)
 				rng := rand.New(rand.NewPCG(18, uint64(ci)))
 				for trial := 0; trial < 25; trial++ {
-					text, pattern := sweepPair(rng, size, trial)
+					text, pattern := sweepPair(rng, size, trial, c.k)
 					global := trial%2 == 0
 					label := fmt.Sprintf("%s generic=%v trial %d global=%v", c.name, generic, trial, global)
 					want, wantErr := newWS().align(text, pattern, global, -1)

@@ -67,29 +67,9 @@ type Config struct {
 	// Overlap is O, the number of characters shared between consecutive
 	// windows. Defaults to 24.
 	Overlap int
-	// MaxWindowErrors caps the number of R-bitvector levels (k) computed
-	// per window. Defaults to WindowSize, which can never be exceeded by
-	// a window-local alignment; smaller values trade fidelity for speed
-	// and cause ErrWindowBudget when exceeded.
-	MaxWindowErrors int
-	// NoAdaptive computes every error level up to MaxWindowErrors in each
-	// window, as the hardware does (hardware-faithful operation counts).
-	// By default the level-major DC scan stops at the first level that
-	// matches, so a window computes only the levels its distance needs.
-	NoAdaptive bool
 	// Order is the preferred traceback priority of the error cases (it is
 	// tried first and wins ties during per-window order selection).
 	Order Order
-	// NoOrderSelection disables the per-window selection among the three
-	// error orders, restoring the single fixed order of Algorithm 2 as
-	// printed. Selection is on by default because a fixed greedy order
-	// can mis-anchor subsequent windows on indel-heavy reads (see
-	// tbSelect).
-	NoOrderSelection bool
-	// NoAffineExtend disables the insertion-extend/deletion-extend
-	// priority checks (Algorithm 2 lines 13-16) that mimic the affine gap
-	// model. The default (false) matches the paper.
-	NoAffineExtend bool
 	// FindFirstWindowStart runs the first window's DC in search mode: the
 	// traceback starts at the minimum-distance matching location within
 	// the window rather than at text position 0, skipping leading text
@@ -109,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.Overlap == 0 {
 		c.Overlap = DefaultOverlap
 	}
-	if c.MaxWindowErrors == 0 {
-		c.MaxWindowErrors = c.WindowSize
-	}
 	return c
 }
 
@@ -122,15 +99,8 @@ func (c Config) validate() error {
 	if c.Overlap < 0 || c.Overlap >= c.WindowSize {
 		return fmt.Errorf("core: overlap %d must be in [0, W=%d)", c.Overlap, c.WindowSize)
 	}
-	if c.MaxWindowErrors < 1 || c.MaxWindowErrors > c.WindowSize {
-		return fmt.Errorf("core: max window errors %d must be in [1, W=%d]", c.MaxWindowErrors, c.WindowSize)
-	}
 	return nil
 }
-
-// ErrWindowBudget is returned when a window's alignment needs more error
-// levels than Config.MaxWindowErrors allows.
-var ErrWindowBudget = errors.New("core: window exceeded error budget (raise MaxWindowErrors)")
 
 // ErrDistanceBound is returned by AlignWithin when the alignment's
 // distance exceeds the caller's bound. It is returned bare (never
@@ -177,7 +147,7 @@ func (a Alignment) Clone() Alignment {
 type Workspace struct {
 	cfg    Config
 	nw     int // words per bitvector row (ceil(W/64))
-	stride int // error levels per stored text position (maxK+1)
+	stride int // error levels per stored text position (W+1)
 	npos   int // text positions per stored level (2W+1)
 	// fast runs the single-word traceback walker (tbWindowFast,
 	// tbSelectFast) instead of the generic one. New sets it exactly when
@@ -227,7 +197,8 @@ type Workspace struct {
 }
 
 // New creates a Workspace from the configuration. A zero Config gives the
-// paper's default setup: DNA, W=64, O=24, k=W, affine-extend traceback.
+// paper's default setup: DNA, W=64, O=24, affine-extend traceback. The
+// store holds every error level a window can need (0..W: see dcWindow).
 func New(cfg Config) (*Workspace, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -235,7 +206,7 @@ func New(cfg Config) (*Workspace, error) {
 	}
 	w := &Workspace{cfg: cfg}
 	w.nw = bitvec.Words(cfg.WindowSize)
-	w.stride = cfg.MaxWindowErrors + 1
+	w.stride = cfg.WindowSize + 1
 	// One stored bitvector per entry (SENE) over 2W text positions — W
 	// real characters plus up to W phantom end-padding iterations in the
 	// terminal window (see dcWindow), or the 2W real characters of a
@@ -249,10 +220,10 @@ func New(cfg Config) (*Workspace, error) {
 		// The traceback scratch at its bounds: a walk takes at most one
 		// fork per error and makes at most two runs per error plus one,
 		// so tbSelectFast never grows it.
-		w.tbForks = make([]tbFork, 0, cfg.MaxWindowErrors)
-		w.tbScratch.Grow(2*cfg.MaxWindowErrors + 1)
-		w.tbReplay[0].Grow(2*cfg.MaxWindowErrors + 1)
-		w.tbReplay[1].Grow(2*cfg.MaxWindowErrors + 1)
+		w.tbForks = make([]tbFork, 0, cfg.WindowSize)
+		w.tbScratch.Grow(2*cfg.WindowSize + 1)
+		w.tbReplay[0].Grow(2*cfg.WindowSize + 1)
+		w.tbReplay[1].Grow(2*cfg.WindowSize + 1)
 	}
 	w.ones = make([]uint64, w.nw)
 	bitvec.Fill(w.ones, ^uint64(0))

@@ -4,16 +4,13 @@ import "genasm/internal/bitvec"
 
 // dcResult is the outcome of running GenASM-DC over one window.
 type dcResult struct {
-	// dist is the minimum edit distance found, or -1 when no match exists
-	// within the computed error levels.
+	// dist is the minimum edit distance found; the stored entries cover
+	// levels 0..dist. It is -1 only if no level up to the pattern length
+	// matched, which the insertion term rules out (see dcScanScrooge).
 	dist int
 	// loc is the text position the traceback starts from (0 when
 	// anchored; the best matching location in search mode).
 	loc int
-	// levels is the highest error level the scan computed: the stored
-	// entries cover levels 0..levels (exactly dist with the adaptive
-	// scan).
-	levels int
 }
 
 // dcWindow runs GenASM-DC over one window: it searches subpattern within
@@ -33,20 +30,13 @@ type dcResult struct {
 // would live at unscanned text positions), so terminal windows pass
 // pad = len(subpattern) to make the anchored distance exact.
 //
-// By default the scan computes only the levels the window needs: it runs
-// level-major and stops at the window's distance (see dcScanScrooge).
+// The scan computes only the levels the window needs: it runs level-major
+// and stops at the window's distance (see dcScanScrooge).
 func (w *Workspace) dcWindow(subtext, subpattern []byte, search bool, pad int) dcResult {
-	mp := len(subpattern)
-	// A window alignment never needs more error levels than the pattern
-	// length: an all-insertion path always reaches the MSB at level mp
-	// (R[d] bit d-1 is 0 by induction on the shifted-in zero of the
-	// insertion case).
-	kMax := min(w.cfg.MaxWindowErrors, mp)
-
 	w.pm.GenerateInto(w.cfg.Alphabet, subpattern)
 	// The SENE traceback re-derives match edges from the window text.
 	w.scanText, w.scanNT = subtext, len(subtext)
-	return w.dcScanScrooge(mp, kMax, search, pad)
+	return w.dcScanScrooge(len(subpattern), search, pad)
 }
 
 // dcScanScrooge is GenASM-DC with Scrooge's layout: it stores one R
@@ -55,28 +45,19 @@ func (w *Workspace) dcWindow(subtext, subpattern []byte, search bool, pad int) d
 // computed over every position from the stored level d-1 (scroogeLevel).
 // After each level the scan checks for a match: at position 0 when
 // anchored, at the smallest matching position below the text end in
-// search mode. It stops at the first hit, so a window costs exactly
-// dist+1 levels and the traceback reads nothing above them; with
-// Config.NoAdaptive it computes every level up to kMax, as the hardware
-// does. A window with no hit within kMax reports dist -1
-// (ErrWindowBudget).
-func (w *Workspace) dcScanScrooge(mp, kMax int, search bool, pad int) dcResult {
+// search mode. It returns at the first hit, so a window costs exactly
+// dist+1 levels and the traceback reads nothing above them. A hit comes
+// by level mp at the latest: the insertion term leaves bits 0..d-1 of
+// R[d] zero at every position, so level mp has a 0 MSB everywhere.
+func (w *Workspace) dcScanScrooge(mp int, search bool, pad int) dcResult {
 	top := w.scanNT + pad
-	res := dcResult{dist: -1, levels: kMax}
-	for d := 0; d <= kMax; d++ {
+	for d := 0; d <= mp; d++ {
 		w.scroogeLevel(d, mp, top)
-		if res.dist >= 0 {
-			continue
-		}
 		if loc := w.levelHit(d, mp, search); loc >= 0 {
-			res.dist, res.loc = d, loc
-			if !w.cfg.NoAdaptive {
-				res.levels = d
-				break
-			}
+			return dcResult{dist: d, loc: loc}
 		}
 	}
-	return res
+	return dcResult{dist: -1}
 }
 
 // levelHit returns the text position the traceback starts from when the

@@ -19,10 +19,12 @@ func walkerPair(t testing.TB, cfg Config) (fast, generic *Workspace) {
 	return fast, generic
 }
 
-// diffAlign aligns the pair on both walkers and fails on any divergence
-// in CIGAR, distance or text span — the single-word walker must be
-// bit-exact against the generic one, whose edge queries the window oracle
-// in dc_test.go pins to the paper's per-edge stores.
+// diffAlign aligns the pair on both walkers and fails on any error or any
+// divergence in CIGAR, distance or text span. No valid pair may fail:
+// every window has a distance (level mp always matches, see
+// dcScanScrooge), so an error means a broken invariant. The single-word
+// walker must be bit-exact against the generic one, whose edge queries
+// the window oracle in dc_test.go pins to the paper's per-edge stores.
 func diffAlign(t *testing.T, fast, generic *Workspace, text, pattern []byte, global bool, label string) {
 	t.Helper()
 	align := func(w *Workspace) (Alignment, error) {
@@ -33,11 +35,8 @@ func diffAlign(t *testing.T, fast, generic *Workspace, text, pattern []byte, glo
 	}
 	af, errF := align(fast)
 	ag, errG := align(generic)
-	if (errF == nil) != (errG == nil) {
-		t.Fatalf("%s: error divergence: fast %v vs generic %v", label, errF, errG)
-	}
-	if errF != nil {
-		return
+	if errF != nil || errG != nil {
+		t.Fatalf("%s: alignment failed: fast %v, generic %v", label, errF, errG)
 	}
 	if af.Cigar.String() != ag.Cigar.String() {
 		t.Fatalf("%s: CIGAR divergence:\n  fast    %s\n  generic %s", label, af.Cigar, ag.Cigar)
@@ -67,18 +66,20 @@ func TestKernelEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// sweepCase is one configuration of the kernel sweep.
+// sweepCase is one configuration of the kernel sweep. A case with k > 0
+// draws its related pairs with at most k edits (see sweepPair).
 type sweepCase struct {
 	name string
 	cfg  Config
+	k    int
 }
 
 // sweepConfigs is the configuration space both walkers must agree across:
-// alphabets, window geometries, error budgets, search mode, traceback
-// orders and the adaptive toggle. The multi-word geometries (W = 128)
-// run the generic walker on both sides, so the walker sweep only checks
-// that they align deterministically; the distance-bound sweep covers
-// them in full.
+// alphabets, window geometries, search mode, traceback orders and, on
+// the kN cases, pairs with few edits (the N once capped the window's
+// error levels). The multi-word geometries (W = 128) run the generic
+// walker on both sides, so the walker sweep only checks that they align
+// deterministically; the distance-bound sweep covers them in full.
 func sweepConfigs() []sweepCase {
 	alphabets := []*alphabet.Alphabet{alphabet.DNA, alphabet.Protein, alphabet.Bytes}
 	windows := []struct{ w, o int }{{64, 24}, {32, 8}, {16, 4}, {128, 48}, {64, 0}}
@@ -92,17 +93,12 @@ func sweepConfigs() []sweepCase {
 		}
 	}
 	cases = append(cases,
-		sweepCase{"dna/search", Config{FindFirstWindowStart: true}},
-		sweepCase{"dna/k8", Config{MaxWindowErrors: 8}},
-		sweepCase{"dna/k16-W32", Config{WindowSize: 32, Overlap: 8, MaxWindowErrors: 16}},
-		sweepCase{"dna/noadaptive", Config{NoAdaptive: true}},
-		sweepCase{"dna/search-noadaptive", Config{FindFirstWindowStart: true, NoAdaptive: true}},
-		sweepCase{"dna/k4-budget", Config{MaxWindowErrors: 4}},
-		sweepCase{"dna/k4-budget-noadaptive", Config{MaxWindowErrors: 4, NoAdaptive: true}},
-		sweepCase{"dna/gapfirst", Config{Order: OrderGapFirst}},
-		sweepCase{"dna/delfirst", Config{Order: OrderDelFirst}},
-		sweepCase{"dna/fixedorder", Config{NoOrderSelection: true}},
-		sweepCase{"dna/noaffine", Config{NoAffineExtend: true}},
+		sweepCase{"dna/search", Config{FindFirstWindowStart: true}, 0},
+		sweepCase{"dna/k8", Config{}, 8},
+		sweepCase{"dna/k16-W32", Config{WindowSize: 32, Overlap: 8}, 16},
+		sweepCase{"dna/k4-budget", Config{}, 4},
+		sweepCase{"dna/gapfirst", Config{Order: OrderGapFirst}, 0},
+		sweepCase{"dna/delfirst", Config{Order: OrderDelFirst}, 0},
 	)
 	return cases
 }
@@ -116,8 +112,9 @@ func alphabetSize(cfg Config) int {
 }
 
 // sweepPair draws one sweep input of up to 300 letters: every third trial
-// an unrelated pair, otherwise a text and a mutated copy of it.
-func sweepPair(rng *rand.Rand, size, trial int) (text, pattern []byte) {
+// an unrelated pair, otherwise a text and a copy of it with up to a sixth
+// of its length in edits, or with at most k edits when k > 0.
+func sweepPair(rng *rand.Rand, size, trial, k int) (text, pattern []byte) {
 	n := 1 + rng.IntN(300)
 	text = make([]byte, n)
 	for i := range text {
@@ -129,8 +126,11 @@ func sweepPair(rng *rand.Rand, size, trial int) (text, pattern []byte) {
 			pattern[i] = byte(rng.IntN(size))
 		}
 	} else {
-		e := rng.IntN(max(1, n/6))
-		pattern = mutateAlpha(rng, text, e, size)
+		bound := max(1, n/6)
+		if k > 0 {
+			bound = k + 1
+		}
+		pattern = mutateAlpha(rng, text, rng.IntN(bound), size)
 	}
 	return text, pattern
 }
@@ -143,7 +143,7 @@ func TestKernelEquivalenceConfigSweep(t *testing.T) {
 			size := alphabetSize(c.cfg)
 			rng := rand.New(rand.NewPCG(42, uint64(ci)))
 			for trial := 0; trial < 25; trial++ {
-				text, pattern := sweepPair(rng, size, trial)
+				text, pattern := sweepPair(rng, size, trial, c.k)
 				label := fmt.Sprintf("%s trial %d", c.name, trial)
 				diffAlign(t, s, b, text, pattern, trial%2 == 0, label)
 				if t.Failed() {

@@ -117,7 +117,6 @@ func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, order 
 	curError := dist
 	limit := w.cfg.WindowSize - w.cfg.Overlap
 	prev := cigar.OpNone
-	affine := !w.cfg.NoAffineExtend
 
 	var res tbResult
 	for {
@@ -132,7 +131,7 @@ func (w *Workspace) tbWindow(mp, nt, pad, startLoc, dist int, final bool, order 
 		// Gap-extend priority (Algorithm 2 lines 13-16): if the previous
 		// operation opened a gap and the same gap can continue, extend it,
 		// mimicking the affine gap penalty model.
-		if affine && curError > 0 {
+		if curError > 0 {
 			if prev == cigar.OpIns && w.insZero(textI, curError, patternI) {
 				status = cigar.OpIns
 			} else if prev == cigar.OpDel && w.delZero(textI, curError, patternI) {
@@ -233,7 +232,6 @@ func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Orde
 	patternI, textI, curError := st.patternI, st.textI, st.curError
 	prev, runOp, runLen, res := st.prev, st.runOp, st.runLen, st.res
 	limit := w.cfg.WindowSize - w.cfg.Overlap
-	affine := !w.cfg.NoAffineExtend
 	npos := w.npos
 	store := w.rStore
 	pm := w.scanPM
@@ -252,7 +250,7 @@ func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Orde
 			// at is the entry (curError, textI); at-npos is the same
 			// position one level below.
 			at := curError*npos + textI
-			if affine && curError > 0 {
+			if curError > 0 {
 				if prev == cigar.OpIns {
 					if j == 0 || store[at-npos]>>(j-1)&1 == 0 {
 						status = cigar.OpIns
@@ -396,7 +394,7 @@ func (w *Workspace) tbWindowFast(st tbState, nt, pad int, final bool, order Orde
 // trailing text when global). The candidate count is bounded by the first
 // candidate's cost, so the extra work is a small constant factor on the
 // final window only.
-func (w *Workspace) tbBest(mp, nt, pad, loc, dmin, levels int, global bool, b *cigar.Builder) tbResult {
+func (w *Workspace) tbBest(mp, nt, pad, loc, dmin int, global bool, b *cigar.Builder) tbResult {
 	costOf := func(r tbResult) int {
 		c := r.errorsUsed + (mp - r.patternConsumed)
 		if global {
@@ -413,16 +411,13 @@ func (w *Workspace) tbBest(mp, nt, pad, loc, dmin, levels int, global bool, b *c
 		bestRes  tbResult
 		bestCost = int(^uint(0) >> 1)
 	)
-	kCap := w.cfg.MaxWindowErrors
-	if m := max(mp, nt); kCap > m {
-		kCap = m
-	}
+	kCap := min(w.cfg.WindowSize, max(mp, nt))
 	maxD := dmin
 	for d := dmin; d <= maxD; d++ {
-		// Deeper candidate levels than DC computed are added on top of
-		// the stored ones.
-		for ; levels < d; levels++ {
-			w.scroogeLevel(levels+1, mp, nt+pad)
+		// DC stored levels 0..dmin; deeper candidate levels are added on
+		// top of them.
+		if d > dmin {
+			w.scroogeLevel(d, mp, nt+pad)
 		}
 		for oi, o := range orders {
 			if oi > 0 && o == w.cfg.Order {
@@ -458,11 +453,7 @@ func (w *Workspace) tbBest(mp, nt, pad, loc, dmin, levels int, global bool, b *c
 // window and the drift compounds across deletion-heavy long reads; order
 // selection keeps the chain on the low-error path at negligible cost (the
 // traceback is ~W steps against the DC's W x k word operations).
-// Config.NoOrderSelection restores the fixed Algorithm 2 behaviour.
 func (w *Workspace) tbSelect(mp, nt, pad, loc, dist int, final bool, b *cigar.Builder) tbResult {
-	if w.cfg.NoOrderSelection {
-		return w.tbWindow(mp, nt, pad, loc, dist, final, w.cfg.Order, b)
-	}
 	if w.fast {
 		return w.tbSelectFast(mp, nt, pad, loc, dist, final, b)
 	}

@@ -17,7 +17,6 @@ func stepTBWindowFast(w *Workspace, mp, nt, pad, startLoc, dist int, final bool,
 	curError := dist
 	limit := w.cfg.WindowSize - w.cfg.Overlap
 	prev := cigar.OpNone
-	affine := !w.cfg.NoAffineExtend
 	order := w.cfg.Order
 	npos := w.npos
 	store := w.rStore
@@ -38,7 +37,7 @@ func stepTBWindowFast(w *Workspace, mp, nt, pad, startLoc, dist int, final bool,
 		next := base + 1
 
 		status := cigar.OpNone
-		if affine && curError > 0 {
+		if curError > 0 {
 			if prev == cigar.OpIns {
 				if j == 0 || store[(curError-1)*npos+base]>>(j-1)&1 == 0 {
 					status = cigar.OpIns
@@ -205,10 +204,9 @@ func sameTB(a, b tbResult) bool {
 // oracles above, window by window. Windows come from random texts (a
 // third of them over two letters) with 10% indel-heavy or 5%
 // substitution-heavy copies, or unrelated sequences, as patterns, under
-// every order with affine extension on and off, as non-final (capped)
-// windows and as final ones with and without phantom padding (padded
-// ones also walked at eight levels above the minimum, as tbBest walks
-// them). Each single walk, under every order, and each selection must
+// every order, as non-final (capped) windows and as final ones with and
+// without phantom padding (padded ones also walked at eight levels above
+// the minimum, as tbBest walks them). Each single walk, under every order, and each selection must
 // consume the same counts with the same errors and emit the same CIGAR.
 // The cases forked selection distinguishes must all occur: an order whose
 // walk equals the first one (skipped), one resumed from a fork, and a
@@ -218,103 +216,98 @@ func TestTracebackMatchesStepOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 7))
 	var windows, skipped, resumed, laterWon int
 	for _, order := range []Order{OrderSubFirst, OrderGapFirst, OrderDelFirst} {
-		for _, noAffine := range []bool{false, true} {
-			w := mustWS(t, Config{Order: order, NoAffineExtend: noAffine})
-			for trial := range 400 {
-				text := randSeq(rng, 2*W)
-				if trial%3 == 0 {
-					// Low-complexity text: coincidental matches next to
-					// indels, where a run must stop on the R test alone.
-					for i := range text {
-						text[i] &= 1
-					}
+		w := mustWS(t, Config{Order: order})
+		for trial := range 400 {
+			text := randSeq(rng, 2*W)
+			if trial%3 == 0 {
+				// Low-complexity text: coincidental matches next to
+				// indels, where a run must stop on the R test alone.
+				for i := range text {
+					text[i] &= 1
 				}
-				var pattern []byte
-				switch {
-				case trial%5 == 4:
-					pattern = randSeq(rng, W) // unrelated: deep error levels
-				case trial%2 == 0:
-					pattern = mutate(rng, text[:W], 2, 2, 2) // 10%, indel-heavy
-				default:
-					pattern = mutate(rng, text[:W], 3, 0, 0) // 5%, substitutions
+			}
+			var pattern []byte
+			switch {
+			case trial%5 == 4:
+				pattern = randSeq(rng, W) // unrelated: deep error levels
+			case trial%2 == 0:
+				pattern = mutate(rng, text[:W], 2, 2, 2) // 10%, indel-heavy
+			default:
+				pattern = mutate(rng, text[:W], 3, 0, 0) // 5%, substitutions
+			}
+			final := trial%4 >= 2
+			pad := 0
+			mp, nt := min(W, len(pattern)), W
+			if final {
+				// A final window takes the pattern's remainder; a
+				// padded one is terminal, with the text's too.
+				mp = W/2 + rng.IntN(W/2)
+				if trial%4 == 3 {
+					pad = mp
+					nt = min(W, mp-4+rng.IntN(8))
 				}
-				final := trial%4 >= 2
-				pad := 0
-				mp, nt := min(W, len(pattern)), W
-				if final {
-					// A final window takes the pattern's remainder; a
-					// padded one is terminal, with the text's too.
-					mp = W/2 + rng.IntN(W/2)
-					if trial%4 == 3 {
-						pad = mp
-						nt = min(W, mp-4+rng.IntN(8))
-					}
-				}
-				sub, pat := text[:nt], pattern[:mp]
-				res := w.dcWindow(sub, pat, false, pad)
-				if res.dist < 0 {
-					continue
-				}
-				windows++
-				label := fmt.Sprintf("order=%d noAffine=%v trial=%d final=%v pad=%d", order, noAffine, trial, final, pad)
+			}
+			sub, pat := text[:nt], pattern[:mp]
+			res := w.dcWindow(sub, pat, false, pad)
+			windows++
+			label := fmt.Sprintf("order=%d trial=%d final=%v pad=%d", order, trial, final, pad)
 
-				var got, want cigar.Builder
-				// Terminal windows are also walked above the DC minimum,
-				// as tbBest walks them: the scan stopped at the minimum,
-				// so the rows above it are added here, up to tbBest's cap.
-				maxD := res.dist
-				if pad > 0 {
-					maxD = min(w.cfg.MaxWindowErrors, max(mp, nt), res.dist+8)
-					for d := res.levels + 1; d <= maxD; d++ {
-						w.scroogeLevel(d, mp, nt+pad)
+			var got, want cigar.Builder
+			// Terminal windows are also walked above the DC minimum,
+			// as tbBest walks them: the scan stopped at the minimum,
+			// so the rows above it are added here, up to tbBest's cap.
+			maxD := res.dist
+			if pad > 0 {
+				maxD = min(w.cfg.WindowSize, max(mp, nt), res.dist+8)
+				for d := res.dist + 1; d <= maxD; d++ {
+					w.scroogeLevel(d, mp, nt+pad)
+				}
+			}
+			for d := res.dist; d <= maxD; d++ {
+				for _, o := range []Order{OrderSubFirst, OrderGapFirst, OrderDelFirst} {
+					got.Reset()
+					want.Reset()
+					st := tbState{patternI: mp - 1, textI: res.loc, curError: d}
+					g := w.tbWindowFast(st, nt, pad, final, o, cigar.OpNone, false, &got)
+					w.cfg.Order = o
+					wr := stepTBWindowFast(w, mp, nt, pad, res.loc, d, final, &want)
+					w.cfg.Order = order
+					if !sameTB(g, wr) || g.orderSensitive != wr.orderSensitive || got.Cigar().String() != want.Cigar().String() {
+						t.Fatalf("%s walk d=%d order=%d: got %+v %s, oracle %+v %s", label, d, o, g, got.Cigar(), wr, want.Cigar())
 					}
 				}
-				for d := res.dist; d <= maxD; d++ {
-					for _, o := range []Order{OrderSubFirst, OrderGapFirst, OrderDelFirst} {
-						got.Reset()
-						want.Reset()
-						st := tbState{patternI: mp - 1, textI: res.loc, curError: d}
-						g := w.tbWindowFast(st, nt, pad, final, o, cigar.OpNone, false, &got)
-						w.cfg.Order = o
-						wr := stepTBWindowFast(w, mp, nt, pad, res.loc, d, final, &want)
-						w.cfg.Order = order
-						if !sameTB(g, wr) || g.orderSensitive != wr.orderSensitive || got.Cigar().String() != want.Cigar().String() {
-							t.Fatalf("%s walk d=%d order=%d: got %+v %s, oracle %+v %s", label, d, o, g, got.Cigar(), wr, want.Cigar())
-						}
-					}
-				}
+			}
 
-				var first cigar.Builder
-				firstRes := stepTBWindowFast(w, mp, nt, pad, res.loc, res.dist, final, &first)
-				got.Reset()
-				want.Reset()
-				g := w.tbSelect(mp, nt, pad, res.loc, res.dist, final, &got)
-				wr := threeWalkTBSelect(w, mp, nt, pad, res.loc, res.dist, final, &want)
-				if !sameTB(g, wr) || got.Cigar().String() != want.Cigar().String() {
-					t.Fatalf("%s select: got %+v %s, oracle %+v %s", label, g, got.Cigar(), wr, want.Cigar())
-				}
-				if len(w.tbForks) > 0 {
-					for _, o := range []Order{OrderDelFirst, OrderGapFirst, OrderSubFirst} {
-						if o == order {
-							continue
-						}
-						diverges := false
-						for _, f := range w.tbForks {
-							if pickViable(o, f.viable) != f.chosen {
-								diverges = true
-								break
-							}
-						}
-						if diverges {
-							resumed++
-						} else {
-							skipped++
+			var first cigar.Builder
+			firstRes := stepTBWindowFast(w, mp, nt, pad, res.loc, res.dist, final, &first)
+			got.Reset()
+			want.Reset()
+			g := w.tbSelect(mp, nt, pad, res.loc, res.dist, final, &got)
+			wr := threeWalkTBSelect(w, mp, nt, pad, res.loc, res.dist, final, &want)
+			if !sameTB(g, wr) || got.Cigar().String() != want.Cigar().String() {
+				t.Fatalf("%s select: got %+v %s, oracle %+v %s", label, g, got.Cigar(), wr, want.Cigar())
+			}
+			if len(w.tbForks) > 0 {
+				for _, o := range []Order{OrderDelFirst, OrderGapFirst, OrderSubFirst} {
+					if o == order {
+						continue
+					}
+					diverges := false
+					for _, f := range w.tbForks {
+						if pickViable(o, f.viable) != f.chosen {
+							diverges = true
+							break
 						}
 					}
+					if diverges {
+						resumed++
+					} else {
+						skipped++
+					}
 				}
-				if !sameTB(firstRes, wr) || first.Cigar().String() != want.Cigar().String() {
-					laterWon++
-				}
+			}
+			if !sameTB(firstRes, wr) || first.Cigar().String() != want.Cigar().String() {
+				laterWon++
 			}
 		}
 	}

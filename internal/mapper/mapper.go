@@ -316,9 +316,9 @@ func (m *Mapper) MapReadContext(ctx context.Context, read []byte) (Mapping, erro
 		if err != nil {
 			// Cancellation must surface; so must a quarantined panic
 			// (the pooled workspace is gone, retrying candidates on a
-			// fresh one would mask real corruption). A single
-			// over-budget candidate, or one past maxDist, is not
-			// fatal and the next one is tried.
+			// fresh one would mask real corruption). A candidate past
+			// maxDist, or any other failure of a single candidate, is
+			// not fatal and the next one is tried.
 			if ctx.Err() != nil {
 				return Mapping{}, ctx.Err()
 			}

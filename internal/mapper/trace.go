@@ -29,8 +29,8 @@ type Trace struct {
 	FilterDone func(accepted bool, d time.Duration)
 	// AlignDone runs after the alignment step finished one candidate
 	// region; ok reports whether alignment produced a result (false when
-	// the candidate blew the window error budget, or crossed the distance
-	// bound past which the pipeline would discard it anyway).
+	// the candidate crossed the distance bound past which the pipeline
+	// would discard it anyway, or the alignment step failed).
 	AlignDone func(ok bool, d time.Duration)
 	// ReadDone runs once when a read finishes the whole pipeline, with
 	// the read's final counters (as in its Mapping: candidates

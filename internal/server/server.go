@@ -1118,7 +1118,7 @@ func (s *Server) checkSeq(w http.ResponseWriter, r *http.Request, field, seq str
 }
 
 // fail reports an alignment error. Most errors on that path derive from
-// the client's input (encode failures, empty patterns, window budget), so
+// the client's input (encode failures, empty patterns), so
 // they answer 400 — but a recovered panic answers 500 "panic", the
 // server's own deadline answers 504 "timeout", and client disconnects get
 // nothing (there is no one left to read it).
