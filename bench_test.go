@@ -120,10 +120,10 @@ func BenchmarkFig9LongReadAlignment(b *testing.B) {
 		region, read := benchCase(b, p, uint64(pi))
 		k := int(float64(p.ReadLen)*p.ErrorRate) + 8
 		b.Run("GenASM/"+p.Name, func(b *testing.B) {
-			ws := core.MustNew(core.Config{FindFirstWindowStart: true})
+			ws := core.MustNew(core.Config{})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ws.Align(region, read); err != nil {
+				if _, err := ws.AlignRegion(region, read, -1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -143,10 +143,10 @@ func BenchmarkFig10ShortReadAlignment(b *testing.B) {
 		region, read := benchCase(b, p, uint64(10+pi))
 		k := int(float64(p.ReadLen)*p.ErrorRate) + 8
 		b.Run("GenASM/"+p.Name, func(b *testing.B) {
-			ws := core.MustNew(core.Config{FindFirstWindowStart: true})
+			ws := core.MustNew(core.Config{})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ws.Align(region, read); err != nil {
+				if _, err := ws.AlignRegion(region, read, -1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -308,10 +308,10 @@ func BenchmarkAblationWindowing(b *testing.B) {
 		SubFrac: 0.25, InsFrac: 0.25, DelFrac: 0.50,
 	}, 99)
 	b.Run("Windowed", func(b *testing.B) {
-		ws := core.MustNew(core.Config{FindFirstWindowStart: true})
+		ws := core.MustNew(core.Config{})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ws.Align(region, read); err != nil {
+			if _, err := ws.AlignRegion(region, read, -1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -594,7 +594,7 @@ func BenchmarkAlignStream(b *testing.B) {
 // BenchmarkPublicAPI measures the letter-level public Align path on a
 // one-workspace Engine.
 func BenchmarkPublicAPI(b *testing.B) {
-	e, err := NewEngine(WithMaxWorkspaces(1), WithShards(1))
+	e, err := NewEngine(WithMaxWorkspaces(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -627,7 +627,7 @@ func BenchmarkPoolThroughput(b *testing.B) {
 
 	ctx := context.Background()
 	b.Run("Sequential", func(b *testing.B) {
-		e, err := NewEngine(WithMaxWorkspaces(1), WithShards(1))
+		e, err := NewEngine(WithMaxWorkspaces(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -640,7 +640,7 @@ func BenchmarkPoolThroughput(b *testing.B) {
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("Pool/workers=%d", workers), func(b *testing.B) {
-			e, err := NewEngine(WithMaxWorkspaces(workers), WithShards(workers))
+			e, err := NewEngine(WithMaxWorkspaces(workers))
 			if err != nil {
 				b.Fatal(err)
 			}

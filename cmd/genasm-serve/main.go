@@ -1,6 +1,6 @@
 // Command genasm-serve runs the GenASM alignment service: an HTTP JSON
-// API over one shared genasm.Engine (a sharded pool of reusable GenASM
-// workspaces).
+// API over one shared genasm.Engine (a capacity-bounded pool of reusable
+// GenASM workspaces).
 //
 //	genasm-serve -addr :8080 -workspaces 16 -queue 64
 //	genasm-serve -addr :8080 -ref ref.fasta   # preload /v1/map + /v1/map/stream reference
@@ -77,7 +77,6 @@ type options struct {
 	addr        string
 	opsAddr     string
 	workspaces  int
-	shards      int
 	queue       int
 	maxBody     int64
 	maxBatch    int
@@ -110,7 +109,6 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.logFormat, "log", "text", "structured log format: text, json or off")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log threshold: debug, info, warn or error (debug logs every request)")
 	fs.IntVar(&o.workspaces, "workspaces", 0, "max pooled workspaces (0 = 2x GOMAXPROCS)")
-	fs.IntVar(&o.shards, "shards", 0, "pool shards (0 = auto)")
 	fs.IntVar(&o.queue, "queue", 0, "admission queue depth (0 = 4x workspaces)")
 	fs.Int64Var(&o.maxBody, "max-body", 0, "max request body bytes (0 = 8 MiB)")
 	fs.IntVar(&o.maxBatch, "max-batch", 0, "max jobs per batch request (0 = 1024)")
@@ -119,7 +117,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.window, "window", 0, "alignment window size W (0 = 64)")
 	fs.IntVar(&o.overlap, "overlap", 0, "window overlap O (0 = 24)")
 	fs.StringVar(&o.alphabet, "alphabet", "DNA", "alphabet: DNA, RNA, protein or bytes")
-	fs.BoolVar(&o.searchStart, "search-start", false, "let alignments start at the best position in the first window")
+	fs.BoolVar(&o.searchStart, "search-start", false, "let semi-global alignments start at the best position in the first window")
 	fs.BoolVar(&o.gapsFirst, "gaps-first", false, "prefer gaps over substitutions during traceback")
 	fs.StringVar(&o.refPath, "ref", "", "optional FASTA reference to preload for /v1/map")
 	fs.StringVar(&o.refIndex, "ref-index", "", "prebuilt reference index file (genasm index build) to preload for /v1/map; mutually exclusive with -ref")
@@ -184,7 +182,6 @@ func buildServer(o options) (*server.Server, error) {
 			SearchStart:             o.searchStart,
 			GapsBeforeSubstitutions: o.gapsFirst,
 		}),
-		genasm.WithShards(o.shards),
 		genasm.WithMaxWorkspaces(o.workspaces),
 	)
 	if err != nil {

@@ -112,7 +112,7 @@ func firstRecord(path string) (seqio.Record, error) {
 // foldAmbiguous maps any non-ACGT letters (e.g. N) to deterministic bases
 // so the 2-bit public API accepts real-world records.
 func foldAmbiguous(letters []byte) []byte {
-	return alphabet.DNA.Decode(seq.EncodeRecord(seq.Record{Seq: letters}))
+	return alphabet.DNA.Decode(seq.EncodeRecord(letters))
 }
 
 func runAlign(ctx context.Context, args []string) error {
@@ -120,7 +120,7 @@ func runAlign(ctx context.Context, args []string) error {
 	text := fs.String("text", "", "reference text (sequence or FASTA file)")
 	query := fs.String("query", "", "query sequence (sequence or FASTA file)")
 	global := fs.Bool("global", false, "align end-to-end instead of semi-globally")
-	searchStart := fs.Bool("search-start", false, "let the alignment start at the best position in the first window")
+	searchStart := fs.Bool("search-start", false, "let a semi-global alignment start at the best position in the first window")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -11,8 +11,9 @@
 // Engine is the single front door to every use case the paper evaluates.
 // It is built once with NewEngine (functional options configure alphabet,
 // windowing and pool sizing), is safe for concurrent use by any number of
-// goroutines, and serves every call context-first: all alignment work
-// draws reusable workspaces from a sharded, capacity-bounded pool — the
+// goroutines, and serves every call context-first: all alignment work,
+// read mapping included, draws reusable workspaces from one
+// capacity-bounded pool — the
 // software analogue of the accelerator's one-GenASM-unit-per-vault layout
 // (Section 7) — and a context that ends while the pool is saturated
 // returns ctx.Err() promptly.
@@ -141,7 +142,7 @@
 //
 //	NewAligner(cfg), Aligner    ->  NewEngine(WithConfig(cfg))
 //	Aligner.Align(t, q)         ->  Engine.Align(ctx, t, q)
-//	NewPool(PoolConfig{...})    ->  NewEngine(WithConfig(...), WithShards(n), WithMaxWorkspaces(m))
+//	NewPool(PoolConfig{...})    ->  NewEngine(WithConfig(...), WithMaxWorkspaces(m))
 //	Pool.AlignContext(ctx,t,q)  ->  Engine.Align(ctx, t, q)
 //	DefaultPool(), Pool.Engine  ->  DefaultEngine()
 //	EditDistance(a, b)          ->  Engine.EditDistance(ctx, a, b)

@@ -40,10 +40,11 @@ func (e *AlphabetError) Unwrap() error { return e.Err }
 // alignment (AlignBatch) and read mapping (Map, NewMapper).
 //
 // An Engine is safe for concurrent use by any number of goroutines: all
-// alignment work draws reusable workspaces from a sharded, capacity-bounded
-// pool — the software analogue of the accelerator's fixed count of per-vault
-// GenASM units (Section 7). Every method takes a context and returns
-// ctx.Err() promptly when the context ends while the pool is saturated.
+// alignment work, read mapping included, draws reusable workspaces from
+// one capacity-bounded pool — the software analogue of the accelerator's
+// fixed count of per-vault GenASM units (Section 7). Every method takes a
+// context and returns ctx.Err() promptly when the context ends while the
+// pool is saturated.
 //
 // Build one with NewEngine and share it; the zero value is not usable.
 type Engine struct {
@@ -172,9 +173,12 @@ func (e *Engine) runEncoded(ctx context.Context, encText, encQuery []byte, globa
 		}
 		var aln core.Alignment
 		var alignErr error
-		if global {
+		switch {
+		case global:
 			aln, alignErr = ws.AlignGlobal(encText, encQuery)
-		} else {
+		case e.cfg.SearchStart:
+			aln, alignErr = ws.AlignRegion(encText, encQuery, -1)
+		default:
 			aln, alignErr = ws.Align(encText, encQuery)
 		}
 		if alignErr != nil {

@@ -52,7 +52,7 @@ func TestEngineMatchesAligner(t *testing.T) {
 		}
 	}
 
-	e := newTestEngine(t, WithMaxWorkspaces(3), WithShards(2))
+	e := newTestEngine(t, WithMaxWorkspaces(3))
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -83,7 +83,7 @@ func TestEngineMatchesAligner(t *testing.T) {
 // alignment and pins that a canceled context is reported promptly instead
 // of queueing behind the busy workspace.
 func TestEngineContextCancellation(t *testing.T) {
-	e := newTestEngine(t, WithMaxWorkspaces(1), WithShards(1))
+	e := newTestEngine(t, WithMaxWorkspaces(1))
 
 	// Occupy the only workspace with a slow alignment. Under heavy test
 	// parallelism the observer goroutine can be descheduled for longer
@@ -452,6 +452,84 @@ func TestEngineAlignBatch(t *testing.T) {
 	}
 	if st := e.Stats(); st.InFlight != 0 {
 		t.Errorf("in-flight=%d after batch, want 0", st.InFlight)
+	}
+}
+
+// TestSearchStartLeavesGlobalAnchored pins that SearchStart changes only
+// semi-global alignment: on a SearchStart engine, EditDistance,
+// AlignGlobal and global AlignBatch jobs equal the anchored engine's
+// results and start at the first text letter, while a semi-global
+// alignment of the same pair still skips the leading text.
+func TestSearchStartLeavesGlobalAnchored(t *testing.T) {
+	ctx := context.Background()
+	text, query := []byte("TTTTTTTTACGTACGTAC"), []byte("ACGTACGTAC")
+	anchored := newTestEngine(t)
+	search := newTestEngine(t, WithSearchStart(true))
+
+	want, err := anchored.AlignGlobal(ctx, text, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Distance != 8 || want.TextStart != 0 {
+		t.Fatalf("anchored AlignGlobal: distance %d from %d, want 8 from 0", want.Distance, want.TextStart)
+	}
+	if d, err := search.EditDistance(ctx, text, query); err != nil || d != want.Distance {
+		t.Errorf("SearchStart EditDistance = %d (%v), want %d", d, err, want.Distance)
+	}
+	same := func(a Alignment) bool {
+		return a.CIGAR == want.CIGAR && a.Distance == want.Distance && a.TextStart == want.TextStart && a.TextEnd == want.TextEnd
+	}
+	got, err := search.AlignGlobal(ctx, text, query)
+	if err != nil || !same(got) {
+		t.Errorf("SearchStart AlignGlobal = %+v (%v), want %+v", got, err, want)
+	}
+	res, err := search.AlignBatch(ctx, []BatchJob{
+		{Text: text, Query: query, Global: true},
+		{Text: text, Query: query},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil || !same(res[0].Alignment) {
+		t.Errorf("SearchStart global batch job = %+v, want %+v", res[0], want)
+	}
+	if semi := res[1].Alignment; res[1].Err != nil || semi.Distance != 0 || semi.TextStart != 8 {
+		t.Errorf("SearchStart semi-global batch job = %+v, want distance 0 from 8", res[1])
+	}
+}
+
+// TestMapperSharesEnginePool pins that a Mapper's alignment step draws
+// from its Engine's workspace pool: mapping moves the engine's pool
+// counters and never grows it past the engine's capacity.
+func TestMapperSharesEnginePool(t *testing.T) {
+	e := newTestEngine(t, WithMaxWorkspaces(1))
+	ref := make([]byte, 4096)
+	state := uint64(2030)
+	for i := range ref {
+		state = state*6364136223846793005 + 1442695040888963407
+		ref[i] = "ACGT"[state>>62]
+	}
+	m, err := e.NewMapper(ref, MapperConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	reads := []Read{{Name: "r0", Seq: ref[100:250]}, {Name: "r1", Seq: ref[2000:2150]}}
+	mappings, err := m.MapReads(context.Background(), reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mp := range mappings {
+		if !mp.Mapped {
+			t.Fatalf("read %s did not map", mp.Name)
+		}
+	}
+	after := e.Stats()
+	if got := (after.Hits + after.Misses) - (before.Hits + before.Misses); got < uint64(len(reads)) {
+		t.Errorf("engine pool served %d checkouts for %d mapped reads, want at least one each", got, len(reads))
+	}
+	if e.Capacity() != 1 || after.Capacity != 1 || after.InFlight != 0 {
+		t.Errorf("capacity %d (stats %d), in flight %d; want 1, 1, 0", e.Capacity(), after.Capacity, after.InFlight)
 	}
 }
 

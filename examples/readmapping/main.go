@@ -28,7 +28,7 @@ func main() {
 	genome := seq.Genome(rng, seq.DefaultGenomeConfig(500_000))
 	genomeLetters := alphabet.DNA.Decode(genome)
 
-	e, err := genasm.NewEngine(genasm.WithSearchStart(true))
+	e, err := genasm.NewEngine()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -66,10 +66,12 @@ type Config struct {
 	// parameters; zero values select the paper's W=64, O=24.
 	WindowSize int
 	Overlap    int
-	// SearchStart lets the alignment begin at the best matching position
-	// within the first window instead of exactly at the text start —
-	// the right setting when the text is a candidate region whose start
-	// is approximate.
+	// SearchStart lets semi-global alignments (Align, AlignBatch jobs
+	// without Global) begin at the best matching position within the
+	// first window instead of exactly at the text start — the right
+	// setting when the text is a candidate region whose start is
+	// approximate. Global alignment and EditDistance always start at the
+	// first text letter.
 	SearchStart bool
 	// GapsBeforeSubstitutions inverts the traceback preference order for
 	// scoring schemes where gaps are cheaper than substitutions
@@ -80,10 +82,9 @@ type Config struct {
 // coreConfig lowers the public Config to the internal core configuration.
 func (cfg Config) coreConfig() core.Config {
 	c := core.Config{
-		Alphabet:             cfg.Alphabet.impl(),
-		WindowSize:           cfg.WindowSize,
-		Overlap:              cfg.Overlap,
-		FindFirstWindowStart: cfg.SearchStart,
+		Alphabet:   cfg.Alphabet.impl(),
+		WindowSize: cfg.WindowSize,
+		Overlap:    cfg.Overlap,
 	}
 	if cfg.GapsBeforeSubstitutions {
 		c.Order = core.OrderGapFirst

@@ -16,7 +16,6 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"genasm/internal/core"
 	"genasm/internal/seq"
 	"genasm/internal/simulate"
 )
@@ -119,11 +118,6 @@ func timeIt(fn func() error) (time.Duration, error) {
 	start := time.Now()
 	err := fn()
 	return time.Since(start), err
-}
-
-// newGenASM builds the default GenASM workspace used by measured runs.
-func newGenASM() (*core.Workspace, error) {
-	return core.New(core.Config{FindFirstWindowStart: true})
 }
 
 // mutatePair returns a mutated copy of s with approximately the requested

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"genasm/internal/cigar"
+	"genasm/internal/core"
 	"genasm/internal/dp"
 	"genasm/internal/hw"
 	"genasm/internal/index"
@@ -79,12 +80,12 @@ func figAlignment(s Scale, title string, profiles []simulate.Profile, n int, pap
 		}
 		k := int(float64(p.ReadLen)*p.ErrorRate) + 8
 
-		ws, err := newGenASM()
+		ws, err := core.New(core.Config{})
 		if err != nil {
 			return nil, err
 		}
 		genasmTP, err := alignThroughput(cases, 1, func(c alignmentCase) error {
-			_, err := ws.Align(c.region, c.read)
+			_, err := ws.AlignRegion(c.region, c.read, -1)
 			return err
 		})
 		if err != nil {
@@ -216,14 +217,14 @@ func Accuracy(s Scale) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ws, err := newGenASM()
+		ws, err := core.New(core.Config{})
 		if err != nil {
 			return nil, err
 		}
 		band := int(float64(r.p.ReadLen)*r.p.ErrorRate) + 200
 		equal, within := 0, 0
 		for _, c := range cases {
-			aln, err := ws.Align(c.region, c.read)
+			aln, err := ws.AlignRegion(c.region, c.read, -1)
 			if err != nil {
 				return nil, err
 			}

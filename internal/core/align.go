@@ -15,28 +15,34 @@ import (
 // traceback; the partial outputs are merged into the complete CIGAR
 // (Figure 4, steps 3-7).
 //
-// The alignment is semi-global: the pattern is consumed in full, the text
-// may end early (TextEnd marks the consumed extent). With
-// Config.FindFirstWindowStart the alignment may also skip leading text
-// (TextStart). Use AlignGlobal for end-to-end edit distance.
+// The alignment is semi-global and anchored: the pattern is consumed in
+// full from text position 0, and the text may end early (TextEnd marks the
+// consumed extent). Use AlignRegion to let the alignment skip leading
+// text, and AlignGlobal for end-to-end edit distance.
 //
 // The result's Cigar views the workspace's reusable arena and is
 // invalidated by the next call on this workspace; Clone the alignment to
 // retain it (see Alignment.Cigar).
 func (w *Workspace) Align(text, pattern []byte) (Alignment, error) {
-	return w.align(text, pattern, false, -1)
+	return w.align(text, pattern, false, false, -1)
 }
 
-// AlignWithin is Align with a distance bound: it returns exactly what Align
-// returns when that alignment's Distance is at most maxDist, and
-// ErrDistanceBound otherwise. The bound is checked after every window:
-// once the edits committed by finished windows exceed maxDist the call
-// stops, since later windows only append to the CIGAR. This is the
+// AlignRegion aligns a read against a candidate region whose start is
+// approximate. The first window's DC runs in search mode: the traceback
+// starts at the minimum-distance matching location within the window
+// rather than at region position 0, skipping leading text for free
+// (TextStart). This reproduces the paper's leading-deletion quirk
+// (Section 10.3, footnote 4).
+//
+// maxDist bounds the distance: the call returns ErrDistanceBound when the
+// alignment's Distance exceeds it. The bound is checked after every
+// window: once the edits committed by finished windows exceed maxDist the
+// call stops, since later windows only append to the CIGAR. This is the
 // branch-and-bound of read mapping — a candidate that cannot beat the
 // mapper's acceptance bound costs a few windows instead of a full
 // alignment. A negative maxDist means no bound.
-func (w *Workspace) AlignWithin(text, pattern []byte, maxDist int) (Alignment, error) {
-	return w.align(text, pattern, false, maxDist)
+func (w *Workspace) AlignRegion(region, read []byte, maxDist int) (Alignment, error) {
+	return w.align(region, read, false, true, maxDist)
 }
 
 // validateCodes checks that every byte is a dense code of the configured
@@ -66,7 +72,7 @@ func (w *Workspace) validateCodes(s []byte) error {
 // pattern into the whole text and Distance is a (tight, see package tests)
 // upper bound on the Levenshtein distance.
 func (w *Workspace) AlignGlobal(text, pattern []byte) (Alignment, error) {
-	return w.align(text, pattern, true, -1)
+	return w.align(text, pattern, true, false, -1)
 }
 
 // EditDistance returns the edit distance computed by a global alignment.
@@ -80,9 +86,10 @@ func (w *Workspace) EditDistance(a, b []byte) (int, error) {
 	return aln.Distance, nil
 }
 
-// align is the one alignment loop behind Align, AlignWithin and
-// AlignGlobal; maxDist < 0 disables the distance bound.
-func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Alignment, error) {
+// align is the one alignment loop behind Align, AlignRegion and
+// AlignGlobal; search runs the first window in search mode, and
+// maxDist < 0 disables the distance bound.
+func (w *Workspace) align(text, pattern []byte, global, search bool, maxDist int) (Alignment, error) {
 	// Drop the window-text reference when done so a pooled idle workspace
 	// does not pin the caller's (encoded) text until its next alignment.
 	defer func() { w.scanText = nil }()
@@ -106,7 +113,6 @@ func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Align
 	curPattern, curText := 0, 0
 	textStart := 0
 	windows := 0
-	firstWindow := true
 	// committed counts the edits of finished non-terminal windows. Those
 	// windows run without phantom padding, so every error their traceback
 	// uses is an op in the builder, and later windows only append.
@@ -120,7 +126,6 @@ func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Align
 		nt := min(W, len(text)-curText)
 		final := mp == len(pattern)-curPattern
 
-		search := firstWindow && w.cfg.FindFirstWindowStart
 		if search && !final {
 			// The search window spans 2W text letters: a start up to W
 			// letters in still leaves room for the window's W pattern
@@ -160,7 +165,7 @@ func (w *Workspace) align(text, pattern []byte, global bool, maxDist int) (Align
 		}
 		curPattern += tb.patternConsumed
 		curText += res.loc + tb.textConsumed
-		firstWindow = false
+		search = false // only the first window searches
 		if !terminal {
 			committed += tb.errorsUsed
 			if maxDist >= 0 && committed > maxDist {

@@ -44,7 +44,8 @@ func checkBound(t *testing.T, got Alignment, gotErr error, want Alignment, wantE
 }
 
 // TestDistanceBoundContract pins the bounded alignment loop on both
-// walkers across sweepConfigs, in semi-global and global mode: at bounds
+// walkers across sweepConfigs, in semi-global and global mode (semi-global
+// trials of a search case search the first window): at bounds
 // -1, 0, d-1, d, d+1 and 4d (d the unbounded distance) the result is the
 // unbounded alignment exactly when d is within the bound and
 // ErrDistanceBound otherwise. The bounded workspace runs the aborting
@@ -69,12 +70,13 @@ func TestDistanceBoundContract(t *testing.T) {
 				for trial := 0; trial < 25; trial++ {
 					text, pattern := sweepPair(rng, size, trial, c.k)
 					global := trial%2 == 0
+					search := c.search && !global
 					label := fmt.Sprintf("%s generic=%v trial %d global=%v", c.name, generic, trial, global)
-					want, wantErr := newWS().align(text, pattern, global, -1)
+					want, wantErr := newWS().align(text, pattern, global, search, -1)
 					want = want.Clone()
 					d := want.Distance
 					for _, maxDist := range []int{-1, d, d + 1, 4 * d, 0, d - 1} {
-						got, err := ws.align(text, pattern, global, maxDist)
+						got, err := ws.align(text, pattern, global, search, maxDist)
 						checkBound(t, got, err, want, wantErr, maxDist, label)
 					}
 					if t.Failed() {
@@ -99,17 +101,17 @@ func (c *windowCounter) Err() error {
 	return nil
 }
 
-// TestAlignWithinStopsEarly checks that a candidate far past the bound is
+// TestAlignRegionStopsEarly checks that a candidate far past the bound is
 // rejected after a few windows: an unrelated 2 kbp pair commits a couple
 // of dozen edits per window, so a bound of 40 is crossed within the first
 // few of the ~50 windows a full alignment runs.
-func TestAlignWithinStopsEarly(t *testing.T) {
+func TestAlignRegionStopsEarly(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 1))
 	text, pattern := randSeq(rng, 2100), randSeq(rng, 2000)
-	ws := mustWS(t, Config{FindFirstWindowStart: true})
+	ws := mustWS(t, Config{})
 	wc := &windowCounter{Context: context.Background()}
 	ws.SetContext(wc)
-	full, err := ws.Align(text, pattern)
+	full, err := ws.AlignRegion(text, pattern, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +119,8 @@ func TestAlignWithinStopsEarly(t *testing.T) {
 		t.Fatalf("unrelated pair: distance %d, %d polls for %d windows", full.Distance, wc.polls, full.Windows)
 	}
 	wc.polls = 0
-	if _, err := ws.AlignWithin(text, pattern, 40); err != ErrDistanceBound {
-		t.Fatalf("AlignWithin(40) = %v, want ErrDistanceBound", err)
+	if _, err := ws.AlignRegion(text, pattern, 40); err != ErrDistanceBound {
+		t.Fatalf("AlignRegion(40) = %v, want ErrDistanceBound", err)
 	}
 	if wc.polls > 4 {
 		t.Fatalf("bounded call ran %d of %d windows, want at most 4", wc.polls, full.Windows)
@@ -127,15 +129,17 @@ func TestAlignWithinStopsEarly(t *testing.T) {
 
 // FuzzAlign checks the GenASM pipeline against the dp oracle over window
 // geometry, traceback order, search mode and distance bound. Input bytes
-// map to DNA codes by their low two bits. For every input the unbounded
-// alignment's CIGAR must consume the whole pattern and exactly
+// map to DNA codes by their low two bits; mode picks the order (mode%3)
+// and search (mode&4), which is passed per call to align, so anchored and
+// search-mode alignments run bounded and unbounded. For every input the
+// unbounded alignment's CIGAR must consume the whole pattern and exactly
 // TextEnd-TextStart text letters, its edit count must equal Distance,
 // Distance must be at least the dp semi-global (fit) optimum, and
 // TextStart must lie in the text; the bounded call must obey the
-// AlignWithin contract; and the workspace that ran it, reused across
-// inputs of the same configuration, must then align exactly as a fresh
-// workspace running the generic walker, which puts the single-word fast
-// walker against the generic one.
+// distance-bound contract of AlignRegion; and the workspace that ran it,
+// reused across inputs of the same configuration, must then align exactly
+// as a fresh workspace running the generic walker, which puts the
+// single-word fast walker against the generic one.
 func FuzzAlign(f *testing.F) {
 	// Reusing one workspace per configuration keeps an input's cost to
 	// the alignments themselves; the cache is bounded because every
@@ -155,11 +159,12 @@ func FuzzAlign(f *testing.F) {
 		}
 		W := 2 + int(win)%127
 		cfg := Config{
-			WindowSize:           W,
-			Overlap:              int(ov) % W,
-			Order:                Order(mode % 3),
-			FindFirstWindowStart: mode&4 != 0,
+			WindowSize: W,
+			Overlap:    int(ov) % W,
+			Order:      Order(mode % 3),
 		}
+		search := mode&4 != 0
+		label := fmt.Sprintf("%+v search=%v", cfg, search)
 		maxDist := int(maxDistIn)
 		if maxDist >= 0 {
 			maxDist %= 2*len(pattern) + 2
@@ -176,48 +181,48 @@ func FuzzAlign(f *testing.F) {
 			}
 			reused[cfg] = ws
 		}
-		got, gotErr := ws.AlignWithin(text, pattern, maxDist)
+		got, gotErr := ws.align(text, pattern, false, search, maxDist)
 		got = got.Clone()
-		want, err := ws.Align(text, pattern)
+		want, err := ws.align(text, pattern, false, search, -1)
 		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		generic := mustWS(t, cfg)
 		generic.fast = false
-		other, err := generic.Align(text, pattern)
+		other, err := generic.align(text, pattern, false, search, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameAlignment(want, other) {
-			t.Fatalf("%+v: after AlignWithin(%d) the reused workspace (fast=%v) aligned %+v (%s), a fresh generic-walker one %+v (%s)",
-				cfg, maxDist, ws.fast, want, want.Cigar, other, other.Cigar)
+			t.Fatalf("%s: after the bounded call (%d) the reused workspace (fast=%v) aligned %+v (%s), a fresh generic-walker one %+v (%s)",
+				label, maxDist, ws.fast, want, want.Cigar, other, other.Cigar)
 		}
-		checkBound(t, got, gotErr, want, nil, maxDist, fmt.Sprintf("%+v", cfg))
+		checkBound(t, got, gotErr, want, nil, maxDist, label)
 
 		if q := want.Cigar.QueryLen(); q != len(pattern) {
-			t.Fatalf("%+v: CIGAR %s consumes %d of %d pattern letters", cfg, want.Cigar, q, len(pattern))
+			t.Fatalf("%s: CIGAR %s consumes %d of %d pattern letters", label, want.Cigar, q, len(pattern))
 		}
 		if want.TextStart < 0 || want.TextStart > want.TextEnd || want.TextEnd > len(text) {
-			t.Fatalf("%+v: text span [%d, %d) outside [0, %d]", cfg, want.TextStart, want.TextEnd, len(text))
+			t.Fatalf("%s: text span [%d, %d) outside [0, %d]", label, want.TextStart, want.TextEnd, len(text))
 		}
 		if tl := want.Cigar.TextLen(); tl != want.TextEnd-want.TextStart {
-			t.Fatalf("%+v: CIGAR %s consumes %d text letters, span is [%d, %d)", cfg, want.Cigar, tl, want.TextStart, want.TextEnd)
+			t.Fatalf("%s: CIGAR %s consumes %d text letters, span is [%d, %d)", label, want.Cigar, tl, want.TextStart, want.TextEnd)
 		}
 		if e := want.Cigar.EditDistance(); e != want.Distance {
-			t.Fatalf("%+v: CIGAR has %d edits, Distance %d", cfg, e, want.Distance)
+			t.Fatalf("%s: CIGAR has %d edits, Distance %d", label, e, want.Distance)
 		}
 		if opt := -dp.Align(text, pattern, cigar.Unit, dp.Fit, 0).Score; want.Distance < opt {
-			t.Fatalf("%+v: distance %d below the dp optimum %d", cfg, want.Distance, opt)
+			t.Fatalf("%s: distance %d below the dp optimum %d", label, want.Distance, opt)
 		}
 	})
 }
 
-// BenchmarkAlignWithin is the unit-level view of the mapper's distance
+// BenchmarkAlignRegion is the unit-level view of the mapper's distance
 // bound: a 10 kbp read at 10% error aligned in the mapper's geometry (16
 // leading and maxEdits+16 trailing bases, search-mode first window)
 // against its true region and against an unrelated one, with no bound
 // and with the mapper's acceptance bound 2*maxEdits+8.
-func BenchmarkAlignWithin(b *testing.B) {
+func BenchmarkAlignRegion(b *testing.B) {
 	const readLen = 10_000
 	maxEdits := readLen/10 + 4
 	bound := 2*maxEdits + 8
@@ -232,7 +237,7 @@ func BenchmarkAlignWithin(b *testing.B) {
 		{"true", trueRegion},
 		{"unrelated", randSeq(rng, regionLen)},
 	}
-	ws := mustWS(b, Config{FindFirstWindowStart: true})
+	ws := mustWS(b, Config{})
 	for _, r := range regions {
 		for _, maxDist := range []int{-1, bound} {
 			name := fmt.Sprintf("%s/unbounded", r.name)
@@ -242,7 +247,7 @@ func BenchmarkAlignWithin(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for range b.N {
-					if _, err := ws.AlignWithin(r.region, read, maxDist); err != nil && err != ErrDistanceBound {
+					if _, err := ws.AlignRegion(r.region, read, maxDist); err != nil && err != ErrDistanceBound {
 						b.Fatal(err)
 					}
 				}

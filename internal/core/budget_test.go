@@ -21,9 +21,10 @@ import (
 // cap used to have.)
 func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 	type cfgCase struct {
-		name string
-		cfg  Config
-		k    int
+		name   string
+		cfg    Config
+		k      int
+		search bool
 	}
 	var cases []cfgCase
 	for _, a := range []*alphabet.Alphabet{alphabet.DNA, alphabet.Protein} {
@@ -41,10 +42,10 @@ func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 		}
 	}
 	cases = append(cases,
-		cfgCase{"dna/full-budget", Config{}, DefaultWindowSize},
-		cfgCase{"dna/k6-search", Config{FindFirstWindowStart: true}, 6},
-		cfgCase{"dna/k4-gapfirst", Config{Order: OrderGapFirst}, 4},
-		cfgCase{"dna/k4-multiword", Config{WindowSize: 128, Overlap: 48}, 24},
+		cfgCase{"dna/full-budget", Config{}, DefaultWindowSize, false},
+		cfgCase{"dna/k6-search", Config{}, 6, true},
+		cfgCase{"dna/k4-gapfirst", Config{Order: OrderGapFirst}, 4, false},
+		cfgCase{"dna/k4-multiword", Config{WindowSize: 128, Overlap: 48}, 24, false},
 	)
 
 	for ci, c := range cases {
@@ -74,7 +75,7 @@ func TestEarlyTerminationDifferentialSweep(t *testing.T) {
 					continue
 				}
 				label := fmt.Sprintf("%s trial %d", c.name, trial)
-				diffAlign(t, s, b, text, pattern, trial%2 == 0, label)
+				diffAlign(t, s, b, text, pattern, trial%2 == 0, c.search, label)
 			}
 		})
 	}
@@ -92,7 +93,7 @@ func TestEarlyTerminationQuick(t *testing.T) {
 			if len(pattern) == 0 {
 				return true
 			}
-			diffAlign(t, s, b, text, pattern, global, fmt.Sprintf("global=%v", global))
+			diffAlign(t, s, b, text, pattern, global, false, fmt.Sprintf("global=%v", global))
 			return !t.Failed()
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {

@@ -70,13 +70,6 @@ type Config struct {
 	// Order is the preferred traceback priority of the error cases (it is
 	// tried first and wins ties during per-window order selection).
 	Order Order
-	// FindFirstWindowStart runs the first window's DC in search mode: the
-	// traceback starts at the minimum-distance matching location within
-	// the window rather than at text position 0, skipping leading text
-	// for free. This reproduces the paper's leading-deletion quirk
-	// (Section 10.3, footnote 4) and suits read alignment where the
-	// candidate region start is approximate.
-	FindFirstWindowStart bool
 }
 
 func (c Config) withDefaults() Config {
@@ -102,7 +95,7 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ErrDistanceBound is returned by AlignWithin when the alignment's
+// ErrDistanceBound is returned by AlignRegion when the alignment's
 // distance exceeds the caller's bound. It is returned bare (never
 // wrapped), so the rejection path allocates nothing.
 var ErrDistanceBound = errors.New("core: alignment distance exceeds bound")
@@ -112,7 +105,7 @@ type Alignment struct {
 	// Cigar is the traceback output (Section 6), query-vs-text.
 	//
 	// Alignments produced by a Workspace view the workspace's CIGAR arena:
-	// Cigar stays valid only until the next Align, AlignWithin,
+	// Cigar stays valid only until the next Align, AlignRegion,
 	// AlignGlobal or EditDistance call on the same workspace — the
 	// software analogue of reading a result out of the accelerator's
 	// output SRAM before the next launch overwrites it. Callers that
@@ -124,7 +117,7 @@ type Alignment struct {
 	// Distance is the number of edit operations in Cigar.
 	Distance int
 	// TextStart is the text offset where the alignment begins (non-zero
-	// only with FindFirstWindowStart).
+	// only from AlignRegion).
 	TextStart int
 	// TextEnd is the exclusive text offset where the alignment ends.
 	TextEnd int

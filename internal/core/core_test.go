@@ -158,17 +158,8 @@ func TestLeadingDeletionQuirk(t *testing.T) {
 	pattern := enc("ACGTACGTACGT")
 	text := append(enc("G"), pattern...) // one leading text char to delete
 
-	anchored := mustWS(t, Config{})
-	alnA, err := anchored.AlignGlobal(text, pattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alnA.Distance != 1 {
-		t.Fatalf("anchored distance = %d, want 1", alnA.Distance)
-	}
-
-	search := mustWS(t, Config{FindFirstWindowStart: true})
-	alnS, err := search.Align(text, pattern)
+	ws := mustWS(t, Config{})
+	alnS, err := ws.AlignRegion(text, pattern, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +168,16 @@ func TestLeadingDeletionQuirk(t *testing.T) {
 	}
 	if alnS.TextStart != 1 {
 		t.Fatalf("TextStart = %d, want 1", alnS.TextStart)
+	}
+
+	// Search is a per-call mode: the same workspace aligns globally from
+	// the first text letter, charging the leading deletion.
+	alnG, err := ws.AlignGlobal(text, pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alnG.Distance != 1 || alnG.TextStart != 0 {
+		t.Fatalf("global distance %d from %d, want 1 from 0", alnG.Distance, alnG.TextStart)
 	}
 }
 
@@ -523,7 +524,7 @@ func TestValidateCodesEveryByte(t *testing.T) {
 // align at the dp fit optimum, from the true start.
 func TestSearchWindowFindsLateStart(t *testing.T) {
 	rng := rand.New(rand.NewPCG(28, 1))
-	ws := mustWS(t, Config{FindFirstWindowStart: true})
+	ws := mustWS(t, Config{})
 	for lead := 23; lead <= 34; lead++ {
 		ref := randSeq(rng, 400)
 		text := append(randSeq(rng, lead), ref...)
@@ -534,7 +535,7 @@ func TestSearchWindowFindsLateStart(t *testing.T) {
 		for i := 40; i < len(pattern); i += 37 {
 			pattern[i] = (pattern[i] + 1) % 4
 		}
-		aln, err := ws.Align(text, pattern)
+		aln, err := ws.AlignRegion(text, pattern, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,16 +20,20 @@ func walkerPair(t testing.TB, cfg Config) (fast, generic *Workspace) {
 }
 
 // diffAlign aligns the pair on both walkers and fails on any error or any
-// divergence in CIGAR, distance or text span. No valid pair may fail:
-// every window has a distance (level mp always matches, see
+// divergence in CIGAR, distance or text span. A global pair runs
+// AlignGlobal; otherwise search picks AlignRegion over Align. No valid
+// pair may fail: every window has a distance (level mp always matches, see
 // dcScanScrooge), so an error means a broken invariant. The single-word
 // walker must be bit-exact against the generic one, whose edge queries
 // the window oracle in dc_test.go pins to the paper's per-edge stores.
-func diffAlign(t *testing.T, fast, generic *Workspace, text, pattern []byte, global bool, label string) {
+func diffAlign(t *testing.T, fast, generic *Workspace, text, pattern []byte, global, search bool, label string) {
 	t.Helper()
 	align := func(w *Workspace) (Alignment, error) {
-		if global {
+		switch {
+		case global:
 			return w.AlignGlobal(text, pattern)
+		case search:
+			return w.AlignRegion(text, pattern, -1)
 		}
 		return w.Align(text, pattern)
 	}
@@ -57,7 +61,7 @@ func TestKernelEquivalenceQuick(t *testing.T) {
 			if len(pattern) == 0 {
 				return true
 			}
-			diffAlign(t, s, b, text, pattern, global, fmt.Sprintf("global=%v", global))
+			diffAlign(t, s, b, text, pattern, global, false, fmt.Sprintf("global=%v", global))
 			return !t.Failed()
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
@@ -67,11 +71,13 @@ func TestKernelEquivalenceQuick(t *testing.T) {
 }
 
 // sweepCase is one configuration of the kernel sweep. A case with k > 0
-// draws its related pairs with at most k edits (see sweepPair).
+// draws its related pairs with at most k edits (see sweepPair); a search
+// case runs its semi-global pairs with a search-mode first window.
 type sweepCase struct {
-	name string
-	cfg  Config
-	k    int
+	name   string
+	cfg    Config
+	k      int
+	search bool
 }
 
 // sweepConfigs is the configuration space both walkers must agree across:
@@ -93,12 +99,12 @@ func sweepConfigs() []sweepCase {
 		}
 	}
 	cases = append(cases,
-		sweepCase{"dna/search", Config{FindFirstWindowStart: true}, 0},
-		sweepCase{"dna/k8", Config{}, 8},
-		sweepCase{"dna/k16-W32", Config{WindowSize: 32, Overlap: 8}, 16},
-		sweepCase{"dna/k4-budget", Config{}, 4},
-		sweepCase{"dna/gapfirst", Config{Order: OrderGapFirst}, 0},
-		sweepCase{"dna/delfirst", Config{Order: OrderDelFirst}, 0},
+		sweepCase{"dna/search", Config{}, 0, true},
+		sweepCase{"dna/k8", Config{}, 8, false},
+		sweepCase{"dna/k16-W32", Config{WindowSize: 32, Overlap: 8}, 16, false},
+		sweepCase{"dna/k4-budget", Config{}, 4, false},
+		sweepCase{"dna/gapfirst", Config{Order: OrderGapFirst}, 0, false},
+		sweepCase{"dna/delfirst", Config{Order: OrderDelFirst}, 0, false},
 	)
 	return cases
 }
@@ -145,7 +151,7 @@ func TestKernelEquivalenceConfigSweep(t *testing.T) {
 			for trial := 0; trial < 25; trial++ {
 				text, pattern := sweepPair(rng, size, trial, c.k)
 				label := fmt.Sprintf("%s trial %d", c.name, trial)
-				diffAlign(t, s, b, text, pattern, trial%2 == 0, label)
+				diffAlign(t, s, b, text, pattern, trial%2 == 0, c.search, label)
 				if t.Failed() {
 					t.Logf("text=%v pattern=%v", text, pattern)
 					return
@@ -200,8 +206,8 @@ func TestKernelEquivalenceEdgeShapes(t *testing.T) {
 		if len(pattern) == 0 {
 			pattern = []byte{0}
 		}
-		diffAlign(t, s, b, text, pattern, true, fmt.Sprintf("shape %d (nt=%d mp=%d)", si, sh.nt, sh.mp))
-		diffAlign(t, s, b, text, pattern, false, fmt.Sprintf("shape %d semi (nt=%d mp=%d)", si, sh.nt, sh.mp))
+		diffAlign(t, s, b, text, pattern, true, false, fmt.Sprintf("shape %d (nt=%d mp=%d)", si, sh.nt, sh.mp))
+		diffAlign(t, s, b, text, pattern, false, false, fmt.Sprintf("shape %d semi (nt=%d mp=%d)", si, sh.nt, sh.mp))
 	}
 }
 

@@ -56,14 +56,14 @@ func TestQuickGlobalAlignmentInvariants(t *testing.T) {
 // TestQuickSemiGlobalInvariants checks the semi-global mode: the query is
 // always fully consumed and the consumed text span matches TextEnd.
 func TestQuickSemiGlobalInvariants(t *testing.T) {
-	w := mustWS(t, Config{FindFirstWindowStart: true})
+	w := mustWS(t, Config{})
 	prop := func(rawText, rawPattern []byte) bool {
 		text := quickSeqs(rawText, 400)
 		pattern := quickSeqs(rawPattern, 200)
 		if len(pattern) == 0 {
 			return true
 		}
-		aln, err := w.Align(text, pattern)
+		aln, err := w.AlignRegion(text, pattern, -1)
 		if err != nil {
 			return false
 		}

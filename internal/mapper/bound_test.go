@@ -73,7 +73,7 @@ func checkBounds(t *testing.T, read int, calls []boundCall, rejectAbove int) (fr
 // weak forward-strand hits are no longer among them: MapRead tries the
 // stronger reverse-strand candidate first and stops there.
 func TestDistanceBoundKeepsMappings(t *testing.T) {
-	p, err := pool.New(pool.Config{Core: core.Config{FindFirstWindowStart: true}})
+	p, err := pool.New(pool.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,22 +41,22 @@ type Aligner interface {
 
 // PoolAligner is the GenASM alignment step: each candidate draws a
 // workspace from a pool, so one Mapper is safe for concurrent use and a
-// saturated pool returns ctx.Err() instead of blocking forever. The pool's
-// workspaces must search for the alignment start within the first window
-// (core.Config.FindFirstWindowStart), since candidate regions carry
-// leading slack for anchor imprecision.
+// saturated pool returns ctx.Err() instead of blocking forever. Any pool
+// of the reference alphabet serves: the search for the alignment start
+// within the first window, which candidate regions need for their leading
+// anchor slack, is a per-call mode of core's AlignRegion.
 type PoolAligner struct {
 	Pool *pool.Pool
 }
 
-// AlignRegionInto implements Aligner with core's AlignWithin, which stops
+// AlignRegionInto implements Aligner with core's AlignRegion, which stops
 // a candidate as soon as its committed edits cross maxDist. The arena
 // CIGAR is copied into buf while the workspace is still checked out, so
 // the per-candidate alignment step allocates nothing.
 func (a PoolAligner) AlignRegionInto(ctx context.Context, region, read []byte, maxDist int, buf cigar.Cigar) (cigar.Cigar, int, error) {
 	var start int
 	err := a.Pool.Do(ctx, func(ws *core.Workspace) error {
-		aln, err := ws.AlignWithin(region, read, maxDist)
+		aln, err := ws.AlignRegion(region, read, maxDist)
 		if err != nil {
 			return err
 		}
@@ -195,7 +195,7 @@ func New(idx *index.Index, cfg Config) (*Mapper, error) {
 		cfg.ErrorRate = 0.10
 	}
 	if cfg.Aligner == nil {
-		p, err := pool.New(pool.Config{Core: core.Config{FindFirstWindowStart: true}})
+		p, err := pool.New(pool.Config{})
 		if err != nil {
 			return nil, err
 		}

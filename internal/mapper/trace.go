@@ -14,6 +14,10 @@ import "time"
 // they may be called concurrently from many goroutines when the Mapper
 // is shared, so implementations must be concurrency-safe (e.g. atomic
 // metric updates). Hooks must not retain their arguments past the call.
+// The traced hot path performs no additional allocations, so production
+// metrics can stay attached without disturbing the pipeline's allocation
+// budgets. The Mapper keeps the pointer, so set the hooks before mapping
+// and leave them unchanged.
 type Trace struct {
 	// SeedingDone runs after the seeding step of one strand scan: seeds
 	// is the total number of seed hits voting for the returned candidate

@@ -1,16 +1,14 @@
-// Package pool provides a concurrency-safe, sharded pool of reusable
+// Package pool provides a concurrency-safe pool of reusable
 // GenASM workspaces — the software analogue of the accelerator's layout of
 // one independent GenASM unit per memory vault (Section 7), where the
 // number of units bounds concurrency and each unit's SRAMs are reused
 // across alignments rather than reallocated.
 //
 // A Pool holds up to Config.MaxWorkspaces live core.Workspaces, grown
-// lazily as demand appears. Free workspaces are kept on per-shard free
-// lists so that concurrent Get/Put traffic does not serialize on a single
-// lock; a Get that finds its shard empty steals from the others before
-// creating a new workspace. When every workspace is in flight, Get blocks
-// until one is returned (callers that need to give up early use
-// GetContext).
+// lazily as demand appears. Idle workspaces are kept on one LIFO free
+// list, so a single caller keeps reusing its warm workspace. When every
+// workspace is in flight, Get blocks until one is returned (callers that
+// need to give up early use GetContext).
 package pool
 
 import (
@@ -29,10 +27,6 @@ type Config struct {
 	// Core is the workspace configuration shared by every pooled
 	// workspace. The zero value is the paper's default setup.
 	Core core.Config
-	// Shards is the number of independent free lists. More shards reduce
-	// lock contention under concurrent Get/Put traffic. Defaults to
-	// GOMAXPROCS, capped at 16; never exceeds MaxWorkspaces.
-	Shards int
 	// MaxWorkspaces caps the number of live workspaces — the software
 	// analogue of the accelerator's vault count. Get blocks once the cap
 	// is reached and every workspace is in flight. Defaults to
@@ -44,23 +38,19 @@ func (c Config) withDefaults() Config {
 	if c.MaxWorkspaces <= 0 {
 		c.MaxWorkspaces = 2 * runtime.GOMAXPROCS(0)
 	}
-	if c.Shards <= 0 {
-		c.Shards = min(runtime.GOMAXPROCS(0), 16)
-	}
-	c.Shards = min(c.Shards, c.MaxWorkspaces)
 	return c
 }
 
 // Stats is a point-in-time snapshot of pool activity. The JSON names
 // match the server's /v1/stats snake_case convention.
 type Stats struct {
-	// Hits counts Gets served from a free list.
+	// Hits counts Gets served from the free list.
 	Hits uint64 `json:"hits"`
 	// Misses counts Gets that had to create a workspace.
 	Misses uint64 `json:"misses"`
 	// InFlight is the number of workspaces currently checked out.
 	InFlight int `json:"in_flight"`
-	// Idle is the number of workspaces currently on free lists.
+	// Idle is the number of workspaces currently on the free list.
 	Idle int `json:"idle"`
 	// Capacity is the configured MaxWorkspaces.
 	Capacity int `json:"capacity"`
@@ -75,26 +65,20 @@ type Stats struct {
 	Quarantined uint64 `json:"quarantined,omitempty"`
 }
 
-// shard is one free list. The padding keeps adjacent shards on separate
-// cache lines so their locks do not false-share.
-type shard struct {
-	mu   sync.Mutex
-	free []*core.Workspace
-	_    [32]byte
-}
-
-// Pool is a sharded pool of workspaces. The zero value is not usable;
-// construct with New.
+// Pool is a pool of workspaces. The zero value is not usable; construct
+// with New.
 type Pool struct {
-	cfg         Config
-	shards      []shard
-	maxPerShard int
-	wsBytes     int
+	cfg     Config
+	wsBytes int
 	// tokens holds one token per workspace the pool may still hand out;
 	// acquiring a token on Get and releasing it on Put is what bounds the
 	// live-workspace count and blocks Get at the cap.
-	tokens      chan struct{}
-	next        atomic.Uint32
+	tokens chan struct{}
+	// mu guards free, the idle workspaces. It is a LIFO stack so that a
+	// lone caller keeps getting back the workspace it just returned, with
+	// its scratch memory still warm in cache.
+	mu          sync.Mutex
+	free        []*core.Workspace
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	inUse       atomic.Int64
@@ -111,16 +95,14 @@ func New(cfg Config) (*Pool, error) {
 		return nil, err
 	}
 	p := &Pool{
-		cfg:         cfg,
-		shards:      make([]shard, cfg.Shards),
-		maxPerShard: (cfg.MaxWorkspaces + cfg.Shards - 1) / cfg.Shards,
-		wsBytes:     ws.FootprintBytes(),
-		tokens:      make(chan struct{}, cfg.MaxWorkspaces),
+		cfg:     cfg,
+		wsBytes: ws.FootprintBytes(),
+		tokens:  make(chan struct{}, cfg.MaxWorkspaces),
+		free:    []*core.Workspace{ws},
 	}
 	for range cfg.MaxWorkspaces {
 		p.tokens <- struct{}{}
 	}
-	p.shards[0].free = append(p.shards[0].free, ws)
 	return p, nil
 }
 
@@ -147,20 +129,16 @@ func (p *Pool) GetContext(ctx context.Context) (*core.Workspace, error) {
 		}
 	}
 	p.inUse.Add(1)
-	start := int(p.next.Add(1)-1) % len(p.shards)
-	for i := range p.shards {
-		s := &p.shards[(start+i)%len(p.shards)]
-		s.mu.Lock()
-		if n := len(s.free); n > 0 {
-			ws := s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
-			s.mu.Unlock()
-			p.hits.Add(1)
-			return ws, nil
-		}
-		s.mu.Unlock()
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		ws := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		p.hits.Add(1)
+		return ws, nil
 	}
+	p.mu.Unlock()
 	// Lazy growth: holding a token guarantees the live count is below the
 	// cap, and New validated the configuration, so this cannot fail.
 	p.misses.Add(1)
@@ -173,21 +151,15 @@ func (p *Pool) Put(ws *core.Workspace) {
 	if ws == nil {
 		return
 	}
-	s := &p.shards[int(p.next.Add(1)-1)%len(p.shards)]
-	s.mu.Lock()
-	// Per-shard retention is bounded so a skewed Put pattern cannot park
-	// every workspace on one shard's list; an over-full shard drops the
-	// workspace to the GC and a later Get recreates it.
-	if len(s.free) < p.maxPerShard {
-		s.free = append(s.free, ws)
-	}
-	s.mu.Unlock()
+	p.mu.Lock()
+	p.free = append(p.free, ws)
+	p.mu.Unlock()
 	p.inUse.Add(-1)
 	p.tokens <- struct{}{}
 }
 
 // Discard releases a checked-out workspace's capacity token WITHOUT
-// returning the workspace to a free list — the workspace is abandoned to
+// returning the workspace to the free list — the workspace is abandoned to
 // the GC and a later Get's miss path builds a fresh one in its place.
 // This is the quarantine half of panic isolation: a workspace that
 // panicked mid-alignment may hold arbitrarily corrupted scratch state and
@@ -234,8 +206,8 @@ func (p *Pool) Do(ctx context.Context, f func(*core.Workspace) error) (err error
 	return f(ws)
 }
 
-// Stats snapshots the pool counters. Idle walks the shard locks, so this
-// is for observability, not hot paths.
+// Stats snapshots the pool counters. Idle takes the free-list lock, so
+// this is for observability, not hot paths.
 func (p *Pool) Stats() Stats {
 	st := Stats{
 		Hits:           p.hits.Load(),
@@ -245,11 +217,8 @@ func (p *Pool) Stats() Stats {
 		WorkspaceBytes: p.wsBytes,
 		Quarantined:    p.quarantined.Load(),
 	}
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		st.Idle += len(s.free)
-		s.mu.Unlock()
-	}
+	p.mu.Lock()
+	st.Idle = len(p.free)
+	p.mu.Unlock()
 	return st
 }

@@ -38,7 +38,7 @@ func TestBadConfigFailsAtNew(t *testing.T) {
 }
 
 func TestGetPutReuse(t *testing.T) {
-	p, err := New(Config{MaxWorkspaces: 2, Shards: 1})
+	p, err := New(Config{MaxWorkspaces: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestGetPutReuse(t *testing.T) {
 }
 
 func TestLazyGrowthStopsAtCap(t *testing.T) {
-	p, err := New(Config{MaxWorkspaces: 3, Shards: 2})
+	p, err := New(Config{MaxWorkspaces: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestLazyGrowthStopsAtCap(t *testing.T) {
 }
 
 func TestGetContextCancel(t *testing.T) {
-	p, err := New(Config{MaxWorkspaces: 1, Shards: 1})
+	p, err := New(Config{MaxWorkspaces: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 		want[i] = aln.Clone() // retained across serial's further alignments
 	}
 
-	p, err := New(Config{MaxWorkspaces: 3, Shards: 2})
+	p, err := New(Config{MaxWorkspaces: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 
 // TestStress hammers a tiny pool from many goroutines; run with -race.
 func TestStress(t *testing.T) {
-	p, err := New(Config{MaxWorkspaces: 2, Shards: 2})
+	p, err := New(Config{MaxWorkspaces: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestStress(t *testing.T) {
 // (never re-listed), and the capacity token is released so the pool keeps
 // serving at full capacity afterwards.
 func TestDoPanicQuarantine(t *testing.T) {
-	p, err := New(Config{MaxWorkspaces: 2, Shards: 1})
+	p, err := New(Config{MaxWorkspaces: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestDoInjectedPanicSite(t *testing.T) {
 	if err := faults.Enable("workspace.acquire:panic#1"); err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{MaxWorkspaces: 1, Shards: 1})
+	p, err := New(Config{MaxWorkspaces: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestDoInjectedPanicSite(t *testing.T) {
 // TestDoClearsContext pins that Do installs the context for the duration
 // of f and clears it before the workspace is re-listed.
 func TestDoClearsContext(t *testing.T) {
-	p, err := New(Config{MaxWorkspaces: 1, Shards: 1})
+	p, err := New(Config{MaxWorkspaces: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Package seq provides DNA sequence utilities: deterministic synthetic
 // genome generation (the stand-in for GRCh38 in this reproduction),
-// reverse complementation, and FASTA I/O that delegates to
-// the public seqio package (see ReadFASTA for the parse semantics, which
-// are stricter than this package's historical verbatim parser).
+// reverse complementation, and the encoding of FASTA letters with
+// ambiguous bases. FASTA I/O lives in the public seqio package.
 //
 // Sequences are handled in the repository's encoded form: dense alphabet
 // codes (A=0, C=1, G=2, T=3 for DNA), matching the paper's 2-bit encoding
@@ -10,11 +9,9 @@
 package seq
 
 import (
-	"io"
 	"math/rand/v2"
 
 	"genasm/internal/alphabet"
-	"genasm/seqio"
 )
 
 // Random returns n uniformly random DNA codes from the given seeded source.
@@ -89,73 +86,14 @@ func AppendReverseComplement(dst, s []byte) []byte {
 	return dst
 }
 
-// GCContent returns the fraction of G/C bases.
-func GCContent(s []byte) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	gc := 0
-	for _, c := range s {
-		if c == 1 || c == 2 {
-			gc++
-		}
-	}
-	return float64(gc) / float64(len(s))
-}
-
-// Record is a named FASTA sequence (letters, not codes).
-type Record struct {
-	Name string
-	Seq  []byte
-}
-
-// WriteFASTA writes records in FASTA format with 70-column wrapping.
-func WriteFASTA(w io.Writer, records []Record) error {
-	fw := seqio.NewFASTAWriter(w)
-	for _, r := range records {
-		if err := fw.WriteRecord(seqio.Record{Name: r.Name, Seq: r.Seq}); err != nil {
-			return err
-		}
-	}
-	return fw.Flush()
-}
-
-// ReadFASTA parses FASTA records by delegating to the public seqio
-// streaming parser. Unlike the historical parser, which kept sequence
-// lines verbatim (whitespace trimmed), the parse normalizes and
-// validates: gzip input is decompressed transparently, CRLF line endings
-// are tolerated, bases are uppercased, and a sequence line containing
-// anything but letters or the gap/stop characters '-', '.' and '*'
-// (digits, interior whitespace, stray '>'/'@' markers) is rejected with
-// a line-numbered error. The full header line is kept as Name, matching
-// this package's historical behaviour.
-func ReadFASTA(r io.Reader) ([]Record, error) {
-	fr, err := seqio.NewFASTAReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var records []Record
-	for rec, err := range fr.Records() {
-		if err != nil {
-			return nil, err
-		}
-		name := rec.Name
-		if rec.Desc != "" {
-			name += " " + rec.Desc
-		}
-		records = append(records, Record{Name: name, Seq: rec.Seq})
-	}
-	return records, nil
-}
-
 // EncodeRecord converts a FASTA record's letters to DNA codes, mapping any
 // ambiguous base (e.g. N) to a deterministic pseudo-random base so that
 // downstream 2-bit pipelines keep working (the paper filters unmapped
 // contigs instead; for synthetic data this path is rarely exercised).
-func EncodeRecord(rec Record) []byte {
-	out := make([]byte, len(rec.Seq))
+func EncodeRecord(letters []byte) []byte {
+	out := make([]byte, len(letters))
 	h := uint32(2166136261)
-	for i, c := range rec.Seq {
+	for i, c := range letters {
 		if code := alphabet.DNA.Code(c); code >= 0 {
 			out[i] = byte(code)
 			continue

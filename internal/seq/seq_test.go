@@ -3,7 +3,6 @@ package seq
 import (
 	"bytes"
 	"math/rand/v2"
-	"strings"
 	"testing"
 
 	"genasm/internal/alphabet"
@@ -79,57 +78,9 @@ func TestReverseComplement(t *testing.T) {
 	}
 }
 
-func TestGCContent(t *testing.T) {
-	if gc := GCContent(alphabet.DNA.MustEncode([]byte("GGCC"))); gc != 1 {
-		t.Errorf("GC = %v, want 1", gc)
-	}
-	if gc := GCContent(alphabet.DNA.MustEncode([]byte("AATT"))); gc != 0 {
-		t.Errorf("GC = %v, want 0", gc)
-	}
-	if gc := GCContent(nil); gc != 0 {
-		t.Errorf("GC(nil) = %v", gc)
-	}
-}
-
-func TestFASTARoundTrip(t *testing.T) {
-	records := []Record{
-		{Name: "chr1 synthetic", Seq: []byte(strings.Repeat("ACGT", 50))},
-		{Name: "chr2", Seq: []byte("GATTACA")},
-	}
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFASTA(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("records = %d", len(got))
-	}
-	for i := range records {
-		if got[i].Name != records[i].Name || !bytes.Equal(got[i].Seq, records[i].Seq) {
-			t.Errorf("record %d mismatch: %+v", i, got[i])
-		}
-	}
-}
-
-func TestReadFASTAErrors(t *testing.T) {
-	if _, err := ReadFASTA(strings.NewReader("ACGT\n")); err == nil {
-		t.Fatal("sequence before header should fail")
-	}
-	recs, err := ReadFASTA(strings.NewReader(">empty\n\n>x\nAC\nGT\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || len(recs[0].Seq) != 0 || string(recs[1].Seq) != "ACGT" {
-		t.Fatalf("got %+v", recs)
-	}
-}
-
 func TestEncodeRecord(t *testing.T) {
-	rec := Record{Name: "x", Seq: []byte("ACGTN")}
-	codes := EncodeRecord(rec)
+	letters := []byte("ACGTN")
+	codes := EncodeRecord(letters)
 	if len(codes) != 5 {
 		t.Fatalf("len = %d", len(codes))
 	}
@@ -141,7 +92,7 @@ func TestEncodeRecord(t *testing.T) {
 		t.Fatalf("N mapped to invalid code %d", codes[4])
 	}
 	// Deterministic mapping of ambiguous bases.
-	again := EncodeRecord(rec)
+	again := EncodeRecord(letters)
 	if !bytes.Equal(codes, again) {
 		t.Fatal("EncodeRecord must be deterministic")
 	}

@@ -71,6 +71,13 @@ import (
 	"genasm/internal/registry"
 )
 
+const (
+	// maxMapReads caps the reads in one /v1/map request.
+	maxMapReads = 1024
+	// shutdownTimeout bounds graceful shutdown.
+	shutdownTimeout = 10 * time.Second
+)
+
 // Config parameterizes a Server. The zero values of the limits pick
 // sensible production defaults; Engine is required.
 type Config struct {
@@ -94,9 +101,6 @@ type Config struct {
 	MaxBatchJobs int
 	// MaxSeqLen caps each text/query sequence length. Defaults to 1 MiB.
 	MaxSeqLen int
-	// MaxMapReads caps the reads in one /v1/map request. Defaults to
-	// 1024.
-	MaxMapReads int
 	// MaxRefLen caps a request-supplied /v1/map reference (each such
 	// request indexes the reference from scratch). Defaults to 16 MiB,
 	// though MaxBodyBytes usually bounds it tighter.
@@ -134,8 +138,6 @@ type Config struct {
 	// file-backed references; exceeding it evicts idle references in LRU
 	// order. 0 = no bound.
 	MaxResidentBytes int64
-	// ShutdownTimeout bounds graceful shutdown. Defaults to 10s.
-	ShutdownTimeout time.Duration
 	// RequestTimeout bounds each non-streaming alignment request
 	// (align/batch/map) end to end: admission wait, workspace acquire,
 	// seeding, filtering and alignment all run under a deadline this far
@@ -192,17 +194,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxSeqLen <= 0 {
 		c.MaxSeqLen = 1 << 20
 	}
-	if c.MaxMapReads <= 0 {
-		c.MaxMapReads = 1024
-	}
 	if c.MaxRefLen <= 0 {
 		c.MaxRefLen = 16 << 20
 	}
 	if c.MaxStreamBytes <= 0 {
 		c.MaxStreamBytes = 1 << 30
-	}
-	if c.ShutdownTimeout <= 0 {
-		c.ShutdownTimeout = 10 * time.Second
 	}
 	// For the resilience knobs, 0 means "default" and negative means
 	// "disabled" — so a zero Config still gets production behavior.
@@ -269,8 +265,8 @@ type Server struct {
 	completions atomic.Uint64
 	drain       drainRate
 
-	// mapEngine drives the /v1/map pipeline: read mapping is DNA-only and
-	// wants search-capable first windows, independent of how the serving
+	// mapEngine drives the /v1/map pipeline: read mapping is DNA-only,
+	// at the paper's default window, independent of how the serving
 	// engine is configured.
 	mapEngine *genasm.Engine
 	// refs is the named-reference registry every mapping request resolves
@@ -306,10 +302,10 @@ func New(cfg Config) (*Server, error) {
 	// Both engines report workspace waits and kernel time into the same
 	// histograms — the engine-level half of the stage breakdown.
 	cfg.Engine.SetAlignTrace(s.m.alignTrace())
-	// The mapping engine uses the paper's read-alignment setup (search in
-	// the first window) and is sized like the serving engine.
+	// The mapping engine is a DNA engine at the paper's default window,
+	// since the serving engine may use another alphabet or window. It is
+	// sized like the serving engine.
 	me, err := genasm.NewEngine(
-		genasm.WithSearchStart(true),
 		genasm.WithMaxWorkspaces(cfg.Engine.Capacity()),
 		genasm.WithAlignTrace(s.m.alignTrace()),
 	)
@@ -479,7 +475,7 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Shutdown drains in-flight requests and stops the server, bounded by
-// Config.ShutdownTimeout. Healthz reports degraded for the duration. After
+// shutdownTimeout. Healthz reports degraded for the duration. After
 // a clean drain the reference registry is closed, releasing every resident
 // index's file mapping; on a timed-out drain it is deliberately leaked,
 // since requests may still be touching the mapped pages.
@@ -490,8 +486,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.stopStreams)
 	}
 	s.logger.LogAttrs(ctx, slog.LevelInfo, "shutting down",
-		slog.Duration("timeout", s.cfg.ShutdownTimeout))
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.ShutdownTimeout)
+		slog.Duration("timeout", shutdownTimeout))
+	ctx, cancel := context.WithTimeout(ctx, shutdownTimeout)
 	defer cancel()
 	err := s.hs.Shutdown(ctx)
 	if err == nil {
@@ -796,9 +792,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, "bad_request", "map: no reads")
 		return
 	}
-	if len(req.Reads) > s.cfg.MaxMapReads {
+	if len(req.Reads) > maxMapReads {
 		s.httpError(w, r, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("map: %d reads exceeds limit %d", len(req.Reads), s.cfg.MaxMapReads))
+			fmt.Sprintf("map: %d reads exceeds limit %d", len(req.Reads), maxMapReads))
 		return
 	}
 	if len(req.Reference) > s.cfg.MaxRefLen {

@@ -128,6 +128,24 @@ func TestAlignMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestGlobalAlignIgnoresSearchStart pins that a server whose engine has
+// SearchStart still answers "global" requests end to end: the leading
+// text is charged as deletions, not skipped.
+func TestGlobalAlignIgnoresSearchStart(t *testing.T) {
+	_, base := startServer(t, Config{Engine: newTestEngine(t, genasm.WithSearchStart(true))})
+	resp, body := postJSON(t, base+"/v1/align", AlignRequest{Text: "TTTTTTTTACGTACGTAC", Query: "ACGTACGTAC", Global: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var got AlignResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.TextStart != 0 || got.Distance != 8 {
+		t.Errorf("global align on a SearchStart engine = %+v, want distance 8 from text_start 0", got)
+	}
+}
+
 func TestAlignRejectsBadInput(t *testing.T) {
 	eng := newTestEngine(t)
 	_, base := startServer(t, Config{Engine: eng, MaxSeqLen: 100})
@@ -277,7 +295,7 @@ func TestMapReturnsSAM(t *testing.T) {
 // the queue with a fresh batch whenever the previous one drains — until a
 // 429 is observed.
 func TestQueueOverflow429(t *testing.T) {
-	eng := newTestEngine(t, genasm.WithMaxWorkspaces(1), genasm.WithShards(1))
+	eng := newTestEngine(t, genasm.WithMaxWorkspaces(1))
 	srv, base := startServer(t, Config{Engine: eng, QueueDepth: 1})
 
 	rng := rand.New(rand.NewPCG(3, 9))
@@ -582,6 +600,21 @@ func TestMapLimits(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "exceeds limit") {
 		t.Errorf("oversized read: status %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// TestMapReadCountLimit pins the /v1/map read-count cap: one read past it
+// is a 400 that names the limit.
+func TestMapReadCountLimit(t *testing.T) {
+	_, base := startServer(t, Config{Engine: newTestEngine(t)})
+	reads := make([]MapRead, maxMapReads+1)
+	for i := range reads {
+		reads[i] = MapRead{Name: fmt.Sprintf("r%d", i), Seq: "ACGTACGTACGTACGTACGT"}
+	}
+	resp, body := postJSON(t, base+"/v1/map", MapRequest{Reference: strings.Repeat("ACGT", 25), Reads: reads})
+	want := fmt.Sprintf("map: %d reads exceeds limit %d", maxMapReads+1, maxMapReads)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+		t.Errorf("%d reads: status %d, body %s; want 400 with %q", len(reads), resp.StatusCode, body, want)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"genasm/internal/cigar"
 	"genasm/internal/mapper"
-	"genasm/internal/pool"
 	"genasm/internal/sam"
 )
 
@@ -93,7 +92,7 @@ func (mp ReadMapping) ClassicCIGAR() string {
 // pre-alignment filtering, and GenASM read alignment — and renders SAM.
 //
 // A Mapper is safe for concurrent use: the index is read-only after
-// construction and alignment scratch is drawn from a sharded workspace
+// construction and alignment scratch is drawn from the Engine's workspace
 // pool. Build one with Engine.NewMapper.
 type Mapper struct {
 	e        *Engine
@@ -107,12 +106,10 @@ type Mapper struct {
 // NewMapperFromIndex. The engine must use the DNA alphabet (mapping tries
 // both strands).
 //
-// When the engine is configured with SearchStart, the alignment step draws
-// scratch from the engine's own workspace pool and mapping load counts
-// against Engine.Capacity and shows in Engine.Stats. Otherwise the Mapper
-// derives a private search-capable pool of the same capacity — mapping
-// concurrency is then bounded separately from (in addition to) the
-// engine's alignment traffic.
+// The alignment step draws scratch from the engine's own workspace pool,
+// so mapping always counts against Engine.Capacity and shows in
+// Engine.Stats. Candidate alignments search the first window for their
+// start whatever the engine's SearchStart.
 func (e *Engine) NewMapper(ref []byte, cfg MapperConfig) (*Mapper, error) {
 	ri, err := e.BuildRefIndex(ref, RefIndexConfig{SeedParams: cfg.SeedParams, RefName: cfg.RefName})
 	if err != nil {
@@ -120,24 +117,6 @@ func (e *Engine) NewMapper(ref []byte, cfg MapperConfig) (*Mapper, error) {
 	}
 	cfg.SeedParams = SeedParams{}
 	return e.NewMapperFromIndex(ri, cfg)
-}
-
-// mapperAlignPool returns the workspace pool the mapping pipeline's
-// alignment step draws from. Candidate regions carry leading slack for
-// anchor imprecision, so the alignment step must be allowed to start at
-// the best position within the first window. Engines already configured
-// with SearchStart share their pool; otherwise a private search-capable
-// pool of the same capacity is derived.
-func (e *Engine) mapperAlignPool() (*pool.Pool, error) {
-	if e.cfg.SearchStart {
-		return e.pool, nil
-	}
-	searchCfg := e.cfg
-	searchCfg.SearchStart = true
-	return pool.New(pool.Config{
-		Core:          searchCfg.coreConfig(),
-		MaxWorkspaces: e.Capacity(),
-	})
 }
 
 // Map is the one-shot read-mapping convenience: it indexes ref with the

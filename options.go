@@ -10,9 +10,6 @@ import (
 // Config plus the sizing of the workspace pool behind the engine.
 type engineSettings struct {
 	Config
-	// Shards is the number of independent free lists inside the pool; zero
-	// picks a default scaled to GOMAXPROCS.
-	Shards int
 	// MaxWorkspaces caps the number of live workspaces (the software
 	// analogue of the accelerator's vault count). Alignments block once the
 	// cap is reached and every workspace is busy; contexts ending while
@@ -44,9 +41,10 @@ func WithWindow(size, overlap int) Option {
 	return func(s *engineSettings) { s.WindowSize, s.Overlap = size, overlap }
 }
 
-// WithSearchStart lets alignments begin at the best matching position
-// within the first window instead of exactly at the text start — the right
-// setting when the text is a candidate region whose start is approximate.
+// WithSearchStart lets semi-global alignments begin at the best matching
+// position within the first window instead of exactly at the text start —
+// the right setting when the text is a candidate region whose start is
+// approximate. Global alignment and EditDistance are unaffected.
 func WithSearchStart(on bool) Option {
 	return func(s *engineSettings) { s.SearchStart = on }
 }
@@ -61,13 +59,6 @@ func WithGapsBeforeSubstitutions(on bool) Option {
 // concurrency bound. Zero (the default) picks 2×GOMAXPROCS.
 func WithMaxWorkspaces(n int) Option {
 	return func(s *engineSettings) { s.MaxWorkspaces = n }
-}
-
-// WithShards sets the number of independent free lists inside the workspace
-// pool. More shards reduce lock contention under concurrent traffic. Zero
-// (the default) scales with GOMAXPROCS.
-func WithShards(n int) Option {
-	return func(s *engineSettings) { s.Shards = n }
 }
 
 // WithAlignTrace attaches hooks run around every alignment the engine
@@ -90,7 +81,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	coreCfg := s.coreConfig()
 	p, err := pool.New(pool.Config{
 		Core:          coreCfg,
-		Shards:        s.Shards,
 		MaxWorkspaces: s.MaxWorkspaces,
 	})
 	if err != nil {

@@ -39,7 +39,7 @@ func TestPoolMatchesAligner(t *testing.T) {
 		}
 	}
 
-	p := newTestEngine(t, WithMaxWorkspaces(2), WithShards(1))
+	p := newTestEngine(t, WithMaxWorkspaces(2))
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -200,16 +200,12 @@ func (e *Engine) NewMapperFromIndex(ri *RefIndex, cfg MapperConfig) (*Mapper, er
 	if cfg.SeedK != 0 || cfg.MinimizerW != 0 {
 		return nil, fmt.Errorf("genasm: SeedK/MinimizerW are fixed by the prebuilt index; leave them zero")
 	}
-	alignPool, err := e.mapperAlignPool()
-	if err != nil {
-		return nil, err
-	}
 	m, err := mapper.New(ri.idx, mapper.Config{
 		MaxCandidates: cfg.MaxCandidates,
 		ErrorRate:     cfg.ErrorRate,
 		Prefilter:     cfg.Prefilter,
-		Aligner:       mapper.PoolAligner{Pool: alignPool},
-		Trace:         (*mapper.Trace)(cfg.Trace),
+		Aligner:       mapper.PoolAligner{Pool: e.pool},
+		Trace:         cfg.Trace,
 	})
 	if err != nil {
 		return nil, err

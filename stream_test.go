@@ -100,7 +100,7 @@ func TestAlignStreamMatchesAlignBatch(t *testing.T) {
 // with the pool saturated (far more jobs than workspaces) — run with
 // -race in CI.
 func TestAlignStreamOrderedUnderSaturation(t *testing.T) {
-	e, err := NewEngine(WithMaxWorkspaces(4), WithShards(2))
+	e, err := NewEngine(WithMaxWorkspaces(4))
 	if err != nil {
 		t.Fatal(err)
 	}
