@@ -870,7 +870,7 @@ func BenchmarkSeedLookup(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					idx.CandidateLocationsInto(&s, reads[i%len(reads)].Seq, 8)
+					idx.CandidateLocationsInto(&s, reads[i%len(reads)].Seq, 8, nil)
 				}
 			})
 		}
@@ -890,7 +890,7 @@ func BenchmarkSeedLookup(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			idx.CandidateLocationsInto(&s, reads[i%len(reads)].Seq, 8)
+			idx.CandidateLocationsInto(&s, reads[i%len(reads)].Seq, 8, nil)
 		}
 	})
 }

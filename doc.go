@@ -70,7 +70,7 @@
 // minimizers when SeedParams.MinimizerW > 0 — RefIndex.WriteFile persists
 // it in a versioned, checksummed on-disk format, and LoadRefIndex
 // memory-maps it back (falling back to a heap copy where mmap is
-// unavailable). Engine.NewMapperFromIndex then boots a Mapper in
+// unavailable); files of format version 1 must be rebuilt. Engine.NewMapperFromIndex then boots a Mapper in
 // file-validation time rather than index-construction time; the built and
 // loaded forms of one index produce identical mappings, and the loaded
 // index seeds without allocating. `genasm index build`/`inspect` and `genasm-serve -ref-index`

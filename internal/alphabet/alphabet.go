@@ -129,6 +129,9 @@ func (a *Alphabet) AppendDecode(dst, codes []byte) []byte {
 type PatternMasks struct {
 	// Masks is indexed by letter code; each entry has Words words.
 	Masks [][]uint64
+	// Word0 holds word 0 of each letter's mask by code: one load where
+	// Masks loads a slice header first (GenASM-DC's per-position path).
+	Word0 []uint64
 	// M is the pattern length in characters.
 	M int
 	// Words is the number of 64-bit words per mask.
@@ -145,7 +148,7 @@ type PatternMasks struct {
 // support).
 func GeneratePatternMasks(a *Alphabet, pattern []byte) *PatternMasks {
 	nw := max(bitvec.Words(len(pattern)), 1) // keep masks indexable for empty patterns
-	pm := &PatternMasks{Words: nw, Masks: make([][]uint64, a.Size())}
+	pm := &PatternMasks{Words: nw, Masks: make([][]uint64, a.Size()), Word0: make([]uint64, a.Size())}
 	flat := make([]uint64, a.Size()*nw)
 	for code := range pm.Masks {
 		pm.Masks[code] = flat[code*nw : (code+1)*nw]
@@ -202,24 +205,20 @@ func (pm *PatternMasks) fill(pattern []byte) {
 				mask[wi] = (lo ^ -(c & 1)) | (hi ^ -(c >> 1)) | above
 			}
 		}
-		return
+	} else {
+		for code := range pm.Masks {
+			bitvec.Fill(pm.Masks[code][:nw], ^uint64(0))
+		}
+		for pos, code := range pattern {
+			bitvec.ClearBit(pm.Masks[code], m-1-pos)
+		}
 	}
-	for code := range pm.Masks {
-		bitvec.Fill(pm.Masks[code][:nw], ^uint64(0))
-	}
-	for pos, code := range pattern {
-		bitvec.ClearBit(pm.Masks[code], m-1-pos)
+	for code, mask := range pm.Masks {
+		pm.Word0[code] = mask[0]
 	}
 }
 
 // Mask returns the bitmask for letter code c, sliced to the active words.
 func (pm *PatternMasks) Mask(c byte) []uint64 {
 	return pm.Masks[c][:pm.active]
-}
-
-// MaskWord returns word 0 of letter code c's bitmask — the whole mask for
-// single-word patterns, read without slice-header construction (the
-// traceback's per-step fast path).
-func (pm *PatternMasks) MaskWord(c byte) uint64 {
-	return pm.Masks[c][0]
 }

@@ -6,8 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"genasm/internal/cigar"
-	"genasm/internal/dp"
+	"genasm/internal/myers"
 )
 
 // sameAlignment reports whether two alignments are identical in every
@@ -127,14 +126,16 @@ func TestAlignRegionStopsEarly(t *testing.T) {
 	}
 }
 
-// FuzzAlign checks the GenASM pipeline against the dp oracle over window
+// FuzzAlign checks the GenASM pipeline against an oracle over window
 // geometry, traceback order, search mode and distance bound. Input bytes
 // map to DNA codes by their low two bits; mode picks the order (mode%3)
 // and search (mode&4), which is passed per call to align, so anchored and
 // search-mode alignments run bounded and unbounded. For every input the
 // unbounded alignment's CIGAR must consume the whole pattern and exactly
 // TextEnd-TextStart text letters, its edit count must equal Distance,
-// Distance must be at least the dp semi-global (fit) optimum, and
+// Distance must be at least the semi-global (fit) optimum, which
+// myers.SemiGlobal computes in O(nm/64) (its tests pin it against the dp
+// oracle, which took most of an input's time here), and
 // TextStart must lie in the text; the bounded call must obey the
 // distance-bound contract of AlignRegion; and the workspace that ran it,
 // reused across inputs of the same configuration, must then align exactly
@@ -211,8 +212,12 @@ func FuzzAlign(f *testing.F) {
 		if e := want.Cigar.EditDistance(); e != want.Distance {
 			t.Fatalf("%s: CIGAR has %d edits, Distance %d", label, e, want.Distance)
 		}
-		if opt := -dp.Align(text, pattern, cigar.Unit, dp.Fit, 0).Score; want.Distance < opt {
-			t.Fatalf("%s: distance %d below the dp optimum %d", label, want.Distance, opt)
+		opt, _, err := myers.SemiGlobal(text, pattern, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Distance < opt {
+			t.Fatalf("%s: distance %d below the semi-global optimum %d", label, want.Distance, opt)
 		}
 	})
 }

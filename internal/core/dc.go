@@ -109,8 +109,9 @@ func (w *Workspace) scroogeLevel(d, mp, top int) {
 				r = r<<1 | pm[i]
 				row[i] = r
 			}
+			word0 := w.pm.Word0
 			for i := nt - 1; i >= 0; i-- {
-				pm[i] = w.pm.MaskWord(w.scanText[i])
+				pm[i] = word0[w.scanText[i]]
 				r = r<<1 | pm[i]
 				row[i] = r
 			}

@@ -75,15 +75,6 @@ func (c Config) AlignmentSeconds(m, k int) float64 {
 	return c.AlignmentCycles(m, k) / c.FreqHz
 }
 
-// DCBandwidthBytesPerWindow is the TB-SRAM write traffic one window
-// generates: 3 bitvectors x W bits per text iteration per error level; at
-// 24 B/cycle/PE (Section 7: "192 bits of data (24B) is written to each
-// TB-SRAM by each PE" per cycle).
-func (c Config) DCBandwidthBytesPerWindow() int {
-	w := c.WindowSize
-	return 3 * w / 8 * w * min(w, c.PEs)
-}
-
 // MemoryBandwidthBytesPerRead estimates main-memory traffic per read: the
 // accelerator reads the reference region and the query once (Section 7:
 // "GenASM accesses the memory ... only to read the reference and the query

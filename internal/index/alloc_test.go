@@ -34,16 +34,23 @@ func TestSeedingAllocFree(t *testing.T) {
 		idx  *Index
 	}{{"full", full}, {"minimizer", mini}} {
 		t.Run(tc.name, func(t *testing.T) {
-			var s SeedScratch
-			if len(tc.idx.CandidateLocationsInto(&s, read, 8)) == 0 {
+			var s, rev SeedScratch
+			if len(tc.idx.CandidateLocationsInto(&s, read, 8, nil)) == 0 {
 				t.Fatal("no candidates for a 5% error read")
 			}
 			// AllocsPerRun makes one more warm-up call of its own before it
 			// counts.
 			if n := testing.AllocsPerRun(100, func() {
-				tc.idx.CandidateLocationsInto(&s, read, 8)
+				tc.idx.CandidateLocationsInto(&s, read, 8, nil)
 			}); n != 0 {
 				t.Errorf("%v allocs per call after warm-up, want 0", n)
+			}
+			// The fused pass that also records the reverse strand.
+			if n := testing.AllocsPerRun(100, func() {
+				tc.idx.CandidateLocationsInto(&s, read, 8, &rev)
+				rev.Rank(8)
+			}); n != 0 {
+				t.Errorf("%v allocs per fused call after warm-up, want 0", n)
 			}
 		})
 	}

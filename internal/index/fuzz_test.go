@@ -1,19 +1,18 @@
 package index
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // FuzzCandidates checks the seeding step against the brute-force scan and
-// the map-based oracle on fuzzed inputs: the low two bits of each
-// reference byte are its code, read bytes map to codes 0..5 (4 and 5 lie
-// outside the DNA alphabet and break k-mers), the seed length is 1..MaxK
-// and the candidate cap 0..3. One scratch serves every input, so reuse
-// across reads of different lengths is exercised too. Plain `go test`
-// replays the seed corpus in testdata/fuzz/FuzzCandidates.
+// the map-based oracle on fuzzed inputs, on both strands: the read's own
+// candidates from a plain and a fused pass, and the fused pass's reverse
+// list, which must equal a plain pass over the read's reverse complement.
+// The low two bits of each reference byte are its code, read bytes map to
+// codes 0..5 (4 and 5 lie outside the DNA alphabet and break k-mers), the
+// seed length is 1..MaxK, the candidate cap capIn%4 and the minimizer
+// window capIn/4%4 (0: every k-mer). Plain `go test` replays the seed
+// corpus in testdata/fuzz/FuzzCandidates.
 func FuzzCandidates(f *testing.F) {
-	var s SeedScratch
+	var sc strandScratch
 	f.Fuzz(func(t *testing.T, refIn, readIn []byte, kIn, capIn uint8) {
 		if len(refIn) > 512 || len(readIn) > 256 {
 			return
@@ -30,14 +29,17 @@ func FuzzCandidates(f *testing.F) {
 		for i, b := range readIn {
 			read[i] = b % 6
 		}
-		maxCands := int(capIn) % 4
-		idx, err := Build(ref, k)
+		maxCands, w := int(capIn)%4, int(capIn)/4%4
+		var idx *Index
+		var err error
+		if w == 0 {
+			idx, err = Build(ref, k)
+		} else {
+			idx, err = BuildMinimizer(ref, k, w)
+		}
 		if err != nil {
-			t.Fatalf("build k=%d on %d bases: %v", k, len(ref), err)
+			t.Fatalf("build k=%d w=%d on %d bases: %v", k, w, len(ref), err)
 		}
-		want := oracleCandidates(bruteForceStarts(ref, read, k), maxCands)
-		if got := idx.CandidateLocationsInto(&s, read, maxCands); !slices.Equal(got, want) {
-			t.Fatalf("k=%d cap %d: candidates %v, brute force %v", k, maxCands, got, want)
-		}
+		checkBothStrands(t, &sc, idx, ref, read, keptPositions(ref, k, w), maxCands)
 	})
 }

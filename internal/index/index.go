@@ -4,12 +4,17 @@
 // seeds keyed to their locations), optionally sampled with window
 // minimizers as Minimap2-class mappers do to shrink the index.
 //
-// Both forms are one seed table, Index: sorted arrays of distinct packed
-// k-mers, per-key offsets and locations, which are exactly the sections an
-// index file stores, plus a directory over the keys' top bits derived from
-// them. A built index and one loaded zero-copy from a file mapping are
-// therefore the same type with the same lookup; loading derives only the
-// directory (FromArrays).
+// Both forms are one seed table, Index, keyed by canonical k-mers (the
+// smaller of a k-mer and its reverse complement, as in Minimap2) with a
+// strand bit per location, so one pass over a short read seeds both
+// strands. Its arrays are the sections of an index file (version 2), so
+// built and loaded tables share one lookup (FromArrays):
+//
+//   - entries: one 8-byte word per key, ascending within the directory
+//     slot of the key's top b bits: the key's other bits, then its only
+//     location pos<<1|strand (flag 0) or the offset of its run (flag 1);
+//   - dir: 2^b+1 offsets; dir[s]:dir[s+1] brackets slot s's entries;
+//   - locs: each repeated key's run, a count, then its locations.
 package index
 
 import (
@@ -18,22 +23,21 @@ import (
 	"slices"
 )
 
-// Index is the seed table, every k-mer or window minimizers.
-// keys holds the distinct packed k-mers ascending, offs[i]:offs[i+1]
-// brackets key i's locations in locs (ascending), and dir[s]:dir[s+1]
-// brackets the keys whose top bits equal s. The directory has at most one
-// slot per key, so a lookup is one directory probe plus a binary search
-// over a handful of keys.
+// Index is the seed table; the package comment gives its layout.
 type Index struct {
-	k     int
-	w     int // minimizer window; 0 when every k-mer is indexed
-	ref   []byte
-	keys  []uint64
-	offs  []uint32
-	locs  []int32
-	dir   []uint32
-	shift uint // key >> shift is the key's directory slot
+	k       int
+	w       int // minimizer window; 0 when every k-mer is indexed
+	ref     []byte
+	entries []uint64
+	dir     []uint32
+	locs    []uint32
+	shift   uint // key >> shift is the key's directory slot
+	valBits uint // an entry's value width: the key's low bits sit above it
+	seeds   int
 }
+
+// MaxRefLen bounds the reference: a location pos<<1|strand fits 32 bits.
+const MaxRefLen = 1<<31 - 1
 
 // Build indexes every k-mer of the encoded reference.
 func Build(ref []byte, k int) (*Index, error) {
@@ -44,7 +48,8 @@ func Build(ref []byte, k int) (*Index, error) {
 // consecutive k-mers, the lexicographically smallest (after hashing) is
 // kept. This is Minimap2's sampling scheme, shrinking the index roughly
 // 2/(w+1)-fold while preserving mapability. w=1 degenerates to keeping
-// every k-mer (each window holds exactly one candidate).
+// every k-mer (each window holds exactly one candidate). The windows rank
+// the reference's forward k-mers; the kept ones are keyed canonically.
 func BuildMinimizer(ref []byte, k, w int) (*Index, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("index: minimizer window %d < 1", w)
@@ -52,33 +57,73 @@ func BuildMinimizer(ref []byte, k, w int) (*Index, error) {
 	return build(ref, k, w)
 }
 
-func build(ref []byte, k, w int) (*Index, error) {
+// checkShape checks a built or loaded table's k, w and reference length.
+func checkShape(ref []byte, k, w int) error {
 	if k < 1 || k > MaxK {
-		return nil, &KRangeError{K: k}
+		return &KRangeError{K: k}
 	}
-	if len(ref) < k {
-		return nil, fmt.Errorf("index: reference length %d < k=%d", len(ref), k)
+	if w < 0 || len(ref) < k || len(ref) > MaxRefLen {
+		return fmt.Errorf("index: window %d < 0 or reference length %d outside [k=%d, %d]", w, len(ref), k, MaxRefLen)
 	}
-	// One rolling pass validates the codes and packs every k-mer with a
-	// 2-bit shift-in — O(n) total instead of O(n·k) per-position repacking.
-	kmers := make([]uint64, len(ref)-k+1)
-	mask := kmerMask(k)
-	var key uint64
+	return nil
+}
+
+func build(ref []byte, k, w int) (*Index, error) {
+	if err := checkShape(ref, k, w); err != nil {
+		return nil, err
+	}
+	// One rolling pass validates and packs every k-mer and its reverse
+	// complement. A seed is its key above its strand bit (1: key from rc).
+	n := len(ref) - k + 1
+	kmers, hashes := make([]uint64, n), make([]uint64, min(w, 1)*n) // hashes rank minimizers
+	mask, top := kmerMask(k), uint(2*k-2)
+	var fwd, rc uint64
 	for i, c := range ref {
 		if c > 3 {
 			return nil, fmt.Errorf("index: invalid code %d at %d", c, i)
 		}
-		key = key<<2 | uint64(c)
-		if i >= k-1 {
-			kmers[i-k+1] = key & mask
+		fwd = (fwd<<2 | uint64(c)) & mask
+		rc = rc>>2 | uint64(3-c)<<top
+		if i >= k-1 && w > 0 {
+			kmers[i-k+1], hashes[i-k+1] = fwd, mix(fwd)
+		} else if i >= k-1 {
+			key := canonical(fwd, rc, mask)
+			kmers[i-k+1] = key>>1&^1 | key&1
 		}
 	}
 	var pos []int32
 	if w > 0 {
-		kmers, pos = minimizers(kmers, w)
+		kmers, pos = minimizers(kmers, hashes, w)
+		for i, fwd := range kmers { // canonical keys of the kept k-mers only
+			key := canonical(fwd, revComp(fwd, k), mask)
+			kmers[i] = key>>1&^1 | key&1
+		}
 	}
-	keys, offs, locs := sortSeeds(kmers, pos, k, len(ref)-k)
-	return FromArrays(ref, k, w, keys, offs, locs)
+	return sortSeeds(ref, k, w, kmers, pos), nil
+}
+
+// canonical returns the table key of a k-mer packed forward (fwd) and as
+// its reverse complement (rc), shifted left twice, with bit 1 set for a
+// palindrome and bit 0 when the key comes from rc. The key is the smaller
+// of the two, which crowds the directory's low slots, times an odd
+// constant modulo 2^2k (mask), which spreads it and keeps keys distinct.
+func canonical(fwd, rc, mask uint64) uint64 {
+	key, flag := fwd, uint64(0)
+	if rc < fwd {
+		key, flag = rc, 1
+	}
+	if rc == fwd {
+		flag = 2
+	}
+	return key*0x9e3779b97f4a7c15&mask<<2 | flag
+}
+
+// revComp reverse-complements a packed k-mer, reversing codes in bytes, then bytes.
+func revComp(x uint64, k int) uint64 {
+	x = ^x
+	x = x>>2&0x3333333333333333 | x&0x3333333333333333<<2
+	x = x>>4&0x0f0f0f0f0f0f0f0f | x&0x0f0f0f0f0f0f0f0f<<4
+	return bits.ReverseBytes64(x) >> (64 - 2*k)
 }
 
 // minimizers keeps, for every window of w consecutive k-mers, the one with
@@ -86,12 +131,8 @@ func build(ref []byte, k, w int) (*Index, error) {
 // returning their positions alongside. The kept positions are strictly
 // ascending, and each write lands at or before the window start, so the
 // compaction never overwrites a k-mer a later window still reads.
-func minimizers(kmers []uint64, w int) ([]uint64, []int32) {
+func minimizers(kmers, hashes []uint64, w int) ([]uint64, []int32) {
 	n := len(kmers)
-	hashes := make([]uint64, n)
-	for i, km := range kmers {
-		hashes[i] = mix(km)
-	}
 	pos := make([]int32, 0, 2*n/(w+1)+1)
 	lastKept := -1
 	for s := 0; s+w <= n; s++ {
@@ -110,139 +151,151 @@ func minimizers(kmers []uint64, w int) ([]uint64, []int32) {
 	return kmers[:len(pos)], pos
 }
 
-// sortSeeds orders seeds into the table arrays. Seed i is k-mer kmers[i]
-// at position pos[i], or at i when pos is nil; positions are at most
-// maxPos. A counting sort on the keys' top b bits splits the seeds into
-// slots; within a slot each seed is one word, the key's remaining bits
-// above the position, so sorting the words orders by key and then by
-// position. A compaction to distinct keys finishes the arrays.
-func sortSeeds(kmers []uint64, pos []int32, k, maxPos int) (keys []uint64, offs []uint32, locs []int32) {
-	posBits := uint(bits.Len(uint(maxPos)))
-	// At most one slot per seed, raised where needed so the key's other
-	// 2k-b bits fit above the position in one word. That happens only for
-	// minimizer tables with large k, and 2^b then stays below maxPos/2.
-	b := min(2*k, max(bits.Len(uint(len(kmers)))-1, 2*k+int(posBits)-64, 0))
-	shift := uint(2*k - b)
-	low := uint64(1)<<shift - 1
+// valueBits fits a location or a run offset (≤ 1.5 words/seed), and a flag.
+func valueBits(maxPos int) uint { return uint(bits.Len(uint(maxPos))) + 2 }
 
-	ends := slotStarts(kmers, b, shift) // after the scatter: ends[s] ends slot s
+// dirBits allots n keys a slot each at most, more if 2k-b key bits overflow.
+func dirBits(n, k int, valBits uint) int {
+	return min(2*k, max(bits.Len(uint(n))-1, 2*k+int(valBits)-64, 0))
+}
+
+// sortSeeds orders seeds into the table. Seed i is kmers[i] (a key above
+// its strand bit) at position pos[i], or at i when pos is nil. A counting
+// sort on the keys' top bits splits the seeds into slots, where each seed
+// is its singleton entry, so sorting a slot orders by key, then position.
+// Compaction then keeps a key seen once as its word and moves a repeated
+// key's locations to a run in locs.
+func sortSeeds(ref []byte, k, w int, kmers []uint64, pos []int32) *Index {
+	valBits := valueBits(len(ref) - k)
+	b := dirBits(len(kmers), k, valBits)
+	shift := uint(2*k - b)
+	low, valMask := uint64(1)<<shift-1, uint64(1)<<valBits-1
+
+	// dir[s] counts slot s, then holds its end during the scatter.
+	dir := make([]uint32, 1<<b+1)
+	for _, km := range kmers {
+		dir[km>>(shift+1)]++
+	}
+	var sum uint32
+	for s, c := range dir {
+		dir[s] = sum
+		sum += c
+	}
 	words := make([]uint64, len(kmers))
 	for i, km := range kmers {
 		p := uint64(i)
 		if pos != nil {
 			p = uint64(pos[i])
 		}
-		s := km >> shift
-		words[ends[s]] = (km&low)<<posBits | p
-		ends[s]++
+		s := km >> (shift + 1)
+		words[dir[s]] = (km>>1&low)<<valBits | (p<<1|km&1)<<1
+		dir[s]++
 	}
 
-	distinct, start := 0, uint32(0)
+	var locs []uint32
+	entries := words[:0] // compaction never overtakes the slot being read
+	start := uint32(0)
 	for s := range 1 << b {
-		slot := words[start:ends[s]]
+		slot := words[start:dir[s]]
+		start, dir[s] = dir[s], uint32(len(entries))
 		slices.Sort(slot)
-		for i := range slot {
-			if i == 0 || slot[i]>>posBits != slot[i-1]>>posBits {
-				distinct++
+		for i := 0; i < len(slot); {
+			j := i + 1
+			for j < len(slot) && slot[j]>>valBits == slot[i]>>valBits {
+				j++
+			}
+			if j == i+1 {
+				entries = append(entries, slot[i])
+			} else {
+				// The entry may overwrite slot[i], so the run goes first.
+				e := slot[i]>>valBits<<valBits | uint64(len(locs))<<1 | 1
+				locs = append(locs, uint32(j-i))
+				for _, wd := range slot[i:j] {
+					locs = append(locs, uint32(wd&valMask>>1))
+				}
+				entries = append(entries, e)
+			}
+			i = j
+		}
+	}
+	dir[1<<b] = uint32(len(entries))
+
+	// Keep at most one slot per distinct key: fold the directory's low
+	// bits into the entries, whose order they already follow.
+	if fold := b - dirBits(len(entries), k, valBits); fold > 0 {
+		for s := range 1 << b {
+			for i := dir[s]; i < dir[s+1]; i++ {
+				entries[i] |= uint64(s&(1<<fold-1)) << (shift + valBits)
 			}
 		}
-		start = ends[s]
+		for s := range 1<<(b-fold) + 1 {
+			dir[s] = dir[s<<fold]
+		}
+		b, shift = b-fold, shift+uint(fold)
+		dir = dir[:1<<b+1]
 	}
+	return &Index{k: k, w: w, ref: ref, entries: entries, dir: dir, locs: locs,
+		shift: shift, valBits: valBits, seeds: len(kmers)}
+}
 
-	keys = make([]uint64, 0, distinct)
-	offs = make([]uint32, 0, distinct+1)
-	locs = make([]int32, len(words))
-	posMask := uint64(1)<<posBits - 1
-	start = 0
-	for s := range 1 << b {
-		for i := start; i < ends[s]; i++ {
-			if key := uint64(s)<<shift | words[i]>>posBits; len(keys) == 0 || key != keys[len(keys)-1] {
-				keys = append(keys, key)
-				offs = append(offs, i)
+// FromArrays wraps table arrays (views into an index file) as an Index,
+// checked so that lookups stay in bounds and in ref: 2^b+1 monotone
+// directory offsets spanning the entries, b ≤ 2k leaving room for the key
+// bits, keys ascending within a slot, valid locations, and runs of two or
+// more tiling locs. ref must hold 2-bit codes; the arrays are kept.
+func FromArrays(ref []byte, k, w int, entries []uint64, dir, locs []uint32) (*Index, error) {
+	if err := checkShape(ref, k, w); err != nil {
+		return nil, err
+	}
+	b := bits.Len(uint(max(len(dir), 2) - 2))
+	maxPos := uint64(len(ref) - k)
+	valBits := valueBits(int(maxPos))
+	if len(dir) != 1<<b+1 || b > 2*k || 2*k-b+int(valBits) > 64 || dir[0] != 0 || int(dir[len(dir)-1]) != len(entries) {
+		return nil, fmt.Errorf("index: malformed directory of %d offsets over %d entries for k=%d", len(dir), len(entries), k)
+	}
+	// Key bits may only fall where a non-empty slot starts: count both.
+	valMask, limit, falls := uint64(1)<<valBits-1, ^uint64(0)>>(64-uint(2*k-b)-valBits), 0
+	for s := 1; s < len(dir); s++ {
+		if dir[s] < dir[s-1] {
+			return nil, fmt.Errorf("index: directory not monotone at %d", s)
+		}
+		if i := dir[s-1]; i > 0 && i < uint32(len(entries)) {
+			_, rise := bits.Sub64(entries[i-1]&^valMask, entries[i]&^valMask, 0)
+			falls -= int((1 - rise) & uint64(min(dir[s]-i, 1)))
+		}
+	}
+	seeds, next := len(entries), uint64(0) // next: where the next run must start
+	for i, e := range entries {
+		if i > 0 {
+			_, rise := bits.Sub64(entries[i-1]&^valMask, e&^valMask, 0)
+			falls += int(1 - rise)
+		}
+		if v := e & valMask; e > limit || (v&1 == 0 && v>>2 > maxPos) {
+			return nil, fmt.Errorf("index: entry %d out of range", i)
+		} else if v&1 == 0 {
+			continue
+		}
+		if e&valMask>>1 != next || next >= uint64(len(locs)) || locs[next] < 2 || uint64(locs[next]) >= uint64(len(locs))-next {
+			return nil, fmt.Errorf("index: entry %d holds a malformed run", i)
+		}
+		run := locs[next+1 : next+1+uint64(locs[next])]
+		for _, l := range run {
+			if uint64(l>>1) > maxPos {
+				return nil, fmt.Errorf("index: location %d out of range", l>>1)
 			}
-			locs[i] = int32(words[i] & posMask)
 		}
-		start = ends[s]
+		seeds, next = seeds+len(run)-1, next+1+uint64(len(run))
 	}
-	return keys, append(offs, uint32(len(words))), locs
-}
-
-// FromArrays wraps table arrays — Build's own, or views into an index
-// file — as an Index. It checks them once so the seeding hot path can
-// index without bounds failures (monotone offsets covering locs exactly,
-// strictly ascending keys inside the k-mer range, every location a valid
-// k-mer start of ref) and derives the directory over the keys' top
-// b = min(2k, ⌊log2 len(keys)⌋) bits with a counting pass and a prefix
-// sum. ref must hold 2-bit codes; the arrays are kept, not copied.
-func FromArrays(ref []byte, k, w int, keys []uint64, offs []uint32, locs []int32) (*Index, error) {
-	if k < 1 || k > MaxK {
-		return nil, &KRangeError{K: k}
+	if next != uint64(len(locs)) || falls != 0 {
+		return nil, fmt.Errorf("index: runs cover %d of %d location words, %d keys out of order", next, len(locs), falls)
 	}
-	if w < 0 {
-		return nil, fmt.Errorf("index: minimizer window %d < 0", w)
-	}
-	if len(ref) < k {
-		return nil, fmt.Errorf("index: reference length %d < k=%d", len(ref), k)
-	}
-	if len(offs) != len(keys)+1 {
-		return nil, fmt.Errorf("index: %d offsets for %d keys", len(offs), len(keys))
-	}
-	if offs[0] != 0 || int(offs[len(offs)-1]) != len(locs) {
-		return nil, fmt.Errorf("index: offsets span [%d,%d] over %d locations", offs[0], offs[len(offs)-1], len(locs))
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i] < offs[i-1] {
-			return nil, fmt.Errorf("index: offsets not monotone at %d", i)
-		}
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			return nil, fmt.Errorf("index: keys not strictly ascending at %d", i)
-		}
-	}
-	if len(keys) > 0 && keys[len(keys)-1] > kmerMask(k) {
-		return nil, fmt.Errorf("index: key exceeds %d-mer range", k)
-	}
-	limit := int32(len(ref) - k)
-	for i, p := range locs {
-		if p < 0 || p > limit {
-			return nil, fmt.Errorf("index: location %d out of range: %d", i, p)
-		}
-	}
-
-	b := min(2*k, max(bits.Len(uint(len(keys)))-1, 0))
-	shift := uint(2*k - b)
-	return &Index{k: k, w: w, ref: ref, keys: keys, offs: offs, locs: locs, dir: slotStarts(keys, b, shift), shift: shift}, nil
-}
-
-// slotStarts counts keys by slot (key >> shift, b bits) and returns the
-// exclusive prefix sums: entry s is the number of keys in slots below s,
-// so the 2^b+1 entries bracket every slot.
-func slotStarts(keys []uint64, b int, shift uint) []uint32 {
-	starts := make([]uint32, 1<<b+1)
-	for _, key := range keys {
-		starts[key>>shift]++
-	}
-	var sum uint32
-	for s, n := range starts {
-		starts[s] = sum
-		sum += n
-	}
-	return starts
+	return &Index{k: k, w: w, ref: ref, entries: entries, dir: dir, locs: locs,
+		shift: uint(2*k - b), valBits: valBits, seeds: seeds}, nil
 }
 
 // kmerMask is the low-bits mask of a packed k-mer (2 bits per base).
 func kmerMask(k int) uint64 {
 	return uint64(1)<<(2*k) - 1
-}
-
-// pack encodes a k-mer of 2-bit codes into a uint64.
-func pack(kmer []byte) uint64 {
-	var v uint64
-	for _, c := range kmer {
-		v = v<<2 | uint64(c)
-	}
-	return v
 }
 
 // mix is a 64-bit finalizer (splitmix64) used to order minimizer
@@ -260,14 +313,11 @@ func mix(v uint64) uint64 {
 // K returns the seed length.
 func (idx *Index) K() int { return idx.k }
 
-// Seeds returns the number of indexed seed positions.
-func (idx *Index) Seeds() int { return len(idx.locs) }
-
 // Ref returns the indexed reference.
 func (idx *Index) Ref() []byte { return idx.ref }
 
 // Stats describes the index. Bytes is the table's footprint: the
-// reference, the three stored arrays and the directory.
+// reference and the three stored arrays.
 func (idx *Index) Stats() Stats {
 	backend := BackendHash
 	if idx.w > 0 {
@@ -278,62 +328,15 @@ func (idx *Index) Stats() Stats {
 		K:          idx.k,
 		MinimizerW: idx.w,
 		RefLen:     len(idx.ref),
-		Seeds:      len(idx.locs),
-		Buckets:    len(idx.keys),
-		Bytes:      int64(len(idx.ref)) + 8*int64(len(idx.keys)) + 4*int64(len(idx.offs)+len(idx.locs)+len(idx.dir)),
+		Seeds:      idx.seeds,
+		Buckets:    len(idx.entries),
+		Bytes:      int64(len(idx.ref)) + 8*int64(len(idx.entries)) + 4*int64(len(idx.dir)+len(idx.locs)),
 	}
 }
 
-// Arrays returns the stored arrays — the on-disk layout of the table —
-// shared with the index, not to be modified.
-func (idx *Index) Arrays() (keys []uint64, offs []uint32, locs []int32) {
-	return idx.keys, idx.offs, idx.locs
-}
-
-// find returns the locations of a packed k-mer (empty if absent).
-func (idx *Index) find(key uint64) []int32 {
-	s := key >> idx.shift
-	i := idx.search(key, idx.dir[s], idx.dir[s+1]-idx.dir[s])
-	if i == notFound {
-		return nil
-	}
-	return idx.locs[idx.offs[i]:idx.offs[i+1]]
-}
-
-// search returns the index of key among the n keys from keys[lo] — one
-// directory slot — or notFound. The binary search halves the range
-// without a data-dependent branch (slots hold one or two keys on average,
-// where a mispredicted branch costs more than the comparisons). Manual
-// loop, no closures: the seeding hot path stays allocation-free.
-func (idx *Index) search(key uint64, lo, n uint32) uint32 {
-	if n == 0 {
-		return notFound
-	}
-	for n > 1 {
-		half := n / 2
-		if idx.keys[lo+half] <= key {
-			lo += half
-		}
-		n -= half
-	}
-	if idx.keys[lo] != key {
-		return notFound
-	}
-	return lo
-}
-
-// Lookup returns the reference positions of the seed (nil if absent). The
-// returned slice is shared with the index and must not be modified.
-func (idx *Index) Lookup(kmer []byte) []int32 {
-	if len(kmer) != idx.k {
-		return nil
-	}
-	for _, c := range kmer {
-		if c > 3 {
-			return nil
-		}
-	}
-	return idx.find(pack(kmer))
+// Arrays returns the stored arrays (the file's sections); do not modify.
+func (idx *Index) Arrays() (entries []uint64, dir, locs []uint32) {
+	return idx.entries, idx.dir, idx.locs
 }
 
 // CandidateLocationsInto runs the seeding step with caller-owned scratch:
@@ -341,21 +344,23 @@ func (idx *Index) Lookup(kmer []byte) []int32 {
 // read start position (hit position minus read offset); the scratch
 // aggregates the votes into ranked candidates. The returned slice views
 // s.cands and stays valid until the scratch's next use. Read k-mers are
-// packed with a rolling 2-bit update (O(n) instead of O(n·k)); k-mers
-// containing codes outside the DNA alphabet cast no votes. Reads must be
-// shorter than 2^31 bases.
+// packed with a rolling 2-bit update; k-mers containing codes outside the
+// DNA alphabet cast no votes. Reads must be shorter than 2^31 bases.
 //
-// The lookups run in stages over the scratch's arrays — pack every key,
-// probe the directory for every key, search every slot, then read every
-// key's locations — rather than one k-mer at a time. A lookup is a chain
-// of dependent cache misses (directory, keys, offsets, locations), but the
-// lookups are independent of one another, so within a stage the misses of
-// many k-mers overlap. Go has no prefetch intrinsic; staging is how the
-// hot path gets memory-level parallelism.
-func (idx *Index) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandidates int) []Candidate {
-	s.keys, s.offs = s.keys[:0], s.offs[:0]
-	mask := kmerMask(idx.k)
-	var key uint64
+// A hit votes when the reference holds the read k-mer itself (strand bits
+// agree, or it is a palindrome). A non-nil rev records the other hits'
+// starts, those of the read's reverse complement: rev.Rank then returns
+// exactly the candidates of a call over the reverse complement.
+//
+// The lookups run in stages (pack, probe the directory, prefetch and
+// search every slot, read every hit) so that the cache misses of
+// independent lookups overlap: Go has no prefetch intrinsic.
+func (idx *Index) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandidates int, rev *SeedScratch) []Candidate {
+	// The stages work on local slices: stores through s would make the
+	// compiler reload every slice header after each element it writes.
+	keys, offs, entries, dir := s.keys[:0], s.offs[:0], idx.entries, idx.dir
+	mask, top := kmerMask(idx.k), uint(2*idx.k-2)
+	var fwd, rc uint64
 	valid := 0 // consecutive in-alphabet codes ending at the current base
 	for i, c := range read {
 		if c > 3 {
@@ -363,33 +368,100 @@ func (idx *Index) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandida
 			continue
 		}
 		valid++
-		key = key<<2 | uint64(c)
+		fwd = (fwd<<2 | uint64(c)) & mask
+		rc = rc>>2 | uint64(3-c)<<top
 		if valid >= idx.k {
-			s.keys = append(s.keys, key&mask)
-			s.offs = append(s.offs, int32(i-idx.k+1))
+			keys = append(keys, canonical(fwd, rc, mask))
+			offs = append(offs, int32(i-idx.k+1))
 		}
 	}
-
-	n := len(s.keys)
-	s.lo, s.n = slices.Grow(s.lo[:0], n)[:n], slices.Grow(s.n[:0], n)[:n]
-	for i, key := range s.keys {
-		slot := key >> idx.shift
-		s.lo[i], s.n[i] = idx.dir[slot], idx.dir[slot+1]-idx.dir[slot]
+	if len(entries) == 0 { // a minimizer table whose windows fit no read
+		keys = keys[:0]
+	}
+	n := len(keys)
+	slotShift, low, last := idx.shift+2, uint64(1)<<idx.shift-1, uint32(len(entries)-1)
+	los, ns := slices.Grow(s.lo[:0], n)[:n], slices.Grow(s.n[:0], n)[:n]
+	for i, key := range keys {
+		slot := key >> slotShift
+		// An empty slot may start past the last entry.
+		los[i], ns[i] = min(dir[slot], last), dir[slot+1]-dir[slot]
 	}
 
-	for i, key := range s.keys {
-		s.lo[i] = idx.search(key, s.lo[i], s.n[i])
+	// Prefetch each slot's first entry: this small loop keeps dozens of
+	// misses in flight, the search's long body only a few.
+	var sink uint64
+	for _, lo := range los {
+		sink += entries[lo]
 	}
 
-	s.starts = s.starts[:0]
-	for i, lo := range s.lo {
+	// Search each slot for the key's entry (words at most bound) with no
+	// branch on table data, which would mispredict as often as k-mers
+	// miss; slots average two keys, so the last two halvings are unrolled.
+	valBits := idx.valBits
+	valMask := uint64(1)<<valBits - 1
+	for i, key := range keys {
+		bound, lo, n := key>>2&low<<valBits|valMask, los[i], ns[i]
+		for n > 4 {
+			lo, n = halve(entries, bound, lo, n)
+		}
+		lo, n = halve(entries, bound, lo, n)
+		lo, _ = halve(entries, bound, lo, n)
+		found := lo
+		if entries[lo]|valMask != bound {
+			found = notFound
+		}
+		if n == 0 {
+			found = notFound
+		}
+		los[i] = found
+	}
+
+	starts := s.starts[:0]
+	var revStarts []int32
+	if rev != nil {
+		revStarts = rev.starts[:0]
+	}
+	revBase := int32(len(read) - idx.k) // a read offset's mirror on the reverse complement
+	for i, lo := range los {
 		if lo == notFound {
 			continue
 		}
-		off := s.offs[i]
-		for _, pos := range idx.locs[idx.offs[lo]:idx.offs[lo+1]] {
-			s.starts = append(s.starts, pos-off)
+		key, off := keys[i], offs[i]
+		v := entries[lo] & valMask
+		if v&1 == 0 {
+			starts, revStarts = vote(starts, revStarts, rev != nil, uint32(v>>1), key, off, revBase-off)
+			continue
+		}
+		run := idx.locs[v>>1+1:]
+		for _, l := range run[:idx.locs[v>>1]] {
+			starts, revStarts = vote(starts, revStarts, rev != nil, l, key, off, revBase-off)
 		}
 	}
-	return s.collect(maxCandidates)
+	s.keys, s.offs, s.lo, s.n, s.starts, s.sink = keys, offs, los, ns, starts, sink
+	if rev != nil {
+		rev.starts = revStarts
+	}
+	return s.Rank(maxCandidates)
+}
+
+// halve is one branch-free binary search step over entries[lo:lo+n].
+func halve(entries []uint64, bound uint64, lo, n uint32) (uint32, uint32) {
+	half := n / 2
+	_, above := bits.Sub64(bound, entries[lo+half], 0)
+	return lo + half&(uint32(above)-1), n - half
+}
+
+// vote records a hit at location l of a read k-mer (key as in canonical)
+// at offset off (roff on the reverse complement) in starts if the strands
+// agree, in revStarts (if withRev) if not, both for a palindrome; no branch.
+func vote(starts, revStarts []int32, withRev bool, l uint32, key uint64, off, roff int32) ([]int32, []int32) {
+	agree, both := int(uint32(key)^l^1)&1, int(key>>1)&1
+	pos := int32(l >> 1)
+	starts = append(starts, pos-off)
+	starts = starts[:len(starts)-1+(agree|both)]
+	if withRev {
+		revStarts = append(revStarts, pos-roff)
+		revStarts = revStarts[:len(revStarts)-1+(agree^1|both)]
+	}
+	return starts, revStarts
 }

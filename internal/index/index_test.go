@@ -3,6 +3,7 @@ package index
 import (
 	"cmp"
 	"errors"
+	"math/bits"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -45,7 +46,7 @@ func TestLookupExact(t *testing.T) {
 	}
 	// Every k-mer position must be findable.
 	for i := 0; i+11 <= len(ref); i += 37 {
-		locs := idx.Lookup(ref[i : i+11])
+		locs := lookup(idx, ref[i:i+11])
 		found := false
 		for _, l := range locs {
 			if int(l) == i {
@@ -57,11 +58,11 @@ func TestLookupExact(t *testing.T) {
 		}
 	}
 	// Wrong-length query returns nil.
-	if idx.Lookup(ref[:5]) != nil {
+	if lookup(idx, ref[:5]) != nil {
 		t.Error("wrong-length lookup should return nil")
 	}
-	if idx.Seeds() != len(ref)-11+1 {
-		t.Errorf("Seeds = %d, want %d", idx.Seeds(), len(ref)-11+1)
+	if idx.Stats().Seeds != len(ref)-11+1 {
+		t.Errorf("Seeds = %d, want %d", idx.Stats().Seeds, len(ref)-11+1)
 	}
 }
 
@@ -75,11 +76,11 @@ func TestMinimizerSmallerIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mini.Seeds() >= full.Seeds()/2 {
-		t.Errorf("minimizer index %d seeds, full %d: expected substantial shrink", mini.Seeds(), full.Seeds())
+	if mini.Stats().Seeds >= full.Stats().Seeds/2 {
+		t.Errorf("minimizer index %d seeds, full %d: expected substantial shrink", mini.Stats().Seeds, full.Stats().Seeds)
 	}
-	if mini.Seeds() < full.Seeds()/20 {
-		t.Errorf("minimizer index %d seeds suspiciously small vs %d", mini.Seeds(), full.Seeds())
+	if mini.Stats().Seeds < full.Stats().Seeds/20 {
+		t.Errorf("minimizer index %d seeds suspiciously small vs %d", mini.Stats().Seeds, full.Stats().Seeds)
 	}
 }
 
@@ -91,7 +92,7 @@ func TestCandidateLocationsExactRead(t *testing.T) {
 	}
 	read := ref[12345 : 12345+100]
 	var s SeedScratch
-	cands := idx.CandidateLocationsInto(&s, read, 5)
+	cands := idx.CandidateLocationsInto(&s, read, 5, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for exact read")
 	}
@@ -117,7 +118,7 @@ func TestCandidateLocationsWithErrors(t *testing.T) {
 		read[p] = (read[p] + byte(1+rng.IntN(3))) % 4
 	}
 	var s SeedScratch
-	cands := idx.CandidateLocationsInto(&s, read, 10)
+	cands := idx.CandidateLocationsInto(&s, read, 10, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for five-percent-error read")
 	}
@@ -140,7 +141,7 @@ func TestCandidateLocationsMinimizerIndex(t *testing.T) {
 	}
 	read := ref[41000:41120]
 	var s SeedScratch
-	cands := idx.CandidateLocationsInto(&s, read, 5)
+	cands := idx.CandidateLocationsInto(&s, read, 5, nil)
 	if len(cands) == 0 {
 		t.Fatal("no candidates via minimizer index")
 	}
@@ -161,7 +162,7 @@ func TestCandidateCap(t *testing.T) {
 	}
 	read := ref[100:200]
 	var s SeedScratch
-	cands := idx.CandidateLocationsInto(&s, read, 3)
+	cands := idx.CandidateLocationsInto(&s, read, 3, nil)
 	if len(cands) > 3 {
 		t.Fatalf("cap violated: %d candidates", len(cands))
 	}
@@ -211,8 +212,8 @@ func oracleCandidates(starts []int, maxCandidates int) []Candidate {
 
 // bruteForceStarts is the seeding step's vote list by a naive scan: every
 // exact occurrence in ref of every in-alphabet k-mer of read votes for its
-// implied start.
-func bruteForceStarts(ref, read []byte, k int) []int {
+// implied start. Only the reference positions kept marks count (nil: all).
+func bruteForceStarts(ref, read []byte, k int, kept []bool) []int {
 	var starts []int
 	for i := 0; i+k <= len(read); i++ {
 		kmer := read[i : i+k]
@@ -220,7 +221,7 @@ func bruteForceStarts(ref, read []byte, k int) []int {
 			continue
 		}
 		for q := 0; q+k <= len(ref); q++ {
-			if slices.Equal(ref[q:q+k], kmer) {
+			if (kept == nil || kept[q]) && slices.Equal(ref[q:q+k], kmer) {
 				starts = append(starts, q-i)
 			}
 		}
@@ -228,12 +229,76 @@ func bruteForceStarts(ref, read []byte, k int) []int {
 	return starts
 }
 
+// keptPositions is minimizer selection by a naive scan: per window of w
+// consecutive k-mers, the leftmost with the smallest hash of its forward
+// packing. It is nil when w is 0, as every k-mer is kept.
+func keptPositions(ref []byte, k, w int) []bool {
+	if w == 0 {
+		return nil
+	}
+	kept := make([]bool, len(ref)-k+1)
+	for s := 0; s+w <= len(kept); s++ {
+		best := s
+		for j := s + 1; j < s+w; j++ {
+			if mix(pack(ref[j:j+k])) < mix(pack(ref[best:best+k])) {
+				best = j
+			}
+		}
+		kept[best] = true
+	}
+	return kept
+}
+
+// strandScratch is checkBothStrands' scratch, reused across reads so
+// that reuse across read lengths is exercised too.
+type strandScratch struct{ plain, fused, rev, rc SeedScratch }
+
+// checkBothStrands checks one read against the naive scan on both
+// strands: the forward candidates of a plain pass and of a fused pass,
+// and the fused pass's reverse list (ranked with the same cap), which
+// must also equal a plain pass over the read's reverse complement.
+func checkBothStrands(t *testing.T, sc *strandScratch, idx *Index, ref, read []byte, kept []bool, maxCands int) {
+	t.Helper()
+	k := idx.K()
+	rcRead := seq.ReverseComplement(read)
+	want := oracleCandidates(bruteForceStarts(ref, read, k, kept), maxCands)
+	wantRev := oracleCandidates(bruteForceStarts(ref, rcRead, k, kept), maxCands)
+	if g := idx.CandidateLocationsInto(&sc.plain, read, maxCands, nil); !slices.Equal(g, want) {
+		t.Fatalf("read %v cap %d: table candidates %v, brute force %v", read, maxCands, g, want)
+	}
+	if g := idx.CandidateLocationsInto(&sc.fused, read, maxCands, &sc.rev); !slices.Equal(g, want) {
+		t.Fatalf("read %v cap %d: fused forward candidates %v, brute force %v", read, maxCands, g, want)
+	}
+	g, two := sc.rev.Rank(maxCands), idx.CandidateLocationsInto(&sc.rc, rcRead, maxCands, nil)
+	if !slices.Equal(g, two) || !slices.Equal(g, wantRev) {
+		t.Fatalf("read %v cap %d: fused reverse candidates %v, reverse-complement pass %v, brute force %v",
+			read, maxCands, g, two, wantRev)
+	}
+}
+
+// palindromic returns a random reference of n bases holding copies of
+// even-length reverse-complement palindromes (x followed by its reverse
+// complement), so that even seed lengths meet k-mers that are their own
+// reverse complement.
+func palindromic(n int, seed uint64) []byte {
+	rng := rand.New(rand.NewPCG(seed, 1))
+	ref := seq.Random(rng, n)
+	for range n / 40 {
+		half := seq.Random(rng, 1+rng.IntN(10))
+		pal := append(half, seq.ReverseComplement(half)...)
+		copy(ref[rng.IntN(n-len(pal)):], pal)
+	}
+	return ref
+}
+
 // TestCandidatesMatchBruteForce checks the seed table against a naive
 // scan: every exact occurrence of every in-alphabet read k-mer votes for
 // its implied start, and the table's candidates must equal what the
-// map-based oracle makes of those votes. The cases cover repeats, non-ACGT
-// read codes, k = 1, k = MaxK, a reference of exactly k bases and caps of
-// 0 and 1.
+// map-based oracle makes of those votes, for the read and, through the
+// fused pass, for its reverse complement. The cases cover repeats,
+// non-ACGT read codes, reads up to 256 bases, k = 1, 15, 16 and MaxK,
+// palindromic k-mers (which vote for both strands), a reference of
+// exactly k bases, minimizer tables and caps of 0 and 1.
 func TestCandidatesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 0))
 	repeats := make([]byte, 1200)
@@ -244,23 +309,35 @@ func TestCandidatesMatchBruteForce(t *testing.T) {
 	cases := []struct {
 		name string
 		ref  []byte
-		k    int
+		k, w int
 	}{
-		{"random-k11", testRef(3000, 49), 11},
-		{"repeats-k5", repeats, 5},
-		{"k1", testRef(200, 50), 1},
-		{"kmax", testRef(800, 51), MaxK},
-		{"ref-exactly-k", testRef(13, 52), 13},
+		{"random-k11", testRef(3000, 49), 11, 0},
+		{"repeats-k5", repeats, 5, 0},
+		{"k1", testRef(200, 50), 1, 0},
+		{"kmax", testRef(800, 51), MaxK, 0},
+		{"ref-exactly-k", testRef(13, 52), 13, 0},
+		{"k15", testRef(2000, 53), 15, 0},
+		{"palindromes-k16", palindromic(1500, 54), 16, 0},
+		{"palindromes-k4", palindromic(600, 55), 4, 0},
+		{"minimizer-k15-w5", testRef(2000, 56), 15, 5},
+		{"minimizer-palindromes-k16-w3", palindromic(1500, 57), 16, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			idx, err := Build(tc.ref, tc.k)
+			var idx *Index
+			var err error
+			if tc.w == 0 {
+				idx, err = Build(tc.ref, tc.k)
+			} else {
+				idx, err = BuildMinimizer(tc.ref, tc.k, tc.w)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got SeedScratch
+			kept := keptPositions(tc.ref, tc.k, tc.w)
+			var sc strandScratch
 			for trial := range 30 {
-				n := 1 + rng.IntN(min(len(tc.ref), 120))
+				n := 1 + rng.IntN(min(len(tc.ref), 256))
 				p := rng.IntN(len(tc.ref) - n + 1)
 				read := append([]byte(nil), tc.ref[p:p+n]...)
 				switch trial % 3 {
@@ -274,12 +351,8 @@ func TestCandidatesMatchBruteForce(t *testing.T) {
 						read[rng.IntN(n)] = byte(4 + rng.IntN(6))
 					}
 				}
-				starts := bruteForceStarts(tc.ref, read, tc.k)
 				for _, maxCands := range []int{0, 1} {
-					w := oracleCandidates(starts, maxCands)
-					if g := idx.CandidateLocationsInto(&got, read, maxCands); !slices.Equal(g, w) {
-						t.Fatalf("trial %d cap %d: table candidates %v, brute force %v", trial, maxCands, g, w)
-					}
+					checkBothStrands(t, &sc, idx, tc.ref, read, kept, maxCands)
 				}
 			}
 		})
@@ -315,11 +388,11 @@ func TestRefExactlyK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Seeds() != 1 {
-		t.Errorf("Seeds = %d, want 1", idx.Seeds())
+	if idx.Stats().Seeds != 1 {
+		t.Errorf("Seeds = %d, want 1", idx.Stats().Seeds)
 	}
 	var s SeedScratch
-	cands := idx.CandidateLocationsInto(&s, ref, 0)
+	cands := idx.CandidateLocationsInto(&s, ref, 0, nil)
 	if len(cands) != 1 || cands[0].Pos != 0 || cands[0].Votes != 1 {
 		t.Errorf("candidates = %v, want one at 0 with 1 vote", cands)
 	}
@@ -328,8 +401,8 @@ func TestRefExactlyK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mini.Seeds() != 1 {
-		t.Errorf("minimizer Seeds = %d, want 1", mini.Seeds())
+	if mini.Stats().Seeds != 1 {
+		t.Errorf("minimizer Seeds = %d, want 1", mini.Stats().Seeds)
 	}
 }
 
@@ -346,12 +419,12 @@ func TestMinimizerWindowOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w1.Seeds() != full.Seeds() {
-		t.Errorf("w=1 minimizer has %d seeds, full index %d", w1.Seeds(), full.Seeds())
+	if w1.Stats().Seeds != full.Stats().Seeds {
+		t.Errorf("w=1 minimizer has %d seeds, full index %d", w1.Stats().Seeds, full.Stats().Seeds)
 	}
 	read := ref[1234:1334]
 	var ws, fs SeedScratch
-	if got, want := w1.CandidateLocationsInto(&ws, read, 0), full.CandidateLocationsInto(&fs, read, 0); !reflect.DeepEqual(got, want) {
+	if got, want := w1.CandidateLocationsInto(&ws, read, 0, nil), full.CandidateLocationsInto(&fs, read, 0, nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("w=1 candidates %v, full %v", got, want)
 	}
 	if st := w1.Stats(); st.Backend != BackendMinimizer || st.MinimizerW != 1 {
@@ -372,38 +445,91 @@ func TestHashIndexStats(t *testing.T) {
 	}
 }
 
-// TestFlattenRoundTrip checks the stored arrays: sorted distinct
-// keys, monotone offsets bracketing each key's ascending location run.
+// pack encodes a k-mer of 2-bit codes into a uint64.
+func pack(kmer []byte) uint64 {
+	var v uint64
+	for _, c := range kmer {
+		v = v<<2 | uint64(c)
+	}
+	return v
+}
+
+// runOf returns the location words (pos<<1|strand) of table entry i.
+func runOf(idx *Index, i int) []uint32 {
+	v := idx.entries[i] & (1<<idx.valBits - 1)
+	if v&1 == 0 {
+		return []uint32{uint32(v >> 1)}
+	}
+	return idx.locs[v>>1+1 : v>>1+1+uint64(idx.locs[v>>1])]
+}
+
+// lookup returns the ascending reference positions that hold kmer itself
+// (nil if none), by the seeding step's canonical-key search.
+func lookup(idx *Index, kmer []byte) []int32 {
+	if len(kmer) != idx.k || slices.ContainsFunc(kmer, func(c byte) bool { return c > 3 }) {
+		return nil
+	}
+	key := canonical(pack(kmer), pack(seq.ReverseComplement(kmer)), kmerMask(idx.k))
+	slot := key >> (idx.shift + 2)
+	i := slices.IndexFunc(idx.entries[idx.dir[slot]:idx.dir[slot+1]], func(e uint64) bool {
+		return e>>idx.valBits == key>>2&(1<<idx.shift-1)
+	})
+	if i < 0 {
+		return nil
+	}
+	var out []int32
+	for _, l := range runOf(idx, int(idx.dir[slot])+i) {
+		if uint64(l&1) == key&1 || key&2 != 0 {
+			out = append(out, int32(l>>1))
+		}
+	}
+	return out
+}
+
+// TestFlattenRoundTrip checks the stored arrays: a directory bracketing
+// every entry, keys ascending within a slot, runs that tile locs with
+// ascending positions, and every location holding its entry's key on the
+// strand its bit names.
 func TestFlattenRoundTrip(t *testing.T) {
 	ref := testRef(3000, 16)
 	idx, err := Build(ref, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, offs, locs := idx.Arrays()
-	if len(offs) != len(keys)+1 || offs[0] != 0 || int(offs[len(offs)-1]) != len(locs) {
-		t.Fatalf("offsets malformed: %d keys, %d offs, %d locs", len(keys), len(offs), len(locs))
+	entries, dir, locs := idx.Arrays()
+	if dir[0] != 0 || int(dir[len(dir)-1]) != len(entries) {
+		t.Fatalf("directory malformed: %d entries, %d slots", len(entries), len(dir)-1)
 	}
-	if !slices.IsSorted(keys) {
-		t.Error("keys not sorted")
-	}
-	if len(locs) != idx.Seeds() {
-		t.Errorf("%d locs, %d seeds", len(locs), idx.Seeds())
-	}
-	for i, key := range keys {
-		span := locs[offs[i]:offs[i+1]]
-		if len(span) == 0 {
-			t.Fatalf("key %d has empty span", key)
-		}
-		if !slices.IsSorted(span) {
-			t.Fatalf("key %d: locations %v not ascending", key, span)
-		}
-		for _, p := range span {
-			kmer := ref[p : int(p)+idx.K()]
-			if pack(kmer) != key {
-				t.Fatalf("loc %d under key %d packs to %d", p, key, pack(kmer))
+	seeds, runWords := 0, 0
+	for s := 0; s+1 < len(dir); s++ {
+		for i := dir[s]; i < dir[s+1]; i++ {
+			if i > dir[s] && entries[i]>>idx.valBits <= entries[i-1]>>idx.valBits {
+				t.Fatalf("entry %d: keys not ascending within slot %d", i, s)
 			}
+			key := uint64(s)<<idx.shift | entries[i]>>idx.valBits
+			run := runOf(idx, int(i))
+			if len(run) > 1 {
+				runWords += 1 + len(run)
+			}
+			if !slices.IsSortedFunc(run, func(a, b uint32) int { return cmp.Compare(a>>1, b>>1) }) {
+				t.Fatalf("key %d: locations %v not ascending", key, run)
+			}
+			for _, l := range run {
+				kmer := ref[l>>1 : int(l>>1)+idx.K()]
+				if l&1 == 1 {
+					kmer = seq.ReverseComplement(kmer)
+				}
+				// Oriented by its strand bit, the k-mer is the smaller of
+				// itself and its reverse complement.
+				if c := canonical(pack(kmer), pack(seq.ReverseComplement(kmer)), kmerMask(idx.k)); c>>2 != key || c&1 != 0 {
+					t.Fatalf("loc %d under key %d packs to %d", l, key, c)
+				}
+			}
+			seeds += len(run)
 		}
+	}
+	if seeds != idx.Stats().Seeds || runWords != len(locs) {
+		t.Errorf("%d seeds over %d run words, want %d over %d", seeds, runWords, idx.Stats().Seeds, len(locs))
 	}
 }
 
@@ -415,7 +541,8 @@ func TestFlattenRoundTrip(t *testing.T) {
 // than the keys leave free). Lookup of every reference k-mer, and of
 // random k-mers that are mostly absent, must equal a naive scan of the
 // kept positions, also on the table FromArrays rebuilds from the built
-// arrays, and the directory may hold at most one slot per key.
+// arrays, and the directory may hold at most one slot per key unless the
+// entries' key bits need it wider.
 func TestDirectoryEdgeCases(t *testing.T) {
 	random := testRef(2000, 17)
 	homopolymer := make([]byte, 500)
@@ -447,8 +574,8 @@ func TestDirectoryEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys, offs, locs := idx.Arrays()
-			re, err := FromArrays(tc.ref, tc.k, tc.w, keys, offs, locs)
+			entries, dir, locs := idx.Arrays()
+			re, err := FromArrays(tc.ref, tc.k, tc.w, entries, dir, locs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -456,29 +583,10 @@ func TestDirectoryEdgeCases(t *testing.T) {
 			if re.Stats() != st {
 				t.Errorf("stats: built %+v, from arrays %+v", st, re.Stats())
 			}
-			dirBytes := st.Bytes - int64(len(tc.ref)) - 8*int64(len(keys)) - 4*int64(len(offs)+len(locs))
-			if dirBytes > 4*int64(max(len(keys), 1)+1) {
-				t.Errorf("directory takes %d bytes for %d keys", dirBytes, len(keys))
+			if slots := len(dir) - 1; slots > max(len(entries), 1) && 2*tc.k-bits.Len(uint(slots-1))+int(idx.valBits) < 64 {
+				t.Errorf("directory has %d slots for %d keys", slots, len(entries))
 			}
-			// Naive minimizer selection: per window, the leftmost k-mer
-			// with the smallest hash.
-			kept := make([]bool, len(tc.ref)-tc.k+1)
-			for s := 0; s < len(kept); s++ {
-				if tc.w == 0 {
-					kept[s] = true
-					continue
-				}
-				if s+tc.w > len(kept) {
-					break
-				}
-				best := s
-				for j := s + 1; j < s+tc.w; j++ {
-					if mix(pack(tc.ref[j:j+tc.k])) < mix(pack(tc.ref[best:best+tc.k])) {
-						best = j
-					}
-				}
-				kept[best] = true
-			}
+			kept := keptPositions(tc.ref, tc.k, tc.w)
 			queries := make([][]byte, 0, len(tc.ref)+50)
 			for i := 0; i+tc.k <= len(tc.ref); i++ {
 				queries = append(queries, tc.ref[i:i+tc.k])
@@ -490,14 +598,14 @@ func TestDirectoryEdgeCases(t *testing.T) {
 			for _, q := range queries {
 				var want []int32
 				for i := 0; i+tc.k <= len(tc.ref); i++ {
-					if kept[i] && slices.Equal(tc.ref[i:i+tc.k], q) {
+					if (kept == nil || kept[i]) && slices.Equal(tc.ref[i:i+tc.k], q) {
 						want = append(want, int32(i))
 					}
 				}
-				if got := idx.Lookup(q); !slices.Equal(got, want) {
+				if got := lookup(idx, q); !slices.Equal(got, want) {
 					t.Fatalf("Lookup(%v) = %v, want %v", q, got, want)
 				}
-				if got := re.Lookup(q); !slices.Equal(got, want) {
+				if got := lookup(re, q); !slices.Equal(got, want) {
 					t.Fatalf("FromArrays Lookup(%v) = %v, want %v", q, got, want)
 				}
 			}
@@ -573,10 +681,33 @@ func TestCandidateBinEdgeCases(t *testing.T) {
 				if maxCands > 0 && maxCands < len(want) {
 					want = want[:maxCands]
 				}
-				if got := idx.CandidateLocationsInto(&s, read, maxCands); !slices.Equal(got, want) {
+				if got := idx.CandidateLocationsInto(&s, read, maxCands, nil); !slices.Equal(got, want) {
 					t.Errorf("cap %d: candidates %v, want %v", maxCands, got, want)
 				}
 			}
 		})
+	}
+}
+
+// TestFromArraysRejectsDisorder checks that FromArrays refuses entries out
+// of key order within a slot, and a location past the reference.
+func TestFromArraysRejectsDisorder(t *testing.T) {
+	ref := testRef(3000, 19)
+	idx, err := Build(ref, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, dir, locs := idx.Arrays()
+	s := 0
+	for dir[s+1]-dir[s] < 2 {
+		s++
+	}
+	swapped := slices.Clone(entries)
+	swapped[dir[s]], swapped[dir[s]+1] = swapped[dir[s]+1], swapped[dir[s]]
+	if _, err := FromArrays(ref, 11, 0, swapped, dir, locs); err == nil {
+		t.Error("FromArrays accepted a slot with its keys out of order")
+	}
+	if _, err := FromArrays(ref[:len(ref)-20], 11, 0, entries, dir, locs); err == nil {
+		t.Error("FromArrays accepted locations past the reference")
 	}
 }

@@ -58,18 +58,20 @@ type Candidate struct {
 // read seen and are reused from then on. The zero value is ready to use; a
 // SeedScratch must not be shared between concurrent calls.
 type SeedScratch struct {
-	keys   []uint64 // packed in-alphabet k-mers of the read
+	keys   []uint64 // canonical keys of the read's in-alphabet k-mers, with strand flags (see canonical)
 	offs   []int32  // read offset of each key
-	lo     []uint32 // each key's first slot entry in Index.keys, then its match or notFound
-	n      []uint32 // the number of keys in each key's directory slot
+	lo     []uint32 // each key's first slot entry in Index.entries, then its match or notFound
+	n      []uint32 // the number of entries in each key's directory slot
 	starts []int32  // one implied read start per seed hit
 	cands  []Candidate
+	sink   uint64 // keeps CandidateLocationsInto's prefetching loads
 }
 
 // notFound marks a read k-mer the table does not hold.
 const notFound = ^uint32(0)
 
-// collect aggregates the recorded starts into the ranked candidate list.
+// Rank aggregates the starts CandidateLocationsInto recorded (for its read
+// or, through rev, its reverse complement) into the ranked candidate list.
 // Votes are pooled in bins of start/16 to tolerate indel drift, but each
 // bin reports its most-voted exact start (the smallest on equal votes),
 // clamped to 0, so downstream aligners get a precise anchor. Sorting the
@@ -79,7 +81,7 @@ const notFound = ^uint32(0)
 // come back most-voted first (position ascending on ties), capped at
 // maxCandidates (0 = no cap); the slice views s.cands and stays valid
 // until the scratch's next use.
-func (s *SeedScratch) collect(maxCandidates int) []Candidate {
+func (s *SeedScratch) Rank(maxCandidates int) []Candidate {
 	const bin = 16 // indel drift tolerance
 	starts := s.starts
 	slices.Sort(starts)

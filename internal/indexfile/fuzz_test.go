@@ -3,14 +3,17 @@ package indexfile
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"genasm/internal/index"
+	"genasm/internal/seq"
 )
 
 // FuzzIndexFile drives the format from both directions. The fuzzer's bytes
 // pick reference content and parameters for a build → Write → Decode
-// round-trip (loaded candidates must match the built index exactly), and
+// round-trip (loaded candidates, and the reverse list of a fused pass over
+// the loaded table, must match the built index exactly), and
 // the same bytes are also fed straight into Decode as a hostile file image
 // (must error or decode cleanly, never panic).
 func FuzzIndexFile(f *testing.F) {
@@ -57,12 +60,16 @@ func FuzzIndexFile(f *testing.F) {
 		if !bytes.Equal(loaded.Index.Ref(), ref) {
 			t.Fatal("reference did not round-trip")
 		}
-		var bs, ls index.SeedScratch
+		var bs, ls, lrc index.SeedScratch
 		read := ref[:min(len(ref), 100)]
-		want := built.CandidateLocationsInto(&bs, read, 0)
-		got := loaded.Index.CandidateLocationsInto(&ls, read, 0)
+		want := built.CandidateLocationsInto(&bs, read, 0, nil)
+		got := loaded.Index.CandidateLocationsInto(&ls, read, 0, &lrc)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("candidates diverge: built %v, loaded %v", want, got)
+		}
+		want = built.CandidateLocationsInto(&bs, seq.ReverseComplement(read), 0, nil)
+		if got := lrc.Rank(0); !slices.Equal(want, got) {
+			t.Fatalf("reverse candidates diverge: built %v, loaded fused %v", want, got)
 		}
 	})
 }

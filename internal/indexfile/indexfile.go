@@ -2,13 +2,11 @@
 // reference indexes and loads them back as ready seed tables — the "build
 // once, load instantly" workflow Minimap2-class mappers ship as .mmi
 // files. Where `index.Build` is a rebuild on every server start, a
-// written index is mmapped and its big arrays (the seed table's keys,
-// offsets and locations) are served zero-copy straight out of the
-// mapping. The only structure derived at load is the seed table's
-// directory over the keys' top bits (at most 4 bytes per key, one
-// counting pass); built and loaded seed tables are then the same
-// index.Index. Platforms without mmap fall back to reading the file into
-// RAM.
+// written index is mmapped and the seed table's three arrays (entries,
+// directory and location runs; see package index) are served zero-copy
+// straight out of the mapping, so built and loaded seed tables are the
+// same index.Index. Platforms without mmap fall back to reading the file
+// into RAM.
 //
 // # Format
 //
@@ -20,29 +18,30 @@
 //
 //	header (72 bytes):
 //	  [8]byte  magic "GASMIDX\x01"
-//	  u32      version (currently 1)
+//	  u32      version (currently 2)
 //	  u32      byte-order mark 0x01020304
 //	  u32      backend (1=hash, 2=minimizer; 3 is retired, see below)
 //	  u32      k, u32 w (minimizer window; 0 for hash)
 //	  u32      refName length in bytes
-//	  u64      reference length in bases
-//	  u64      numKeys (distinct k-mers)
-//	  u64      numLocs (seed positions)
+//	  u64      reference length in bases (below 2^31)
+//	  u64      numEntries (distinct canonical k-mers)
+//	  u64      numLocs (location-run words)
 //	  u64      reference digest (CRC-64/ECMA over the encoded bases)
-//	  u64      reserved
+//	  u32      b (directory bits), u32 reserved
 //	sections (each zero-padded to 8 bytes):
 //	  refName  raw bytes
 //	  ref      2-bit packed bases, 4 per byte
-//	  keys []u64 ascending · offs [numKeys+1]u32 · locs []i32
+//	  entries []u64 · dir [2^b+1]u32 · locs []u32
 //	trailer:
 //	  u32      CRC-32C over everything before the trailer
 //
 // Load verifies the magic, version, byte order, structural bounds, the
 // whole-file checksum and the reference digest, and bounds-checks every
-// location — a truncated, corrupted or wrong-version file is a clean
-// error, never a panic in the seeding hot path. Backend tag 3 held a
-// suffix array in earlier releases; it stays reserved so it is never
-// reused, and such a file is rejected as an unsupported version.
+// entry and location — a truncated, corrupted or wrong-version file is a
+// clean error, never a panic in the seeding hot path. Version 1 files
+// (forward keys, per-key offsets) fail with ErrVersion and must be
+// rebuilt. Backend tag 3 held a suffix array in earlier releases; it
+// stays reserved, and such a file is rejected as an unsupported version.
 package indexfile
 
 import (
@@ -53,6 +52,7 @@ import (
 	"hash/crc32"
 	"hash/crc64"
 	"io"
+	"math/bits"
 	"os"
 	"unsafe"
 
@@ -73,7 +73,7 @@ var (
 )
 
 // Version is the current format version.
-const Version = 1
+const Version = 2
 
 const (
 	backendHash      = 1
@@ -109,7 +109,7 @@ func Write(w io.Writer, idx *index.Index, refName string) error {
 	}
 	st := idx.Stats()
 	ref := idx.Ref()
-	keys, offs, locs := idx.Arrays()
+	entries, dir, locs := idx.Arrays()
 	var backend uint32 = backendHash
 	if st.MinimizerW > 0 {
 		backend = backendMinimizer
@@ -124,9 +124,10 @@ func Write(w io.Writer, idx *index.Index, refName string) error {
 	ne.PutUint32(hdr[24:], uint32(st.MinimizerW))
 	ne.PutUint32(hdr[28:], uint32(len(refName)))
 	ne.PutUint64(hdr[32:], uint64(len(ref)))
-	ne.PutUint64(hdr[40:], uint64(len(keys)))
+	ne.PutUint64(hdr[40:], uint64(len(entries)))
 	ne.PutUint64(hdr[48:], uint64(len(locs)))
 	ne.PutUint64(hdr[56:], RefDigest(ref))
+	ne.PutUint32(hdr[64:], uint32(bits.Len(uint(len(dir)-2))))
 
 	crc := crc32.New(crcTable)
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
@@ -142,7 +143,7 @@ func Write(w io.Writer, idx *index.Index, refName string) error {
 		}
 		return nil
 	}
-	for _, b := range [][]byte{hdr[:], []byte(refName), packRef(ref), sliceBytes(keys), sliceBytes(offs), sliceBytes(locs)} {
+	for _, b := range [][]byte{hdr[:], []byte(refName), packRef(ref), sliceBytes(entries), sliceBytes(dir), sliceBytes(locs)} {
 		if err := emit(b); err != nil {
 			return err
 		}
@@ -175,18 +176,10 @@ func WriteFile(path string, idx *index.Index, refName string) error {
 	return f.Close()
 }
 
-// Info describes a loaded index file.
+// Info describes a loaded index file; File.Index.Stats describes its table.
 type Info struct {
-	// Backend labels the sampling ("hash" or "minimizer").
-	Backend string
-	// K and MinimizerW are the seeding parameters baked into the file.
-	K, MinimizerW int
 	// RefName is the reference name recorded at build time.
 	RefName string
-	// RefLen is the reference length in bases.
-	RefLen int
-	// Seeds and Buckets mirror index.Stats.
-	Seeds, Buckets int
 	// RefDigest identifies the reference (CRC-64/ECMA of its encoded
 	// bases), independent of sampling.
 	RefDigest uint64
@@ -286,8 +279,13 @@ func Sniff(r io.Reader) error {
 	if [8]byte(hdr[:8]) != magic {
 		return ErrFormat
 	}
+	return checkVersion(hdr[:])
+}
+
+// checkVersion checks a header's version and byte-order fields.
+func checkVersion(hdr []byte) error {
 	if v := ne.Uint32(hdr[8:]); v != Version {
-		return fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, v, Version)
+		return fmt.Errorf("%w: file version %d, this build reads %d; rebuild the index with `genasm index build`", ErrVersion, v, Version)
 	}
 	if bom := ne.Uint32(hdr[12:]); bom != byteOrderMark {
 		return fmt.Errorf("%w: foreign byte order (mark %#x)", ErrVersion, bom)
@@ -302,11 +300,8 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 	if [8]byte(data[:8]) != magic {
 		return nil, ErrFormat
 	}
-	if v := ne.Uint32(data[8:]); v != Version {
-		return nil, fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, v, Version)
-	}
-	if bom := ne.Uint32(data[12:]); bom != byteOrderMark {
-		return nil, fmt.Errorf("%w: foreign byte order (mark %#x)", ErrVersion, bom)
+	if err := checkVersion(data); err != nil {
+		return nil, err
 	}
 	payload := data[:len(data)-trailerSize]
 	if got, want := crc32.Checksum(payload, crcTable), ne.Uint32(data[len(data)-trailerSize:]); got != want {
@@ -318,28 +313,18 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 	w := int(int32(ne.Uint32(data[24:])))
 	nameLen := int(ne.Uint32(data[28:]))
 	refLen := ne.Uint64(data[32:])
-	numKeys := ne.Uint64(data[40:])
+	numEntries := ne.Uint64(data[40:])
 	numLocs := ne.Uint64(data[48:])
 	digest := ne.Uint64(data[56:])
+	dirBits := ne.Uint32(data[64:])
 
-	info := Info{
-		K:          k,
-		MinimizerW: w,
-		RefLen:     int(refLen),
-		Seeds:      int(numLocs),
-		Buckets:    int(numKeys),
-		RefDigest:  digest,
-		FileBytes:  int64(len(data)),
-		Mapped:     mapped,
-	}
+	info := Info{RefDigest: digest, FileBytes: int64(len(data)), Mapped: mapped}
 	switch backend {
 	case backendHash:
-		info.Backend = index.BackendHash
 		if w != 0 {
 			return nil, fmt.Errorf("%w: hash backend with window %d", ErrCorrupt, w)
 		}
 	case backendMinimizer:
-		info.Backend = index.BackendMinimizer
 		if w < 1 {
 			return nil, fmt.Errorf("%w: minimizer backend with window %d", ErrCorrupt, w)
 		}
@@ -354,77 +339,39 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 	if nameLen > maxRefNameLen {
 		return nil, fmt.Errorf("%w: reference name length %d", ErrCorrupt, nameLen)
 	}
-	if refLen > uint64(1)<<40 || uint64(k) > refLen {
+	if refLen > index.MaxRefLen || uint64(k) > refLen {
 		return nil, fmt.Errorf("%w: reference length %d with k=%d", ErrCorrupt, refLen, k)
 	}
-	if numKeys > numLocs || numLocs > refLen {
-		return nil, fmt.Errorf("%w: %d keys / %d locations over a %d-base reference", ErrCorrupt, numKeys, numLocs, refLen)
+	// Each seed is at most one entry and 1.5 location words, and the
+	// directory has at most one slot per seed or 2^b < 2·refLen.
+	if numEntries > refLen || numLocs > 2*refLen || dirBits > uint32(2*k) || uint64(1)<<dirBits > 2*refLen {
+		return nil, fmt.Errorf("%w: %d entries / %d location words / %d directory bits over a %d-base reference",
+			ErrCorrupt, numEntries, numLocs, dirBits, refLen)
 	}
 
-	// Walk the section table, bounds-checking every step.
-	sec := newSections(payload[headerSize:])
-	name, err := sec.take(nameLen, "refName")
-	if err != nil {
-		return nil, err
+	// Walk the sections, each padded to 8 bytes, bounds-checking every
+	// step: refName, packed reference, entries, directory, locations.
+	var sec [5][]byte
+	rest := payload[headerSize:]
+	for i, n := range [5]int{nameLen, int(refLen+3) / 4, int(numEntries) * 8, (1<<dirBits + 1) * 4, int(numLocs) * 4} {
+		if n > len(rest) {
+			return nil, fmt.Errorf("%w: section %d (%d bytes) exceeds file", ErrCorrupt, i, n)
+		}
+		sec[i], rest = rest[:n:n], rest[min(n+(8-n%8)%8, len(rest)):]
 	}
-	info.RefName = string(name)
-	packed, err := sec.take(int(refLen+3)/4, "packed reference")
-	if err != nil {
-		return nil, err
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, len(rest))
 	}
-	ref := unpackRef(packed, int(refLen))
+	info.RefName = string(sec[0])
+	ref := unpackRef(sec[1], int(refLen))
 	if d := RefDigest(ref); d != digest {
 		return nil, fmt.Errorf("%w: reference digest mismatch (header %#x, computed %#x)", ErrCorrupt, digest, d)
 	}
-	keysB, err := sec.take(int(numKeys)*8, "keys")
-	if err != nil {
-		return nil, err
-	}
-	offsB, err := sec.take((int(numKeys)+1)*4, "offsets")
-	if err != nil {
-		return nil, err
-	}
-	locsB, err := sec.take(int(numLocs)*4, "locations")
-	if err != nil {
-		return nil, err
-	}
-	if err := sec.done(); err != nil {
-		return nil, err
-	}
-	idx, err := index.FromArrays(ref, k, w, viewSlice[uint64](keysB), viewSlice[uint32](offsB), viewSlice[int32](locsB))
+	idx, err := index.FromArrays(ref, k, w, viewSlice[uint64](sec[2]), viewSlice[uint32](sec[3]), viewSlice[uint32](sec[4]))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return &File{Index: idx, Info: info, closer: closer}, nil
-}
-
-// sections walks the 8-aligned section layout with bounds checks.
-type sections struct {
-	data []byte
-	off  int
-}
-
-func newSections(data []byte) *sections { return &sections{data: data} }
-
-// take returns the next n-byte section and advances past its padding.
-func (s *sections) take(n int, what string) ([]byte, error) {
-	if n < 0 || n > len(s.data)-s.off {
-		return nil, fmt.Errorf("%w: %s section (%d bytes) exceeds file", ErrCorrupt, what, n)
-	}
-	b := s.data[s.off : s.off+n : s.off+n]
-	s.off += n + (8-n%8)%8
-	if s.off > len(s.data) {
-		s.off = len(s.data)
-	}
-	return b, nil
-}
-
-// done verifies the sections consumed the payload exactly.
-func (s *sections) done() error {
-	if s.off != len(s.data) {
-		return fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, len(s.data)-s.off)
-	}
-	return nil
 }
 
 // packRef packs dense 2-bit codes four to a byte, low bits first.
@@ -446,7 +393,7 @@ func unpackRef(packed []byte, n int) []byte {
 }
 
 // sliceBytes reinterprets a numeric slice as its raw native-order bytes.
-func sliceBytes[T uint64 | uint32 | int32](s []T) []byte {
+func sliceBytes[T uint64 | uint32](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
@@ -457,7 +404,7 @@ func sliceBytes[T uint64 | uint32 | int32](s []T) []byte {
 // copying. Sections are 8-aligned within the file and mappings are
 // page-aligned, so views are aligned in practice; a misaligned base
 // (possible for the RAM fallback's backing array) falls back to a copy.
-func viewSlice[T uint64 | uint32 | int32](b []byte) []T {
+func viewSlice[T uint64 | uint32](b []byte) []T {
 	var zero T
 	size := int(unsafe.Sizeof(zero))
 	n := len(b) / size

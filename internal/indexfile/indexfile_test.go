@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"genasm/internal/index"
@@ -37,12 +38,13 @@ func buildTable(t *testing.T, ref []byte, k, w int) *index.Index {
 
 // sameCandidates checks two indexes agree on candidate lists over a fuzzed
 // read mix: exact slices, mutated slices, and random reads with invalid
-// codes.
+// codes. got's fused pass must also give want's candidates for the read's
+// reverse complement.
 func sameCandidates(t *testing.T, want, got *index.Index, seed uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 1))
 	ref := want.Ref()
-	var ws, gs index.SeedScratch
+	var ws, gs, wrc, grc index.SeedScratch
 	for trial := 0; trial < 50; trial++ {
 		var read []byte
 		switch trial % 3 {
@@ -60,10 +62,14 @@ func sameCandidates(t *testing.T, want, got *index.Index, seed uint64) {
 			read = seq.Random(rng, 90)
 			read[rng.IntN(len(read))] = 7
 		}
-		w := want.CandidateLocationsInto(&ws, read, 0)
-		g := got.CandidateLocationsInto(&gs, read, 0)
+		w := want.CandidateLocationsInto(&ws, read, 0, nil)
+		g := got.CandidateLocationsInto(&gs, read, 0, &grc)
 		if !reflect.DeepEqual(w, g) {
 			t.Fatalf("trial %d: candidates diverge\nbuilt:  %v\nloaded: %v", trial, w, g)
+		}
+		w = want.CandidateLocationsInto(&wrc, seq.ReverseComplement(read), 0, nil)
+		if g := grc.Rank(0); !slices.Equal(w, g) {
+			t.Fatalf("trial %d: reverse candidates diverge\nbuilt:  %v\nloaded: %v", trial, w, g)
 		}
 	}
 }
@@ -92,9 +98,9 @@ func TestRoundTripAllBackends(t *testing.T) {
 					}
 					defer f.Close()
 
-					if f.Info.Backend != tc.backend || f.Info.RefName != "chr_test" ||
-						f.Info.K != 13 || f.Info.RefLen != len(ref) {
-						t.Errorf("info = %+v", f.Info)
+					if st := f.Index.Stats(); st.Backend != tc.backend || f.Info.RefName != "chr_test" ||
+						st.K != 13 || st.RefLen != len(ref) {
+						t.Errorf("info = %+v, stats %+v", f.Info, st)
 					}
 					if f.Info.RefDigest != RefDigest(ref) {
 						t.Errorf("digest %#x, want %#x", f.Info.RefDigest, RefDigest(ref))
@@ -152,8 +158,8 @@ func TestWriteFileTruncatesExisting(t *testing.T) {
 		t.Fatalf("reload after overwrite: %v", err)
 	}
 	defer f.Close()
-	if f.Info.RefLen != 500 {
-		t.Errorf("RefLen = %d after overwrite", f.Info.RefLen)
+	if n := f.Index.Stats().RefLen; n != 500 {
+		t.Errorf("RefLen = %d after overwrite", n)
 	}
 }
 
@@ -193,7 +199,9 @@ func TestCorruptFiles(t *testing.T) {
 		{"hash with window", refix(func(b []byte) { ne.PutUint32(b[24:], 5) }), ErrCorrupt},
 		{"huge name", refix(func(b []byte) { ne.PutUint32(b[28:], 1<<30) }), ErrCorrupt},
 		{"reflen larger than file", refix(func(b []byte) { ne.PutUint64(b[32:], 1<<32) }), ErrCorrupt},
-		{"more keys than locs", refix(func(b []byte) { ne.PutUint64(b[40:], 1<<20) }), ErrCorrupt},
+		{"more entries than bases", refix(func(b []byte) { ne.PutUint64(b[40:], 1<<20) }), ErrCorrupt},
+		{"directory too wide", refix(func(b []byte) { ne.PutUint32(b[64:], 23) }), ErrCorrupt},
+		{"directory one bit narrower", refix(func(b []byte) { ne.PutUint32(b[64:], ne.Uint32(b[64:])-1) }), ErrCorrupt},
 		{"wrong digest", refix(func(b []byte) { ne.PutUint64(b[56:], 0xdeadbeef) }), ErrCorrupt},
 		{"flipped payload byte", func() []byte {
 			b := append([]byte(nil), good...)

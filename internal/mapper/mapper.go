@@ -254,14 +254,23 @@ func (m *Mapper) MapReadContext(ctx context.Context, read []byte) (Mapping, erro
 	// strand is seeded lazily, once the forward candidates run out or
 	// turn weak: a weak hit on a random locus costs about as much to
 	// align as the true one, so a reverse-strand read must not align its
-	// forward strand's noise first.
-	fwd := m.seedStrand(&s.fwd, read[:seedLen])
+	// forward strand's noise first. A pass over a whole read records the
+	// reverse strand's starts too, which then only need ranking.
+	var fused *index.SeedScratch
+	if seedLen == len(read) {
+		fused = &s.rev
+	}
+	fwd := m.seedStrand(&s.fwd, read[:seedLen], fused)
 	var rev []index.Candidate
 	revSeeded := false
 	for !good() {
 		if !revSeeded && (len(fwd) == 0 || fwd[0].Votes < weakVotes) {
 			s.rc = seq.AppendReverseComplement(s.rc[:0], read)
-			rev = m.seedStrand(&s.rev, s.rc[:seedLen])
+			prefix := s.rc[:seedLen]
+			if fused != nil {
+				prefix = nil
+			}
+			rev = m.seedStrand(&s.rev, prefix, nil)
 			revSeeded = true
 		}
 		if len(fwd) == 0 && len(rev) == 0 {
@@ -351,12 +360,18 @@ func (m *Mapper) MapReadContext(ctx context.Context, read []byte) (Mapping, erro
 	return best, nil
 }
 
-// seedStrand runs the seeding step over one strand's read prefix with
-// scratch s and reports it to the trace. The candidates view s.
-func (m *Mapper) seedStrand(s *index.SeedScratch, prefix []byte) []index.Candidate {
+// seedStrand seeds one strand's read prefix into s (and its reverse
+// complement into a non-nil rev), or with a nil prefix ranks the starts
+// s holds, and reports it to the trace. The candidates view s.
+func (m *Mapper) seedStrand(s *index.SeedScratch, prefix []byte, rev *index.SeedScratch) []index.Candidate {
 	tr := m.cfg.Trace
 	seedStart := tr.now(tr != nil && tr.SeedingDone != nil)
-	cands := m.idx.CandidateLocationsInto(s, prefix, m.cfg.MaxCandidates)
+	var cands []index.Candidate
+	if prefix == nil {
+		cands = s.Rank(m.cfg.MaxCandidates)
+	} else {
+		cands = m.idx.CandidateLocationsInto(s, prefix, m.cfg.MaxCandidates, rev)
+	}
 	if tr != nil && tr.SeedingDone != nil {
 		seeds := 0
 		for _, c := range cands {

@@ -305,7 +305,7 @@ func TestEarlyAnchorMapsOnTarget(t *testing.T) {
 			edits++
 		}
 		var s index.SeedScratch
-		if c := m.idx.CandidateLocationsInto(&s, read[:256], 0); len(c) == 0 || c[0].Pos != p-shift {
+		if c := m.idx.CandidateLocationsInto(&s, read[:256], 0, nil); len(c) == 0 || c[0].Pos != p-shift {
 			t.Fatalf("shift %d: top candidates %v, want one anchored at %d", shift, c, p-shift)
 		}
 		got, err := m.MapRead(read)

@@ -42,7 +42,7 @@ strands:
 			rcBuf = seq.ReverseComplement(read)
 			r = rcBuf
 		}
-		for _, cand := range m.idx.CandidateLocationsInto(&ss, r[:seedLen], m.cfg.MaxCandidates) {
+		for _, cand := range m.idx.CandidateLocationsInto(&ss, r[:seedLen], m.cfg.MaxCandidates, nil) {
 			best.Candidates++
 			start := max(0, cand.Pos-16)
 			end := min(len(m.ref), cand.Pos+len(r)+maxEdits+16)
@@ -265,7 +265,7 @@ func TestBestFirstSchedule(t *testing.T) {
 			if !want.Mapped || want.Distance > maxEdits {
 				continue
 			}
-			fwd := idx.CandidateLocationsInto(&ss, r[:min(len(r), 256)], m.cfg.MaxCandidates)
+			fwd := idx.CandidateLocationsInto(&ss, r[:min(len(r), 256)], m.cfg.MaxCandidates, nil)
 			var wantEvents string
 			switch {
 			case !c.rev[i] && !want.RevComp && want.Aligned == 1 && fwd[0].Votes >= 3:

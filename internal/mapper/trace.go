@@ -19,13 +19,15 @@ import "time"
 // budgets. The Mapper keeps the pointer, so set the hooks before mapping
 // and leave them unchanged.
 type Trace struct {
-	// SeedingDone runs after the seeding step of one strand scan: seeds
-	// is the total number of seed hits voting for the returned candidate
+	// SeedingDone runs after the seeding step of one strand: seeds is
+	// the total number of seed hits voting for the returned candidate
 	// locations, candidates how many locations were produced, d the time
 	// spent seeding. Called once or twice per read: the forward strand
-	// first, then the reverse complement, which is seeded only if the
+	// first, then the reverse complement, which is consulted only if the
 	// read has no confident hit when its forward candidates run out or
-	// the next one has fewer than three votes.
+	// the next one has fewer than three votes. A read of at most 256
+	// letters is looked up once for both strands: the forward call's d is
+	// that pass, the reverse call's d only the ranking of its votes.
 	SeedingDone func(seeds, candidates int, d time.Duration)
 	// FilterDone runs after the pre-alignment filter judged one candidate
 	// region; accepted reports whether the candidate survived to the

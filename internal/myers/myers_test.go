@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"genasm/internal/alphabet"
+	"genasm/internal/cigar"
 	"genasm/internal/dp"
 )
 
@@ -102,6 +103,9 @@ func TestSemiGlobalAgainstDP(t *testing.T) {
 		want := semiGlobalDP(text, pattern)
 		if got != want {
 			t.Fatalf("trial %d: myers %d, dp %d", trial, got, want)
+		}
+		if fit := -dp.Align(text, pattern, cigar.Unit, dp.Fit, 0).Score; got != fit {
+			t.Fatalf("trial %d: myers %d, dp fit alignment %d", trial, got, fit)
 		}
 	}
 }

@@ -465,15 +465,6 @@ func (s *Server) OpsHandler() http.Handler {
 // http.ErrServerClosed after a graceful shutdown, like net/http.
 func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Shutdown drains in-flight requests and stops the server, bounded by
 // shutdownTimeout. Healthz reports degraded for the duration. After
 // a clean drain the reference registry is closed, releasing every resident

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"genasm/internal/index"
@@ -270,5 +271,33 @@ func TestLoadRefIndexRetiredSuffixArray(t *testing.T) {
 	}
 	if !errors.Is(err, indexfile.ErrVersion) || want == nil || err.Error() != want.Error() {
 		t.Errorf("LoadRefIndex error %v, want the decoder's %v", err, want)
+	}
+}
+
+// TestLoadRefIndexVersion1 checks that an index file of format version 1
+// fails to load with the decoder's unsupported-version error, which names
+// the rebuild command.
+func TestLoadRefIndexVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("internal", "indexfile", "testdata", "hash-k11.gidx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.NativeEndian.Uint32(data[12:]) != 0x01020304 {
+		t.Skip("golden files are little-endian")
+	}
+	binary.NativeEndian.PutUint32(data[8:], 1)
+	n := len(data) - 4
+	binary.NativeEndian.PutUint32(data[n:], crc32.Checksum(data[:n], crc32.MakeTable(crc32.Castagnoli)))
+	path := filepath.Join(t.TempDir(), "v1.gidx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ri, err := LoadRefIndex(path)
+	if err == nil {
+		ri.Close()
+		t.Fatal("LoadRefIndex accepted a version-1 file")
+	}
+	if !errors.Is(err, indexfile.ErrVersion) || !strings.Contains(err.Error(), "genasm index build") {
+		t.Errorf("LoadRefIndex error %v, want ErrVersion naming `genasm index build`", err)
 	}
 }

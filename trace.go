@@ -11,6 +11,8 @@ import (
 // rendition of the paper's per-pipeline-stage breakdown (seeding,
 // pre-alignment filtering, alignment; Figure 1). Attach one via
 // MapperConfig.Trace; each field's doc says when its hook runs.
+// SeedingDone runs once per strand consulted; for a read of at most 256
+// letters the forward call times the one lookup pass of both strands.
 type MapTrace = mapper.Trace
 
 // AlignTrace is a set of hooks run around every alignment an Engine
