@@ -108,17 +108,17 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.opsAddr, "ops-addr", "", "private operations listener (/metrics + /debug/pprof); empty disables")
 	fs.StringVar(&o.logFormat, "log", "text", "structured log format: text, json or off")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log threshold: debug, info, warn or error (debug logs every request)")
-	fs.IntVar(&o.workspaces, "workspaces", 0, "max pooled workspaces (0 = 2x GOMAXPROCS)")
+	fs.IntVar(&o.workspaces, "workspaces", 0, "max pooled workspaces, bounding alignment and mapping together (0 = 2x GOMAXPROCS)")
 	fs.IntVar(&o.queue, "queue", 0, "admission queue depth (0 = 4x workspaces)")
 	fs.Int64Var(&o.maxBody, "max-body", 0, "max request body bytes (0 = 8 MiB)")
 	fs.IntVar(&o.maxBatch, "max-batch", 0, "max jobs per batch request (0 = 1024)")
 	fs.IntVar(&o.maxSeq, "max-seq", 0, "max sequence length (0 = 1 MiB)")
 	fs.Int64Var(&o.maxStream, "max-stream", 0, "max /v1/map/stream request body bytes (0 = 1 GiB)")
-	fs.IntVar(&o.window, "window", 0, "alignment window size W (0 = 64)")
-	fs.IntVar(&o.overlap, "overlap", 0, "window overlap O (0 = 24)")
-	fs.StringVar(&o.alphabet, "alphabet", "DNA", "alphabet: DNA, RNA, protein or bytes")
-	fs.BoolVar(&o.searchStart, "search-start", false, "let semi-global alignments start at the best position in the first window")
-	fs.BoolVar(&o.gapsFirst, "gaps-first", false, "prefer gaps over substitutions during traceback")
+	fs.IntVar(&o.window, "window", 0, "alignment window size W, mapping included (0 = 64)")
+	fs.IntVar(&o.overlap, "overlap", 0, "window overlap O, mapping included (0 = 24)")
+	fs.StringVar(&o.alphabet, "alphabet", "DNA", "alphabet: DNA, RNA, protein or bytes (only DNA can map: -ref, -ref-index, -ref-dir and /v1/map need it)")
+	fs.BoolVar(&o.searchStart, "search-start", false, "let /v1/align and /v1/batch semi-global alignments start at the best position in the first window (mapping always does)")
+	fs.BoolVar(&o.gapsFirst, "gaps-first", false, "prefer gaps over substitutions during traceback, mapping included")
 	fs.StringVar(&o.refPath, "ref", "", "optional FASTA reference to preload for /v1/map")
 	fs.StringVar(&o.refIndex, "ref-index", "", "prebuilt reference index file (genasm index build) to preload for /v1/map; mutually exclusive with -ref")
 	fs.StringVar(&o.refDir, "ref-dir", "", "directory of *.gasmidx/*.gidx files served as named references (lazy mmap-load; SIGHUP re-scans)")

@@ -126,14 +126,14 @@
 // MapperConfig.Trace) fires after seeding, after each pre-alignment
 // filter decision, after each candidate alignment and once per finished
 // read — the software rendition of the paper's per-stage breakdown
-// (Figure 1). AlignTrace (attached with WithAlignTrace or
-// Engine.SetAlignTrace) fires when an alignment obtains a pooled
-// workspace (with the wait, the saturation signal of the per-vault GenASM
-// units) and when it finishes (with sizes, duration and error). Hooks run
-// synchronously on the hot path and the traced path performs no
-// additional allocations, so metrics-backed traces can stay attached in
-// production; the HTTP server does exactly that, feeding the Prometheus
-// registry in internal/metrics that GET /metrics exposes.
+// (Figure 1). AlignTrace (attached with Engine.SetAlignTrace) fires when
+// an alignment obtains a pooled workspace (with the wait, the saturation
+// signal of the per-vault GenASM units) and when it finishes (with sizes,
+// duration and error). Hooks run synchronously on the hot path and the
+// traced path performs no additional allocations, so metrics-backed
+// traces can stay attached in production; the HTTP server does exactly
+// that, feeding the Prometheus registry in internal/metrics that
+// GET /metrics exposes.
 //
 // # Migrating from the pre-Engine API
 //

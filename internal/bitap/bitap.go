@@ -194,9 +194,6 @@ func (mw *MultiWord) sizeScratch() {
 	}
 }
 
-// Pattern length in characters.
-func (mw *MultiWord) PatternLen() int { return mw.m }
-
 // Search scans the encoded text and returns all matches with at most k
 // edits, in decreasing location order. It keeps the raw Algorithm 1
 // semantics: no end padding.

@@ -202,8 +202,8 @@ func TestMultiWordLongPattern(t *testing.T) {
 	if !mw.Within(text) {
 		t.Fatal("Within at k=2 = false, want true (distance 2)")
 	}
-	if mw.PatternLen() != len(pattern) {
-		t.Fatalf("PatternLen = %d", mw.PatternLen())
+	if mw.m != len(pattern) {
+		t.Fatalf("pattern length after Reset = %d", mw.m)
 	}
 }
 

@@ -5,13 +5,12 @@
 // A bitvector is a little-endian slice of 64-bit words: bit i of the vector
 // lives at bits[i/64] >> (i%64). The GenASM algorithms only ever need a
 // handful of operations — fill with ones, shift left by one with carry
-// across words, AND/OR, and single-bit reads — so this package exposes
-// exactly those as allocation-free functions over []uint64, plus a small
-// convenience Vector type for tests and non-hot-path callers.
+// across words, and single-bit reads — so this package exposes exactly
+// those as allocation-free functions over []uint64, plus a small
+// convenience Vector type for tests.
 package bitvec
 
 import (
-	"fmt"
 	"math/bits"
 	"strings"
 )
@@ -64,27 +63,6 @@ func ShiftLeft1Or(dst, src, or []uint64) {
 	}
 }
 
-// And writes a & b into dst. All slices must have equal length.
-func And(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] = a[i] & b[i]
-	}
-}
-
-// AndInto ANDs src into dst in place.
-func AndInto(dst, src []uint64) {
-	for i := range dst {
-		dst[i] &= src[i]
-	}
-}
-
-// Or writes a | b into dst. All slices must have equal length.
-func Or(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] = a[i] | b[i]
-	}
-}
-
 // Bit reports the value of bit i (0 or 1).
 func Bit(v []uint64, i int) uint64 {
 	return v[i/WordSize] >> (uint(i) % WordSize) & 1
@@ -123,14 +101,6 @@ func CountZeros(v []uint64, nbits int) int {
 	return zeros
 }
 
-// CountOnes returns the number of 1 bits among the first nbits bits.
-func CountOnes(v []uint64, nbits int) int {
-	if nbits <= 0 {
-		return 0
-	}
-	return nbits - CountZeros(v, nbits)
-}
-
 // String renders the first nbits bits MSB-first (bit nbits-1 leftmost), the
 // convention used in the paper's worked examples (Figure 3).
 func String(v []uint64, nbits int) string {
@@ -156,30 +126,6 @@ type Vector struct {
 // New returns a Vector of nbits bits, all zero.
 func New(nbits int) Vector {
 	return Vector{bits: make([]uint64, Words(nbits)), n: nbits}
-}
-
-// NewOnes returns a Vector of nbits bits, all one.
-func NewOnes(nbits int) Vector {
-	v := New(nbits)
-	Fill(v.bits, ^uint64(0))
-	return v
-}
-
-// FromString parses an MSB-first binary string such as "1011" (the format
-// used in the paper's figures) into a Vector.
-func FromString(s string) (Vector, error) {
-	v := New(len(s))
-	for i, c := range []byte(s) {
-		bit := len(s) - 1 - i
-		switch c {
-		case '0':
-		case '1':
-			SetBit(v.bits, bit)
-		default:
-			return Vector{}, fmt.Errorf("bitvec: invalid character %q in %q", c, s)
-		}
-	}
-	return v, nil
 }
 
 // Len returns the logical number of bits.

@@ -112,24 +112,6 @@ func TestShiftLeft1OrMatchesComposition(t *testing.T) {
 	}
 }
 
-func TestAndOr(t *testing.T) {
-	a := []uint64{0b1100, 0xF0}
-	b := []uint64{0b1010, 0x0F}
-	dst := make([]uint64, 2)
-	And(dst, a, b)
-	if dst[0] != 0b1000 || dst[1] != 0 {
-		t.Errorf("And: got %#x", dst)
-	}
-	Or(dst, a, b)
-	if dst[0] != 0b1110 || dst[1] != 0xFF {
-		t.Errorf("Or: got %#x", dst)
-	}
-	AndInto(dst, a)
-	if dst[0] != 0b1100 || dst[1] != 0xF0 {
-		t.Errorf("AndInto: got %#x", dst)
-	}
-}
-
 func TestCountZerosOnes(t *testing.T) {
 	v := make([]uint64, 2)
 	Fill(v, ^uint64(0))
@@ -147,9 +129,6 @@ func TestCountZerosOnes(t *testing.T) {
 	if got := CountZeros(v, 3); got != 0 {
 		t.Errorf("CountZeros(3) = %d, want 0", got)
 	}
-	if got := CountOnes(v, 128); got != 126 {
-		t.Errorf("CountOnes(128) = %d, want 126", got)
-	}
 	if got := CountZeros(v, 0); got != 0 {
 		t.Errorf("CountZeros(0) = %d, want 0", got)
 	}
@@ -157,18 +136,14 @@ func TestCountZerosOnes(t *testing.T) {
 
 func TestStringRoundTrip(t *testing.T) {
 	const s = "1011010011110000101101001111000010110100111100001011010011110000101" // 67 bits
-	v, err := FromString(s)
-	if err != nil {
-		t.Fatal(err)
+	v := make([]uint64, Words(len(s)))
+	for i, c := range []byte(s) {
+		if c == '1' {
+			SetBit(v, len(s)-1-i)
+		}
 	}
-	if got := v.String(); got != s {
+	if got := String(v, len(s)); got != s {
 		t.Errorf("round trip mismatch:\n got %s\nwant %s", got, s)
-	}
-}
-
-func TestFromStringRejectsGarbage(t *testing.T) {
-	if _, err := FromString("10x1"); err == nil {
-		t.Fatal("expected error for invalid character")
 	}
 }
 
@@ -185,10 +160,8 @@ func TestVectorBasics(t *testing.T) {
 	if v.Bit(129) != 0 {
 		t.Fatal("Clear failed")
 	}
-	ones := NewOnes(65)
-	if got := CountOnes(ones.Words(), 65); got != 65 {
-		t.Fatalf("NewOnes: %d ones", got)
-	}
+	ones := New(65)
+	Fill(ones.Words(), ^uint64(0))
 	ones.ShiftLeft1()
 	if ones.Bit(0) != 0 || ones.Bit(64) != 1 {
 		t.Fatal("Vector.ShiftLeft1 wrong")

@@ -286,17 +286,6 @@ func runWidth(n int) int {
 	return w
 }
 
-// Ops expands the run-length encoding into one Op per operation.
-func (c Cigar) Ops() []Op {
-	out := make([]Op, 0, c.Len())
-	for _, r := range c {
-		for i := 0; i < r.Len; i++ {
-			out = append(out, r.Op)
-		}
-	}
-	return out
-}
-
 // Parse parses an extended or classic CIGAR string. 'M' is accepted and
 // parsed as OpMatch (callers that need =/X resolution should re-validate
 // against the sequences).
@@ -436,15 +425,6 @@ func (s Scoring) Score(c Cigar) int {
 		prev = r.Op
 	}
 	return score
-}
-
-// FromOps builds a Cigar from a flat list of operations.
-func FromOps(ops []Op) Cigar {
-	var b Builder
-	for _, op := range ops {
-		b.Add(op)
-	}
-	return b.Cigar()
 }
 
 // Reverse returns the CIGAR with runs in reverse order (used by DP

@@ -154,18 +154,6 @@ func TestScoringUnitEqualsNegEditDistance(t *testing.T) {
 	}
 }
 
-func TestOpsAndFromOps(t *testing.T) {
-	c := Cigar{{2, OpMatch}, {1, OpIns}}
-	ops := c.Ops()
-	if len(ops) != 3 || ops[0] != OpMatch || ops[2] != OpIns {
-		t.Fatalf("Ops = %v", ops)
-	}
-	c2 := FromOps(ops)
-	if c2.String() != c.String() {
-		t.Fatalf("FromOps = %v", c2)
-	}
-}
-
 func TestReverse(t *testing.T) {
 	c := Cigar{{2, OpMatch}, {1, OpIns}, {3, OpMatch}}
 	r := c.Reverse()

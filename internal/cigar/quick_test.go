@@ -35,17 +35,6 @@ func TestQuickFormatParseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickOpsRoundTrip: FromOps(c.Ops()) preserves the alignment.
-func TestQuickOpsRoundTrip(t *testing.T) {
-	prop := func(raw []byte) bool {
-		c := genCigar(raw)
-		return FromOps(c.Ops()).String() == c.String()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickLengthAccounting: Len == QueryLen + deletions == TextLen +
 // insertions for every CIGAR.
 func TestQuickLengthAccounting(t *testing.T) {

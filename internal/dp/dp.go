@@ -333,17 +333,6 @@ func Align(text, pattern []byte, sc cigar.Scoring, mode Mode, band int) Result {
 	}
 }
 
-// GlobalEdit is unit-cost global alignment with traceback (Levenshtein with
-// an optimal path). The returned Score is the negated edit distance.
-func GlobalEdit(text, pattern []byte) Result {
-	return Align(text, pattern, cigar.Unit, Global, 0)
-}
-
-// BandedGlobalEdit is GlobalEdit within a band.
-func BandedGlobalEdit(text, pattern []byte, band int) Result {
-	return Align(text, pattern, cigar.Unit, Global, band)
-}
-
 // EditDistance is the two-row Levenshtein distance (no traceback); the
 // repository's smallest correctness oracle.
 func EditDistance(a, b []byte) int {

@@ -49,7 +49,7 @@ func TestGlobalEditMatchesEditDistance(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		a := randSeq(rng, rng.IntN(120))
 		b := randSeq(rng, rng.IntN(120))
-		res := GlobalEdit(a, b)
+		res := Align(a, b, cigar.Unit, Global, 0)
 		want := EditDistance(a, b)
 		if res.Distance() != want {
 			t.Fatalf("trial %d: traceback distance %d, row distance %d", trial, res.Distance(), want)
@@ -73,7 +73,7 @@ func TestBandedGlobalEditWideBandExact(t *testing.T) {
 			p := rng.IntN(len(b))
 			b[p] = (b[p] + 1) % 4
 		}
-		res := BandedGlobalEdit(a, b, 8)
+		res := Align(a, b, cigar.Unit, Global, 8)
 		want := EditDistance(a, b)
 		if res.Distance() != want {
 			t.Fatalf("trial %d: banded %d, true %d", trial, res.Distance(), want)
@@ -265,7 +265,7 @@ func BenchmarkGlobalEdit250(b *testing.B) {
 	y := randSeq(rng, 250)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GlobalEdit(x, y)
+		Align(x, y, cigar.Unit, Global, 0)
 	}
 }
 

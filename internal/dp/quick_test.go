@@ -49,7 +49,7 @@ func TestQuickEditDistanceMetric(t *testing.T) {
 func TestQuickGlobalEditOptimality(t *testing.T) {
 	prop := func(ra, rb []byte) bool {
 		a, b := clamp(ra, 100), clamp(rb, 100)
-		res := GlobalEdit(a, b)
+		res := Align(a, b, cigar.Unit, Global, 0)
 		if res.Distance() != EditDistance(a, b) {
 			return false
 		}

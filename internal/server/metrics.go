@@ -55,8 +55,6 @@ type serverMetrics struct {
 	mapperMapped     *metrics.Counter
 	mapperSeeds      *metrics.Counter
 	mapperCandidates *metrics.Counter
-	mapperFiltered   *metrics.Counter
-	mapperAccepted   *metrics.Counter
 	readSeconds      *metrics.Histogram
 	stage            *metrics.HistogramVec // genasm_mapper_stage_seconds{stage,ref}
 
@@ -133,10 +131,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Seed hits voting for candidate locations."),
 		mapperCandidates: r.Counter("genasm_mapper_candidates_total",
 			"Candidate locations produced by seeding."),
-		mapperFiltered: r.Counter("genasm_mapper_filtered_total",
-			"Candidates rejected by the pre-alignment filter."),
-		mapperAccepted: r.Counter("genasm_mapper_accepted_total",
-			"Candidates accepted by the pre-alignment filter."),
 		readSeconds: r.Histogram("genasm_mapper_read_seconds",
 			"End-to-end mapping pipeline time per read.", stageBuckets),
 		stage: r.HistogramVec("genasm_mapper_stage_seconds",
@@ -259,9 +253,9 @@ func (m *serverMetrics) refEvicted(name string, st genasm.IndexStats) {
 	m.indexInfo.With(name, st.Backend, st.Source).Set(0)
 }
 
-// alignTrace adapts the registry into engine-level hooks. Attached to both
-// the serving and the mapping engine, so every alignment either path runs
-// lands in the same histograms.
+// alignTrace adapts the registry into engine-level hooks for the serving
+// engine. They fire for /v1/align and /v1/batch alignments; mapped
+// candidates report through mapTraceFor's AlignDone instead.
 func (m *serverMetrics) alignTrace() *genasm.AlignTrace {
 	return &genasm.AlignTrace{
 		WorkspaceAcquired: func(wait time.Duration) { m.workspaceWait.Observe(wait.Seconds()) },
@@ -281,21 +275,12 @@ func (m *serverMetrics) alignTrace() *genasm.AlignTrace {
 // references share the "inline" label to keep cardinality bounded.
 func (m *serverMetrics) mapTraceFor(ref string) *genasm.MapTrace {
 	stageSeed := m.stage.With("seed", ref)
-	stageFilter := m.stage.With("filter", ref)
 	stageAlign := m.stage.With("align", ref)
 	return &genasm.MapTrace{
 		SeedingDone: func(seeds, candidates int, d time.Duration) {
 			m.mapperSeeds.Add(uint64(seeds))
 			m.mapperCandidates.Add(uint64(candidates))
 			stageSeed.Observe(d.Seconds())
-		},
-		FilterDone: func(accepted bool, d time.Duration) {
-			if accepted {
-				m.mapperAccepted.Inc()
-			} else {
-				m.mapperFiltered.Inc()
-			}
-			stageFilter.Observe(d.Seconds())
 		},
 		AlignDone: func(ok bool, d time.Duration) { stageAlign.Observe(d.Seconds()) },
 		ReadDone: func(candidates, filtered, accepted int, mapped bool, d time.Duration) {
@@ -326,7 +311,7 @@ type LatencySummary struct {
 type LatencyStats struct {
 	// Endpoints is keyed by endpoint label, merged across status codes.
 	Endpoints map[string]LatencySummary `json:"endpoints"`
-	// Stages is keyed by mapping pipeline stage (seed, filter, align),
+	// Stages is keyed by mapping pipeline stage (seed, align),
 	// merged across references.
 	Stages map[string]LatencySummary `json:"stages"`
 	// Read is the end-to-end mapping pipeline time per read.

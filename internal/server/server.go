@@ -42,7 +42,7 @@
 // genasm_http_errors_total{kind} label. Every request flows through an
 // observability middleware: per-endpoint/per-status counters and latency
 // histograms, byte accounting, request IDs and structured (log/slog)
-// logging. The mapping pipeline and both engines carry metrics-backed
+// logging. The mapping pipeline and the engine carry metrics-backed
 // trace hooks (genasm.MapTrace / genasm.AlignTrace), so /metrics breaks
 // serving time down by pipeline stage and reference. The /v1/stats JSON
 // counters are read from the same registry, so the two views cannot
@@ -81,8 +81,11 @@ const (
 // Config parameterizes a Server. The zero values of the limits pick
 // sensible production defaults; Engine is required.
 type Config struct {
-	// Engine is the shared alignment engine. Required. The server attaches
-	// a metrics-backed genasm.AlignTrace to it.
+	// Engine is the shared engine. Required. It serves alignment and
+	// mapping alike, so its capacity bounds both; it must use the DNA
+	// alphabet for Ref, RefIndexPath, RefDir and inline /v1/map
+	// references. The server attaches a metrics-backed genasm.AlignTrace
+	// to it.
 	Engine *genasm.Engine
 	// QueueDepth bounds the number of requests admitted to alignment
 	// work at once (in flight + queued waiting for a workspace). Further
@@ -265,21 +268,20 @@ type Server struct {
 	completions atomic.Uint64
 	drain       drainRate
 
-	// mapEngine drives the /v1/map pipeline: read mapping is DNA-only,
-	// at the paper's default window, independent of how the serving
-	// engine is configured.
-	mapEngine *genasm.Engine
 	// refs is the named-reference registry every mapping request resolves
 	// against; the server closes it (unmapping resident indexes) on clean
 	// Shutdown.
 	refs *registry.Registry
 }
 
-// New builds a Server: the metrics registry, the mapping engine, and the
-// reference registry seeded from Config.Ref / RefIndexPath / RefDir.
+// New builds a Server: the metrics registry and the reference registry
+// seeded from Config.Ref / RefIndexPath / RefDir.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("server: Config.Engine is required")
+	}
+	if a := cfg.Engine.Alphabet(); a != genasm.DNA && (len(cfg.Ref) > 0 || cfg.RefIndexPath != "" || cfg.RefDir != "") {
+		return nil, fmt.Errorf("server: references need a DNA engine, engine uses %s", a)
 	}
 	// Mappers are built per reference, possibly long after boot; refuse a
 	// mapping setup they would all reject now.
@@ -299,23 +301,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ridBase = uint32(s.start.UnixNano())
 	s.m = newServerMetrics(s)
-	// Both engines report workspace waits and kernel time into the same
-	// histograms — the engine-level half of the stage breakdown.
+	// The engine reports workspace waits and kernel time — the
+	// engine-level half of the stage breakdown.
 	cfg.Engine.SetAlignTrace(s.m.alignTrace())
-	// The mapping engine is a DNA engine at the paper's default window,
-	// since the serving engine may use another alphabet or window. It is
-	// sized like the serving engine.
-	me, err := genasm.NewEngine(
-		genasm.WithMaxWorkspaces(cfg.Engine.Capacity()),
-		genasm.WithAlignTrace(s.m.alignTrace()),
-	)
-	if err != nil {
-		return nil, err
-	}
-	s.mapEngine = me
 	refs, err := registry.New(registry.Config{
 		NewMapper: func(ri *genasm.RefIndex, name string) (*genasm.Mapper, error) {
-			return s.mapEngine.NewMapperFromIndex(ri, genasm.MapperConfig{
+			return cfg.Engine.NewMapperFromIndex(ri, genasm.MapperConfig{
 				ErrorRate: cfg.MapErrorRate,
 				RefName:   name,
 				Trace:     s.m.mapTraceFor(name),
@@ -393,7 +384,7 @@ func (s *Server) seedRegistry() error {
 		if name == "" {
 			name = "ref"
 		}
-		ri, err := s.mapEngine.BuildRefIndex(cfg.Ref, genasm.RefIndexConfig{
+		ri, err := cfg.Engine.BuildRefIndex(cfg.Ref, genasm.RefIndexConfig{
 			SeedParams: genasm.SeedParams{SeedK: cfg.MapSeedK},
 			RefName:    name,
 		})
@@ -413,12 +404,12 @@ func (s *Server) seedRegistry() error {
 	return nil
 }
 
-// newMapper indexes a request-supplied reference (letters) on the mapping
-// engine; the returned Mapper is safe for concurrent use and carries the
+// newMapper indexes a request-supplied reference (letters) on the serving
+// engine, which must be DNA; the returned Mapper is safe for concurrent use and carries the
 // server's metrics-backed pipeline trace under the "inline" reference
 // label.
 func (s *Server) newMapper(ref []byte, refName string) (*genasm.Mapper, error) {
-	return s.mapEngine.NewMapper(ref, genasm.MapperConfig{
+	return s.cfg.Engine.NewMapper(ref, genasm.MapperConfig{
 		SeedParams: genasm.SeedParams{SeedK: s.cfg.MapSeedK},
 		ErrorRate:  s.cfg.MapErrorRate,
 		RefName:    refName,

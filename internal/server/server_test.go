@@ -468,6 +468,96 @@ func TestPreloadedReference(t *testing.T) {
 	wg.Wait()
 }
 
+// simMapRequest simulates n Illumina-150 reads (both strands) from a
+// 20 kbp genome and returns the genome letters and a request for them.
+func simMapRequest(t *testing.T, n int) ([]byte, MapRequest) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(32, 5))
+	genome := seq.Genome(rng, seq.DefaultGenomeConfig(20000))
+	reads, err := simulate.Reads(rng, genome, n, simulate.Illumina150, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req MapRequest
+	for i, r := range reads {
+		req.Reads = append(req.Reads, MapRead{Name: fmt.Sprintf("s%d", i), Seq: string(alphabet.DNA.Decode(r.Seq))})
+	}
+	return alphabet.DNA.Decode(genome), req
+}
+
+// TestMapDrawsFromServingPool pins that /v1/map runs on the serving
+// engine: mapping shows in its pool counters and stays within its
+// capacity.
+func TestMapDrawsFromServingPool(t *testing.T) {
+	ref, req := simMapRequest(t, 5)
+	srv, base := startServer(t, Config{
+		Engine: newTestEngine(t, genasm.WithMaxWorkspaces(2)),
+		Ref:    ref,
+	})
+	before := srv.Stats().Pool
+	resp, body := postJSON(t, base+"/v1/map", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	after := srv.Stats().Pool
+	if after.Hits+after.Misses <= before.Hits+before.Misses {
+		t.Errorf("pool gets %d before the map request and %d after, want an increase",
+			before.Hits+before.Misses, after.Hits+after.Misses)
+	}
+	if after.Capacity != 2 {
+		t.Errorf("pool capacity %d, want 2", after.Capacity)
+	}
+}
+
+// TestNonDNAEngineRefusesMapping pins that a server on a non-DNA engine
+// refuses references at boot and inline references per request, naming
+// the alphabet either way.
+func TestNonDNAEngineRefusesMapping(t *testing.T) {
+	eng := newTestEngine(t, genasm.WithAlphabet(genasm.Protein))
+	ref, req := simMapRequest(t, 2)
+	name := genasm.Protein.String()
+	for _, cfg := range []Config{
+		{Engine: eng, Ref: ref},
+		{Engine: eng, RefIndexPath: "ref.gidx"},
+		{Engine: eng, RefDir: t.TempDir()},
+	} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("New = %v, want an error naming %q", err, name)
+		}
+	}
+
+	_, base := startServer(t, Config{Engine: eng})
+	req.Reference = string(ref)
+	resp, body := postJSON(t, base+"/v1/map", req)
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatalf("status %d, body %s: %v", resp.StatusCode, body, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "input" || !strings.Contains(eb.Error.Message, name) {
+		t.Errorf("inline map on a %s engine: status %d, %+v; want 400 input naming the alphabet", name, resp.StatusCode, eb.Error)
+	}
+}
+
+// TestMapIgnoresSearchStart pins that mapping searches the first window
+// whatever the serving engine's SearchStart: both settings serve the
+// same SAM.
+func TestMapIgnoresSearchStart(t *testing.T) {
+	ref, req := simMapRequest(t, 16)
+	req.Reference = string(ref)
+	var sams [2][]byte
+	for i, on := range []bool{false, true} {
+		_, base := startServer(t, Config{Engine: newTestEngine(t, genasm.WithSearchStart(on))})
+		resp, body := postJSON(t, base+"/v1/map", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("SearchStart %v: status %d: %s", on, resp.StatusCode, body)
+		}
+		sams[i] = body
+	}
+	if !bytes.Equal(sams[0], sams[1]) {
+		t.Errorf("SAM differs with SearchStart:\n%s\nvs\n%s", sams[0], sams[1])
+	}
+}
+
 // TestPreloadedRefIndexFile boots the server from a prebuilt index file
 // (the RefIndexPath fast-start path) and pins that mapping through it is
 // identical to a server that indexed the same reference at startup, that

@@ -15,9 +15,6 @@ type engineSettings struct {
 	// cap is reached and every workspace is busy; contexts ending while
 	// blocked return ctx.Err(). Zero defaults to 2×GOMAXPROCS.
 	MaxWorkspaces int
-	// trace is attached to the engine after construction (Config itself
-	// must stay comparable, so hooks cannot live there).
-	trace *AlignTrace
 }
 
 // Option configures an Engine under construction.
@@ -61,13 +58,6 @@ func WithMaxWorkspaces(n int) Option {
 	return func(s *engineSettings) { s.MaxWorkspaces = n }
 }
 
-// WithAlignTrace attaches hooks run around every alignment the engine
-// serves — workspace-pool wait and per-alignment timing. Equivalent to
-// calling Engine.SetAlignTrace right after NewEngine.
-func WithAlignTrace(tr *AlignTrace) Option {
-	return func(s *engineSettings) { s.trace = tr }
-}
-
 // NewEngine builds a concurrency-safe Engine. With no options it is the
 // paper's default setup — DNA alphabet, W=64, O=24 — sized to the machine.
 func NewEngine(opts ...Option) (*Engine, error) {
@@ -86,9 +76,5 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: s.Config, a: coreCfg.Alphabet, pool: p}
-	if s.trace != nil {
-		e.SetAlignTrace(s.trace)
-	}
-	return e, nil
+	return &Engine{cfg: s.Config, a: coreCfg.Alphabet, pool: p}, nil
 }

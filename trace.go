@@ -17,7 +17,7 @@ type MapTrace = mapper.Trace
 
 // AlignTrace is a set of hooks run around every alignment an Engine
 // serves (Align, AlignGlobal, EditDistance, AlignBatch, AlignStream).
-// Attach one with WithAlignTrace or Engine.SetAlignTrace.
+// Attach one with Engine.SetAlignTrace.
 //
 // Any hook may be nil. Hooks run synchronously on the aligning goroutine
 // and must be concurrency-safe; they must not block — the engine's whole
@@ -38,6 +38,5 @@ type AlignTrace struct {
 // SetAlignTrace attaches tr to every subsequent alignment; nil detaches.
 // It is safe to call concurrently with alignments (in-flight alignments
 // keep the trace they started with), though the usual pattern is to
-// attach once right after NewEngine — or at construction, with
-// WithAlignTrace.
+// attach once right after NewEngine.
 func (e *Engine) SetAlignTrace(tr *AlignTrace) { e.trace.Store(tr) }

@@ -47,14 +47,15 @@ func (r *alignTraceRecorder) trace() *AlignTrace {
 }
 
 // TestAlignTraceCoversAllPaths pins that one AlignTrace attached with
-// WithAlignTrace observes Align, AlignGlobal, EditDistance and AlignBatch
+// SetAlignTrace observes Align, AlignGlobal, EditDistance and AlignBatch
 // traffic (they all funnel through runEncoded), including failures.
 func TestAlignTraceCoversAllPaths(t *testing.T) {
 	rec := &alignTraceRecorder{}
-	e, err := NewEngine(WithAlignTrace(rec.trace()))
+	e, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.SetAlignTrace(rec.trace())
 	ctx := context.Background()
 	text := []byte("ACGTACGTACGTACGTACGT")
 	query := []byte("ACGTACGTACGAACGTACGT")
