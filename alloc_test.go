@@ -99,6 +99,45 @@ func TestMapReadTracedAllocBudget(t *testing.T) {
 	}, 3)
 }
 
+// TestMapReadsAllocBudget holds one MapReads call on a one-workspace
+// engine — four Illumina 250 bp reads, prefilter on — to the measured 10
+// allocations plus one. Four bare MapRead calls make 7; the other 3 are
+// the batch shell: the result slice and the iterator closures. A worker
+// fan-out per call (goroutines, channels, a reorder map: 34 in all) would
+// blow it.
+func TestMapReadsAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2030, 0))
+	genome := seq.Genome(rng, seq.DefaultGenomeConfig(60000))
+	reads, err := simulate.Reads(rng, genome, 4, simulate.Illumina250, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(WithMaxWorkspaces(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.NewMapper(alphabetDecode(genome), MapperConfig{SeedParams: SeedParams{SeedK: 15}, ErrorRate: 0.05, Prefilter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Read, len(reads))
+	for i, r := range reads {
+		batch[i] = Read{Name: "r" + strconv.Itoa(i), Seq: alphabetDecode(r.Seq)}
+	}
+	ctx := context.Background()
+	if _, err := m.MapReads(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := m.MapReads(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 11 {
+		t.Errorf("MapReads allocs/op = %.1f, budget 11", allocs)
+	}
+}
+
 // TestWriteSAMAllocBudget holds Mapper.WriteSAM's steady state to at most
 // one allocation per call (the measured value is 0; a GC may empty the
 // writer pool mid-run): the writer, its output buffer and its line buffer

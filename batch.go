@@ -27,14 +27,15 @@ type BatchResult struct {
 	Err       error
 }
 
-// AlignStream aligns a stream of jobs concurrently and yields a stream of
-// results — the bounded-memory core every batch path runs on, and the
-// software mirror of the accelerator streaming reads through its fixed
-// count of per-vault GenASM units (Section 10.5). Jobs are pulled from the
-// iterator on demand and fanned out over at most Engine.Capacity worker
-// goroutines (spawned lazily, so small streams start few goroutines);
-// regardless of stream length, only ~2×Capacity jobs are in flight or
-// buffered at any moment.
+// AlignStream aligns a stream of jobs and yields a stream of results —
+// the bounded-memory core every batch path runs on, and the software
+// mirror of the accelerator streaming reads through its fixed count of
+// per-vault GenASM units (Section 10.5). Jobs are pulled from the iterator
+// on demand. A one-workspace engine runs each on the calling goroutine as
+// it is pulled; a larger one fans them out over at most Engine.Capacity
+// worker goroutines (spawned lazily, so small streams start few
+// goroutines), with only ~2×Capacity jobs in flight or buffered at any
+// moment regardless of stream length.
 //
 // By default results come back in input order with per-job errors in
 // BatchResult.Err. With the Unordered option, results are yielded as they
@@ -51,24 +52,29 @@ func (e *Engine) AlignStream(ctx context.Context, jobs iter.Seq[BatchJob], opts 
 	for _, o := range opts {
 		o(&s)
 	}
-	return fanOut(e.Capacity(), !s.unordered, jobs, func(idx int, job BatchJob) BatchResult {
+	return e.alignStream(ctx, e.Capacity(), !s.unordered, jobs)
+}
+
+// alignStream is AlignStream over at most workers workers.
+func (e *Engine) alignStream(ctx context.Context, workers int, ordered bool, jobs iter.Seq[BatchJob]) iter.Seq[BatchResult] {
+	return fanOut(workers, ordered, jobs, func(idx int, job BatchJob) BatchResult {
 		res := e.alignJob(ctx, job)
 		res.Index = idx
 		return res
 	})
 }
 
-// AlignBatch aligns a slice of jobs concurrently through the engine's
-// workspace pool. It is a thin wrapper over AlignStream — the slice is
-// streamed, results land back at their job's index — so both APIs share
-// one concurrency path and produce identical results.
+// AlignBatch aligns a slice of jobs through the engine's workspace pool.
+// It shares AlignStream's core over min(Engine.Capacity, len(jobs))
+// workers — so a one-workspace engine or a one-job batch runs on the
+// calling goroutine — and both APIs produce identical results.
 //
 // Results are in job order, with per-job errors in BatchResult.Err. The
 // returned error is non-nil only when ctx ends before the batch drains;
 // jobs not yet run then carry ctx's error in their BatchResult.
 func (e *Engine) AlignBatch(ctx context.Context, jobs []BatchJob) ([]BatchResult, error) {
 	results := make([]BatchResult, len(jobs))
-	for res := range e.AlignStream(ctx, slices.Values(jobs), Unordered()) {
+	for res := range e.alignStream(ctx, min(e.Capacity(), len(jobs)), false, slices.Values(jobs)) {
 		results[res.Index] = res
 	}
 	return results, ctx.Err()

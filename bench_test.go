@@ -398,6 +398,42 @@ func BenchmarkMapper(b *testing.B) {
 	}
 }
 
+// BenchmarkMapReads is BenchmarkMapper's workload through the batch API
+// the perfbench map-short workload drives: one op is a MapReads call on a
+// one-workspace engine over a 4-read batch, so the batch shell around the
+// per-read pipeline (iteration, result slice, dispatch) shows in ns/op and
+// allocs/op.
+func BenchmarkMapReads(b *testing.B) {
+	rng := rand.New(rand.NewPCG(2030, 0))
+	genome := seq.Genome(rng, seq.DefaultGenomeConfig(200000))
+	reads, err := simulate.Reads(rng, genome, 48, simulate.Illumina250, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine(WithMaxWorkspaces(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := e.NewMapper(alphabetDecode(genome), MapperConfig{SeedParams: SeedParams{SeedK: 15}, ErrorRate: 0.05, Prefilter: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	batch := make([]Read, len(reads))
+	for i, r := range reads {
+		batch[i] = Read{Name: fmt.Sprintf("r%d", i), Seq: alphabetDecode(r.Seq)}
+	}
+	const batchSize = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i * batchSize % len(batch)
+		if _, err := m.MapReads(ctx, batch[lo:lo+batchSize]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMapperLong is the long-read end-to-end mapping benchmark the
 // CI regression gate tracks beside BenchmarkMapper: the public Mapper
 // mapping 10 kbp PacBio reads at 10% error, half of them from the reverse

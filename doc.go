@@ -49,7 +49,9 @@
 // demand and fanned out over at most Engine.Capacity lazily-spawned
 // workers, results come back in input order (or as completed, with the
 // Unordered option) and memory stays bounded by the worker count — O(1)
-// in the stream length. Mapper.WriteSAMStream renders a result stream as
+// in the stream length. With one worker — a one-workspace engine, or a
+// one-job AlignBatch or MapReads — each job runs on the calling goroutine
+// as it is pulled, with no goroutines or channels at all. Mapper.WriteSAMStream renders a result stream as
 // SAM record by record.
 //
 // The genasm/seqio package is the file-facing half: streaming FASTA and

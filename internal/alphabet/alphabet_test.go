@@ -70,7 +70,7 @@ func TestPatternMasksPaperExample(t *testing.T) {
 	want := map[byte]string{'A': "1110", 'C': "0111", 'G': "1101", 'T': "1011"}
 	for letter, bitsWant := range want {
 		code := byte(DNA.Code(letter))
-		got := bitvec.String(pm.Mask(code), 4)
+		got := maskString(pm.Mask(code), 4)
 		if got != bitsWant {
 			t.Errorf("PM(%c) = %s, want %s", letter, got, bitsWant)
 		}
@@ -109,7 +109,7 @@ func TestGenerateIntoReuses(t *testing.T) {
 	if pm.M != 4 {
 		t.Fatalf("M = %d, want 4", pm.M)
 	}
-	got := bitvec.String(pm.Mask(byte(DNA.Code('T'))), 4)
+	got := maskString(pm.Mask(byte(DNA.Code('T'))), 4)
 	if got != "0000" {
 		t.Fatalf("PM(T) = %s, want 0000", got)
 	}
@@ -188,4 +188,17 @@ func BenchmarkGenerateInto(b *testing.B) {
 	for range b.N {
 		pm.GenerateInto(DNA, pattern)
 	}
+}
+
+// maskString renders the first nbits bits of v MSB-first (bit nbits-1
+// leftmost), the convention of the paper's worked examples (Figure 3).
+func maskString(v []uint64, nbits int) string {
+	b := make([]byte, nbits)
+	for i := range b {
+		b[i] = '1'
+		if bitvec.IsZeroBit(v, nbits-1-i) {
+			b[i] = '0'
+		}
+	}
+	return string(b)
 }

@@ -6,6 +6,20 @@ import (
 	"testing/quick"
 )
 
+// isSet reports bit i as 0 or 1.
+func isSet(v []uint64, i int) uint64 {
+	if IsZeroBit(v, i) {
+		return 0
+	}
+	return 1
+}
+
+// shiftLeft1 is ShiftLeft1Or with an all-zero mask: a plain shift left by
+// one, the part of the Bitap update that carries across words.
+func shiftLeft1(dst, src []uint64) {
+	ShiftLeft1Or(dst, src, make([]uint64, len(src)))
+}
+
 func TestWords(t *testing.T) {
 	cases := []struct{ bits, want int }{
 		{0, 0}, {1, 1}, {63, 1}, {64, 1}, {65, 2}, {128, 2}, {129, 3}, {-5, 0},
@@ -21,13 +35,13 @@ func TestFillAndBit(t *testing.T) {
 	v := make([]uint64, 3)
 	Fill(v, ^uint64(0))
 	for i := 0; i < 192; i++ {
-		if Bit(v, i) != 1 {
+		if IsZeroBit(v, i) {
 			t.Fatalf("bit %d should be 1 after Fill(ones)", i)
 		}
 	}
 	Fill(v, 0)
 	for i := 0; i < 192; i++ {
-		if Bit(v, i) != 0 {
+		if !IsZeroBit(v, i) {
 			t.Fatalf("bit %d should be 0 after Fill(0)", i)
 		}
 	}
@@ -35,42 +49,40 @@ func TestFillAndBit(t *testing.T) {
 
 func TestSetClearBit(t *testing.T) {
 	v := make([]uint64, 2)
-	SetBit(v, 0)
-	SetBit(v, 63)
-	SetBit(v, 64)
-	SetBit(v, 127)
+	Fill(v, ^uint64(0))
 	for _, i := range []int{0, 63, 64, 127} {
-		if !(Bit(v, i) == 1) {
-			t.Errorf("bit %d not set", i)
-		}
 		if IsZeroBit(v, i) {
 			t.Errorf("IsZeroBit(%d) should be false", i)
 		}
 	}
 	ClearBit(v, 64)
-	if Bit(v, 64) != 0 {
+	if !IsZeroBit(v, 64) {
 		t.Error("bit 64 not cleared")
 	}
-	if Bit(v, 63) != 1 || Bit(v, 127) != 1 {
+	if IsZeroBit(v, 63) || IsZeroBit(v, 65) || IsZeroBit(v, 127) {
 		t.Error("clearing bit 64 disturbed neighbours")
+	}
+	ClearBit(v, 64)
+	if !IsZeroBit(v, 64) {
+		t.Error("clearing a clear bit set it")
 	}
 }
 
 func TestShiftLeft1CarriesAcrossWords(t *testing.T) {
 	v := make([]uint64, 2)
-	SetBit(v, 63)
-	ShiftLeft1(v, v)
-	if Bit(v, 63) != 0 || Bit(v, 64) != 1 {
-		t.Fatalf("carry not propagated: %s", String(v, 128))
+	v[0] = 1 << 63
+	shiftLeft1(v, v)
+	if !IsZeroBit(v, 63) || IsZeroBit(v, 64) {
+		t.Fatalf("carry not propagated: %#x", v)
 	}
 	// Bit 0 must be zero after a shift.
 	Fill(v, ^uint64(0))
-	ShiftLeft1(v, v)
-	if Bit(v, 0) != 0 {
+	shiftLeft1(v, v)
+	if !IsZeroBit(v, 0) {
 		t.Fatal("bit 0 should be 0 after shift")
 	}
 	for i := 1; i < 128; i++ {
-		if Bit(v, i) != 1 {
+		if IsZeroBit(v, i) {
 			t.Fatalf("bit %d lost during shift of all-ones", i)
 		}
 	}
@@ -79,7 +91,7 @@ func TestShiftLeft1CarriesAcrossWords(t *testing.T) {
 func TestShiftLeft1NonAliased(t *testing.T) {
 	src := []uint64{0x8000000000000001, 0x1}
 	dst := make([]uint64, 2)
-	ShiftLeft1(dst, src)
+	shiftLeft1(dst, src)
 	if dst[0] != 0x2 || dst[1] != 0x3 {
 		t.Fatalf("got %#x, want [0x2 0x3]", dst)
 	}
@@ -89,19 +101,22 @@ func TestShiftLeft1NonAliased(t *testing.T) {
 	}
 }
 
+// TestShiftLeft1OrMatchesComposition checks the fused update against a
+// word-by-word shift followed by an OR, aliased and not.
 func TestShiftLeft1OrMatchesComposition(t *testing.T) {
 	f := func(a, b [4]uint64) bool {
-		src := a[:]
-		or := b[:]
 		want := make([]uint64, 4)
-		ShiftLeft1(want, src)
-		for i := range want {
-			want[i] |= or[i]
+		carry := uint64(0)
+		for i, w := range a {
+			want[i] = w<<1 | carry | b[i]
+			carry = w >> (WordSize - 1)
 		}
 		got := make([]uint64, 4)
-		ShiftLeft1Or(got, src, or)
+		ShiftLeft1Or(got, a[:], b[:])
+		aliased := a
+		ShiftLeft1Or(aliased[:], aliased[:], b[:])
 		for i := range got {
-			if got[i] != want[i] {
+			if got[i] != want[i] || aliased[i] != want[i] {
 				return false
 			}
 		}
@@ -112,64 +127,8 @@ func TestShiftLeft1OrMatchesComposition(t *testing.T) {
 	}
 }
 
-func TestCountZerosOnes(t *testing.T) {
-	v := make([]uint64, 2)
-	Fill(v, ^uint64(0))
-	ClearBit(v, 3)
-	ClearBit(v, 70)
-	if got := CountZeros(v, 128); got != 2 {
-		t.Errorf("CountZeros(128) = %d, want 2", got)
-	}
-	if got := CountZeros(v, 64); got != 1 {
-		t.Errorf("CountZeros(64) = %d, want 1", got)
-	}
-	if got := CountZeros(v, 4); got != 1 {
-		t.Errorf("CountZeros(4) = %d, want 1", got)
-	}
-	if got := CountZeros(v, 3); got != 0 {
-		t.Errorf("CountZeros(3) = %d, want 0", got)
-	}
-	if got := CountZeros(v, 0); got != 0 {
-		t.Errorf("CountZeros(0) = %d, want 0", got)
-	}
-}
-
-func TestStringRoundTrip(t *testing.T) {
-	const s = "1011010011110000101101001111000010110100111100001011010011110000101" // 67 bits
-	v := make([]uint64, Words(len(s)))
-	for i, c := range []byte(s) {
-		if c == '1' {
-			SetBit(v, len(s)-1-i)
-		}
-	}
-	if got := String(v, len(s)); got != s {
-		t.Errorf("round trip mismatch:\n got %s\nwant %s", got, s)
-	}
-}
-
-func TestVectorBasics(t *testing.T) {
-	v := New(130)
-	if v.Len() != 130 {
-		t.Fatalf("Len = %d", v.Len())
-	}
-	v.Set(129)
-	if v.Bit(129) != 1 {
-		t.Fatal("Set/Bit failed at high index")
-	}
-	v.Clear(129)
-	if v.Bit(129) != 0 {
-		t.Fatal("Clear failed")
-	}
-	ones := New(65)
-	Fill(ones.Words(), ^uint64(0))
-	ones.ShiftLeft1()
-	if ones.Bit(0) != 0 || ones.Bit(64) != 1 {
-		t.Fatal("Vector.ShiftLeft1 wrong")
-	}
-}
-
-// Property: shifting left by one doubles the vector interpreted as an
-// integer (mod 2^n). We verify via a reference big-shift on random data.
+// Property: shifting left by one moves every bit up one place and clears
+// bit 0. We verify bit by bit on random data.
 func TestShiftLeft1Property(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 200; trial++ {
@@ -179,34 +138,36 @@ func TestShiftLeft1Property(t *testing.T) {
 			src[i] = rng.Uint64()
 		}
 		got := make([]uint64, n)
-		ShiftLeft1(got, src)
-		// Reference: per-bit check.
+		shiftLeft1(got, src)
 		for i := 0; i < n*64; i++ {
 			want := uint64(0)
 			if i > 0 {
-				want = Bit(src, i-1)
+				want = isSet(src, i-1)
 			}
-			if Bit(got, i) != want {
-				t.Fatalf("trial %d: bit %d = %d, want %d", trial, i, Bit(got, i), want)
+			if isSet(got, i) != want {
+				t.Fatalf("trial %d: bit %d = %d, want %d", trial, i, isSet(got, i), want)
 			}
 		}
 	}
 }
 
-func BenchmarkShiftLeft1Word(b *testing.B) {
+func BenchmarkShiftLeft1OrWord(b *testing.B) {
 	v := make([]uint64, 1)
 	Fill(v, 0xDEADBEEF)
+	pm := []uint64{0x0F0F0F0F}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ShiftLeft1(v, v)
+		ShiftLeft1Or(v, v, pm)
 	}
 }
 
-func BenchmarkShiftLeft1MultiWord(b *testing.B) {
+func BenchmarkShiftLeft1OrMultiWord(b *testing.B) {
 	v := make([]uint64, 157) // ~10 kbp pattern
 	Fill(v, 0xDEADBEEF)
+	pm := make([]uint64, len(v))
+	Fill(pm, 0x0F0F0F0F)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ShiftLeft1(v, v)
+		ShiftLeft1Or(v, v, pm)
 	}
 }

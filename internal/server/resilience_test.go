@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"genasm"
 	"genasm/internal/alphabet"
 	"genasm/internal/faults"
 	"genasm/internal/seq"
@@ -321,10 +322,18 @@ func TestShutdownTruncatesStream(t *testing.T) {
 // stops sending is truncated with an in-band error naming the timeout,
 // instead of pinning its admission slot forever.
 func TestStreamIdleTimeout(t *testing.T) {
+	// One workspace blocks the handler goroutine itself in the body read
+	// the timeout must fail; the default engine blocks MapStream's
+	// dispatcher there.
+	t.Run("one-workspace", func(t *testing.T) { testStreamIdleTimeout(t, genasm.WithMaxWorkspaces(1)) })
+	t.Run("default", func(t *testing.T) { testStreamIdleTimeout(t) })
+}
+
+func testStreamIdleTimeout(t *testing.T, opts ...genasm.Option) {
 	rng := rand.New(rand.NewPCG(17, 19))
 	ref := alphabet.DNA.Decode(seq.Random(rng, 20_000))
 	srv, base := startServer(t, Config{
-		Engine:            newTestEngine(t),
+		Engine:            newTestEngine(t, opts...),
 		Ref:               ref,
 		RefName:           "chr",
 		StreamIdleTimeout: 100 * time.Millisecond,

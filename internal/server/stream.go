@@ -49,11 +49,12 @@ type StreamMapResult struct {
 // streamReadSource turns a request body into an iter.Seq of reads plus a
 // deferred parse-error slot checked after the stream drains.
 //
-// reads runs on MapStream's dispatcher goroutine, so err is written
-// there; the handler may read it only after the result stream has been
-// consumed to completion (which happens-after the dispatcher finishes).
-// The stream helpers below drain rather than abandon the results on
-// early exit for exactly this reason — abandoning would also leave the
+// reads runs wherever MapStream pulls reads: on the handler goroutine for
+// a one-workspace engine, otherwise on MapStream's dispatcher goroutine,
+// so err is written there; the handler may read it only after the result
+// stream has been consumed to completion (which happens-after the last
+// pull). The stream helpers below drain rather than abandon the results
+// on early exit for exactly this reason — abandoning would also leave a
 // dispatcher reading r.Body after the handler returns.
 type streamReadSource struct {
 	reads iter.Seq[genasm.Read]
@@ -196,7 +197,7 @@ func (s *Server) handleMapStream(w http.ResponseWriter, r *http.Request) {
 
 	// A handler-scoped cancel lets the response side abort the pipeline
 	// (dead client, aborted SAM stream) and then cheaply drain it: the
-	// sources above stop on ctx, so the drain joins the dispatcher without
+	// sources above stop on ctx, so the drain ends the body reads without
 	// parsing the rest of the body.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
@@ -205,10 +206,11 @@ func (s *Server) handleMapStream(w http.ResponseWriter, r *http.Request) {
 	// Two external events also truncate the stream — graceful shutdown
 	// (stopStreams) and an idle timeout — and both must be distinguishable
 	// in the trailer/error record, so their reason is latched before the
-	// cancel. Cancelling alone is not enough to end the stream: the
-	// dispatcher may be blocked reading the request body, so each abort
-	// also expires the connection's read deadline to fail that read (the
-	// write side is untouched — the truncation record still goes out).
+	// cancel. Cancelling alone is not enough to end the stream: a body
+	// read may be blocked (on this goroutine or MapStream's dispatcher),
+	// so each abort also expires the connection's read deadline to fail
+	// that read (the write side is untouched — the truncation record still
+	// goes out).
 	abort := &streamAbort{}
 	go func() {
 		select {
@@ -248,10 +250,11 @@ func (s *Server) handleMapStream(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseSlot()
 	s.m.streamsStarted.Inc()
 
-	// MapStream's dispatcher goroutine keeps reading the request body while
-	// results are flushed below. Without full duplex, Go's HTTP/1 server
-	// drains the unread body into io.Discard and closes it at the first
-	// flush, losing every read not yet buffered — exactly the large
+	// MapStream keeps reading the request body while results are flushed
+	// below — between flushes on this goroutine for a one-workspace
+	// engine, concurrently on its dispatcher otherwise. Without full
+	// duplex, Go's HTTP/1 server drains the unread body into io.Discard
+	// and closes it at the first flush, losing every read not yet buffered — exactly the large
 	// streaming uploads this endpoint exists for. HTTP/2+ interleaves
 	// natively, so an unsupported error only matters on HTTP/1.
 	if err := rc.EnableFullDuplex(); err != nil && r.ProtoMajor < 2 {
@@ -312,7 +315,7 @@ func (s *Server) streamNDJSON(ctx context.Context, w http.ResponseWriter, rc *ht
 		}
 		if err := enc.Encode(line); err != nil {
 			// Client went away: cancel the pipeline and keep draining so
-			// the handler does not return while the dispatcher is still
+			// the handler does not return while a dispatcher is still
 			// reading the request body (and writing src.err).
 			stopped = true
 			cancel()

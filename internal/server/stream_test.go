@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"genasm"
 	"genasm/internal/alphabet"
 	"genasm/internal/seq"
 	"genasm/internal/simulate"
@@ -20,8 +21,8 @@ import (
 )
 
 // streamFixture builds a server with a preloaded reference plus a set of
-// simulated reads with known positions.
-func streamFixture(t *testing.T) (base string, srv *Server, reads []simulate.Read) {
+// simulated reads with known positions; opts configure its engine.
+func streamFixture(t *testing.T, opts ...genasm.Option) (base string, srv *Server, reads []simulate.Read) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(31337, 0))
 	genome := seq.Genome(rng, seq.DefaultGenomeConfig(30000))
@@ -29,7 +30,7 @@ func streamFixture(t *testing.T) (base string, srv *Server, reads []simulate.Rea
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newTestEngine(t)
+	eng := newTestEngine(t, opts...)
 	srv, base = startServer(t, Config{
 		Engine:  eng,
 		RefName: "chrS",
@@ -267,7 +268,14 @@ func TestMapStreamDecompressedCap(t *testing.T) {
 // HTTP/1 server closes the body at the first flush and the later reads
 // are lost.
 func TestMapStreamFullDuplex(t *testing.T) {
-	base, _, reads := streamFixture(t)
+	// One workspace reads the body on the handler goroutine between
+	// flushes; the default engine reads it on MapStream's dispatcher.
+	t.Run("one-workspace", func(t *testing.T) { testMapStreamFullDuplex(t, genasm.WithMaxWorkspaces(1)) })
+	t.Run("default", func(t *testing.T) { testMapStreamFullDuplex(t) })
+}
+
+func testMapStreamFullDuplex(t *testing.T, opts ...genasm.Option) {
+	base, _, reads := streamFixture(t, opts...)
 
 	pr, pw := io.Pipe()
 	req, err := http.NewRequest("POST", base+"/v1/map/stream", pr)

@@ -177,13 +177,14 @@ type MappingResult struct {
 	Err     error
 }
 
-// MapStream maps a stream of reads concurrently and yields a stream of
-// results — the bounded-memory core behind MapReads and the shape of the
-// primary workload end to end: FASTQ reads in, mappings (SAM via
-// WriteSAMStream) out, in O(1) read memory. Reads are pulled from the
-// iterator on demand and fanned out over at most Engine.Capacity worker
-// goroutines; regardless of stream length, only ~2×Capacity reads are in
-// flight or buffered at any moment.
+// MapStream maps a stream of reads and yields a stream of results — the
+// bounded-memory core behind MapReads and the shape of the primary
+// workload end to end: FASTQ reads in, mappings (SAM via WriteSAMStream)
+// out, in O(1) read memory. Reads are pulled from the iterator on demand.
+// A one-workspace engine maps each on the calling goroutine as it is
+// pulled; a larger one fans them out over at most Engine.Capacity worker
+// goroutines, with only ~2×Capacity reads in flight or buffered at any
+// moment regardless of stream length.
 //
 // By default results come back in input order with per-read errors in
 // MappingResult.Err. With the Unordered option, results are yielded as
@@ -198,7 +199,12 @@ func (m *Mapper) MapStream(ctx context.Context, reads iter.Seq[Read], opts ...St
 	for _, o := range opts {
 		o(&s)
 	}
-	return fanOut(m.e.Capacity(), !s.unordered, reads, func(idx int, r Read) MappingResult {
+	return m.mapStream(ctx, m.e.Capacity(), !s.unordered, reads)
+}
+
+// mapStream is MapStream over at most workers workers.
+func (m *Mapper) mapStream(ctx context.Context, workers int, ordered bool, reads iter.Seq[Read]) iter.Seq[MappingResult] {
+	return fanOut(workers, ordered, reads, func(idx int, r Read) MappingResult {
 		if err := ctx.Err(); err != nil {
 			return MappingResult{Index: idx, Err: err}
 		}
@@ -211,14 +217,14 @@ func (m *Mapper) MapStream(ctx context.Context, reads iter.Seq[Read], opts ...St
 	})
 }
 
-// MapReads maps a read set, returning mappings in read order. It is a thin
-// wrapper over MapStream, so it shares the stream core's concurrency (the
-// read set is fanned out over the engine's workspace pool). It stops at
-// the first pipeline error in read order (unmappable reads are not errors
-// — they come back with Mapped false).
+// MapReads maps a read set, returning mappings in read order. It shares
+// MapStream's core over min(Engine.Capacity, len(reads)) workers, so a
+// one-workspace engine or a one-read set maps on the calling goroutine.
+// It stops at the first pipeline error in read order (unmappable reads
+// are not errors — they come back with Mapped false).
 func (m *Mapper) MapReads(ctx context.Context, reads []Read) ([]ReadMapping, error) {
 	out := make([]ReadMapping, len(reads))
-	for res := range m.MapStream(ctx, slices.Values(reads)) {
+	for res := range m.mapStream(ctx, min(m.e.Capacity(), len(reads)), true, slices.Values(reads)) {
 		if res.Err != nil {
 			return nil, fmt.Errorf("genasm: read %d (%s): %w", res.Index, reads[res.Index].Name, res.Err)
 		}

@@ -21,26 +21,39 @@ func Unordered() StreamOption {
 	return func(s *streamSettings) { s.unordered = true }
 }
 
-// fanOut is the one bounded worker fan-out behind AlignStream, MapStream
-// and (through them) AlignBatch and MapReads: it pulls jobs from a
-// sequence, runs them on up to maxWorkers goroutines, and yields results
-// either in input order or as they complete.
+// fanOut is the one bounded worker fan-out behind AlignStream, MapStream,
+// AlignBatch and MapReads: it pulls jobs from a sequence, runs them on up
+// to maxWorkers workers, and yields results either in input order or as
+// they complete.
 //
-// Workers are spawned on demand, one at a time as jobs arrive without an
-// idle worker to take them, so a stream of n jobs starts at most
-// min(n, maxWorkers) goroutines — capacity far above the job count costs
-// nothing. Memory is bounded by the worker count: at most ~2×maxWorkers
-// jobs are in flight or buffered at any moment, independent of stream
-// length, mirroring the accelerator's fixed count of per-vault GenASM
-// units streaming reads through (Section 10.5).
+// With one worker (maxWorkers <= 1) there is nothing to overlap, so each
+// job runs on the caller's goroutine as it is pulled and its result is
+// yielded at once: no goroutines, channels or reorder buffer, results
+// trivially in input order. This is the path of a one-workspace engine and
+// of a one-job batch.
+//
+// With more, workers are goroutines spawned on demand, one at a time as
+// jobs arrive without an idle worker to take them, so a stream of n jobs
+// starts at most min(n, maxWorkers) goroutines — capacity far above the
+// job count costs nothing. Memory is bounded by the worker count: at most
+// ~2×maxWorkers jobs are in flight or buffered at any moment, independent
+// of stream length, mirroring the accelerator's fixed count of per-vault
+// GenASM units streaming reads through (Section 10.5).
 //
 // If the consumer stops iterating early, dispatch stops and the worker
 // goroutines wind down after finishing the jobs they already hold; runs
 // that should stop mid-job must watch their own context.
 func fanOut[J, R any](maxWorkers int, ordered bool, jobs iter.Seq[J], run func(idx int, job J) R) iter.Seq[R] {
 	return func(yield func(R) bool) {
-		if maxWorkers < 1 {
-			maxWorkers = 1
+		if maxWorkers <= 1 {
+			idx := 0
+			for job := range jobs {
+				if !yield(run(idx, job)) {
+					return
+				}
+				idx++
+			}
+			return
 		}
 		type task struct {
 			idx int

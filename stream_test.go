@@ -96,65 +96,76 @@ func TestAlignStreamMatchesAlignBatch(t *testing.T) {
 	check("unordered", unordered)
 }
 
+// streamCapacities runs a stream contract test on a one-workspace engine,
+// which runs every job on the caller's goroutine, and on a larger one,
+// which fans jobs out over worker goroutines.
+func streamCapacities(t *testing.T, capacity int, test func(t *testing.T, e *Engine)) {
+	for _, c := range []int{1, capacity} {
+		t.Run(fmt.Sprintf("capacity=%d", c), func(t *testing.T) {
+			e, err := NewEngine(WithMaxWorkspaces(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			test(t, e)
+		})
+	}
+}
+
 // TestAlignStreamOrderedUnderSaturation pins ordered-mode emission order
 // with the pool saturated (far more jobs than workspaces) — run with
 // -race in CI.
 func TestAlignStreamOrderedUnderSaturation(t *testing.T) {
-	e, err := NewEngine(WithMaxWorkspaces(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := streamJobs(t, 500, false)
-	next := 0
-	for res := range e.AlignStream(context.Background(), slices.Values(jobs)) {
-		if res.Index != next {
-			t.Fatalf("ordered stream emitted Index %d, want %d", res.Index, next)
+	streamCapacities(t, 4, func(t *testing.T, e *Engine) {
+		jobs := streamJobs(t, 500, false)
+		next := 0
+		for res := range e.AlignStream(context.Background(), slices.Values(jobs)) {
+			if res.Index != next {
+				t.Fatalf("ordered stream emitted Index %d, want %d", res.Index, next)
+			}
+			if res.Err != nil {
+				t.Fatalf("job %d: %v", res.Index, res.Err)
+			}
+			next++
 		}
-		if res.Err != nil {
-			t.Fatalf("job %d: %v", res.Index, res.Err)
+		if next != len(jobs) {
+			t.Fatalf("stream emitted %d results, want %d", next, len(jobs))
 		}
-		next++
-	}
-	if next != len(jobs) {
-		t.Fatalf("stream emitted %d results, want %d", next, len(jobs))
-	}
+	})
 }
 
 // TestAlignStreamCancelledBeforeStart pins the cancellation contract:
 // jobs that never start carry ctx.Err() in their result, in both the
 // stream and the slice wrapper.
 func TestAlignStreamCancelledBeforeStart(t *testing.T) {
-	e, err := NewEngine(WithMaxWorkspaces(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	jobs := streamJobs(t, 64, false)
+	streamCapacities(t, 4, func(t *testing.T, e *Engine) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		jobs := streamJobs(t, 64, false)
 
-	results, err := e.AlignBatch(ctx, jobs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("AlignBatch err = %v, want context.Canceled", err)
-	}
-	if len(results) != len(jobs) {
-		t.Fatalf("results = %d, want %d (cancellation must not shrink the result set)", len(results), len(jobs))
-	}
-	for i, res := range results {
-		if !errors.Is(res.Err, context.Canceled) {
-			t.Fatalf("job %d err = %v, want context.Canceled", i, res.Err)
+		results, err := e.AlignBatch(ctx, jobs)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("AlignBatch err = %v, want context.Canceled", err)
 		}
-	}
+		if len(results) != len(jobs) {
+			t.Fatalf("results = %d, want %d (cancellation must not shrink the result set)", len(results), len(jobs))
+		}
+		for i, res := range results {
+			if !errors.Is(res.Err, context.Canceled) {
+				t.Fatalf("job %d err = %v, want context.Canceled", i, res.Err)
+			}
+		}
 
-	n := 0
-	for res := range e.AlignStream(ctx, slices.Values(jobs)) {
-		if !errors.Is(res.Err, context.Canceled) {
-			t.Fatalf("stream job %d err = %v, want context.Canceled", res.Index, res.Err)
+		n := 0
+		for res := range e.AlignStream(ctx, slices.Values(jobs)) {
+			if !errors.Is(res.Err, context.Canceled) {
+				t.Fatalf("stream job %d err = %v, want context.Canceled", res.Index, res.Err)
+			}
+			n++
 		}
-		n++
-	}
-	if n != len(jobs) {
-		t.Fatalf("cancelled stream emitted %d results, want %d", n, len(jobs))
-	}
+		if n != len(jobs) {
+			t.Fatalf("cancelled stream emitted %d results, want %d", n, len(jobs))
+		}
+	})
 }
 
 // TestAlignStreamLazyWorkerSpawn is the regression test for the worker
@@ -256,31 +267,46 @@ func TestFanOutOrderedBoundedReorder(t *testing.T) {
 }
 
 // TestAlignStreamEarlyStop checks that abandoning a stream mid-iteration
-// winds the fan-out down instead of leaking goroutines.
+// stops dispatch — a one-workspace stream pulls no job past the last
+// result taken, a fan-out no more than its dispatch window — and winds
+// the fan-out down instead of leaking goroutines.
 func TestAlignStreamEarlyStop(t *testing.T) {
-	e, err := NewEngine(WithMaxWorkspaces(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	jobs := streamJobs(t, 200, false)
-	seen := 0
-	for res := range e.AlignStream(context.Background(), slices.Values(jobs)) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
+	streamCapacities(t, 8, func(t *testing.T, e *Engine) {
+		before := runtime.NumGoroutine()
+		jobs := streamJobs(t, 200, false)
+		var pulled atomic.Int64
+		jobSeq := func(yield func(BatchJob) bool) {
+			for _, j := range jobs {
+				pulled.Add(1)
+				if !yield(j) {
+					return
+				}
+			}
 		}
-		if seen++; seen == 3 {
-			break
+		seen := 0
+		for res := range e.AlignStream(context.Background(), jobSeq) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			if seen++; seen == 3 {
+				break
+			}
 		}
-	}
-	// In-flight jobs finish in the background; give them a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before+2 {
-		t.Fatalf("goroutines: %d before, %d after abandoned stream", before, got)
-	}
+		// In-flight jobs finish in the background; give them a moment.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before+2 {
+			t.Fatalf("goroutines: %d before, %d after abandoned stream", before, got)
+		}
+		if e.Capacity() == 1 && pulled.Load() != int64(seen) {
+			t.Fatalf("one-workspace stream pulled %d jobs for %d results", pulled.Load(), seen)
+		}
+		if limit := int64(seen + 3*e.Capacity()); pulled.Load() > limit {
+			t.Fatalf("abandoned stream pulled %d jobs, want <= %d", pulled.Load(), limit)
+		}
+	})
 }
 
 // TestMapStreamMatchesMapReads pins MapReads (the slice wrapper) against
@@ -296,67 +322,65 @@ func TestMapStreamMatchesMapReads(t *testing.T) {
 	for i, r := range simReads {
 		reads[i] = Read{Name: fmt.Sprintf("sim%d", i), Seq: alphabet.DNA.Decode(r.Seq)}
 	}
-	e, err := NewEngine(WithMaxWorkspaces(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := e.NewMapper(alphabet.DNA.Decode(genome), MapperConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-
-	want, err := m.MapReads(ctx, reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	compare := func(name string, got []MappingResult) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: results = %d, want %d", name, len(got), len(want))
+	streamCapacities(t, 6, func(t *testing.T, e *Engine) {
+		m, err := e.NewMapper(alphabet.DNA.Decode(genome), MapperConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, res := range got {
-			if res.Err != nil {
-				t.Fatalf("%s: read %d: %v", name, res.Index, res.Err)
+
+		want, err := m.MapReads(ctx, reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		compare := func(name string, got []MappingResult) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s: results = %d, want %d", name, len(got), len(want))
 			}
-			w := want[res.Index]
-			g := res.Mapping
-			if g.Name != w.Name || g.Mapped != w.Mapped || g.Pos != w.Pos || g.RevComp != w.RevComp ||
-				g.CIGAR() != w.CIGAR() || g.Distance != w.Distance {
-				t.Fatalf("%s: read %d differs:\n stream: %+v\n slice:  %+v", name, res.Index, g, w)
-			}
-			if i != res.Index && name == "ordered" {
-				t.Fatalf("ordered stream emitted Index %d at position %d", res.Index, i)
+			for i, res := range got {
+				if res.Err != nil {
+					t.Fatalf("%s: read %d: %v", name, res.Index, res.Err)
+				}
+				w := want[res.Index]
+				g := res.Mapping
+				if g.Name != w.Name || g.Mapped != w.Mapped || g.Pos != w.Pos || g.RevComp != w.RevComp ||
+					g.CIGAR() != w.CIGAR() || g.Distance != w.Distance {
+					t.Fatalf("%s: read %d differs:\n stream: %+v\n slice:  %+v", name, res.Index, g, w)
+				}
+				if i != res.Index && name == "ordered" {
+					t.Fatalf("ordered stream emitted Index %d at position %d", res.Index, i)
+				}
 			}
 		}
-	}
 
-	var ordered []MappingResult
-	for res := range m.MapStream(ctx, slices.Values(reads)) {
-		ordered = append(ordered, res)
-	}
-	compare("ordered", ordered)
+		var ordered []MappingResult
+		for res := range m.MapStream(ctx, slices.Values(reads)) {
+			ordered = append(ordered, res)
+		}
+		compare("ordered", ordered)
 
-	var unordered []MappingResult
-	for res := range m.MapStream(ctx, slices.Values(reads), Unordered()) {
-		unordered = append(unordered, res)
-	}
-	slices.SortFunc(unordered, func(a, b MappingResult) int { return a.Index - b.Index })
-	compare("unordered", unordered)
+		var unordered []MappingResult
+		for res := range m.MapStream(ctx, slices.Values(reads), Unordered()) {
+			unordered = append(unordered, res)
+		}
+		slices.SortFunc(unordered, func(a, b MappingResult) int { return a.Index - b.Index })
+		compare("unordered", unordered)
 
-	// WriteSAMStream over the stream must render exactly WriteSAM over the
-	// slice.
-	var slicesSAM, streamSAM bytes.Buffer
-	if err := m.WriteSAM(&slicesSAM, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteSAMStream(&streamSAM, m.MapStream(ctx, slices.Values(reads))); err != nil {
-		t.Fatal(err)
-	}
-	if slicesSAM.String() != streamSAM.String() {
-		t.Fatal("WriteSAMStream output differs from WriteSAM")
-	}
+		// WriteSAMStream over the stream must render exactly WriteSAM over the
+		// slice.
+		var slicesSAM, streamSAM bytes.Buffer
+		if err := m.WriteSAM(&slicesSAM, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WriteSAMStream(&streamSAM, m.MapStream(ctx, slices.Values(reads))); err != nil {
+			t.Fatal(err)
+		}
+		if slicesSAM.String() != streamSAM.String() {
+			t.Fatal("WriteSAMStream output differs from WriteSAM")
+		}
+	})
 }
 
 // TestMapStreamPerReadErrors checks per-read error reporting: a bad read
@@ -365,43 +389,49 @@ func TestMapStreamMatchesMapReads(t *testing.T) {
 func TestMapStreamPerReadErrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 1))
 	genome := seq.Random(rng, 20_000)
-	e, err := NewEngine(WithMaxWorkspaces(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := e.NewMapper(alphabet.DNA.Decode(genome), MapperConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := []Read{
-		{Name: "good0", Seq: alphabet.DNA.Decode(genome[100:250])},
-		{Name: "bad", Seq: []byte("ACGTZZZACGT")},
-		{Name: "good1", Seq: alphabet.DNA.Decode(genome[500:650])},
-	}
-	ctx := context.Background()
-
-	var errs, oks int
-	for res := range m.MapStream(ctx, slices.Values(reads)) {
-		if res.Err != nil {
-			errs++
-			if res.Index != 1 || res.Mapping.Name != "bad" {
-				t.Fatalf("error attributed to %d/%q", res.Index, res.Mapping.Name)
-			}
-			var ae *AlphabetError
-			if !errors.As(res.Err, &ae) {
-				t.Fatalf("err = %v, want *AlphabetError", res.Err)
-			}
-			continue
+	streamCapacities(t, 4, func(t *testing.T, e *Engine) {
+		m, err := e.NewMapper(alphabet.DNA.Decode(genome), MapperConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		oks++
-	}
-	if errs != 1 || oks != 2 {
-		t.Fatalf("errs=%d oks=%d, want 1/2", errs, oks)
-	}
+		reads := []Read{
+			{Name: "good0", Seq: alphabet.DNA.Decode(genome[100:250])},
+			{Name: "bad", Seq: []byte("ACGTZZZACGT")},
+			{Name: "good1", Seq: alphabet.DNA.Decode(genome[500:650])},
+		}
+		ctx := context.Background()
 
-	if _, err := m.MapReads(ctx, reads); err == nil {
-		t.Fatal("MapReads: want error for bad read")
-	} else if want := "read 1 (bad)"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Fatalf("MapReads err = %v, want mention of %q", err, want)
-	}
+		var errs, oks int
+		for res := range m.MapStream(ctx, slices.Values(reads)) {
+			if res.Err != nil {
+				errs++
+				if res.Index != 1 || res.Mapping.Name != "bad" {
+					t.Fatalf("error attributed to %d/%q", res.Index, res.Mapping.Name)
+				}
+				var ae *AlphabetError
+				if !errors.As(res.Err, &ae) {
+					t.Fatalf("err = %v, want *AlphabetError", res.Err)
+				}
+				continue
+			}
+			oks++
+		}
+		if errs != 1 || oks != 2 {
+			t.Fatalf("errs=%d oks=%d, want 1/2", errs, oks)
+		}
+
+		if _, err := m.MapReads(ctx, reads); err == nil {
+			t.Fatal("MapReads: want error for bad read")
+		} else if want := "read 1 (bad)"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
+			t.Fatalf("MapReads err = %v, want mention of %q", err, want)
+		}
+
+		// A context cancelled before the call fails the read set with the
+		// context's error.
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := m.MapReads(cancelled, reads); !errors.Is(err, context.Canceled) {
+			t.Fatalf("MapReads on a cancelled context: err = %v, want context.Canceled", err)
+		}
+	})
 }
