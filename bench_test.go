@@ -761,6 +761,48 @@ func BenchmarkCompiledSearch(b *testing.B) {
 	})
 }
 
+// BenchmarkFilter times the prefilter decision through the public API:
+// CompiledPattern.Filter at the mapper's geometry, 250 bp reads at 5% error
+// and k = 16 (the mapper's maxEdits for them), against a region of 16
+// leading bases, the read's span and k+16 trailing ones. Off target, the
+// read comes from unrelated sequence, the case the filter rejects.
+func BenchmarkFilter(b *testing.B) {
+	e, err := NewEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name     string
+		onTarget bool
+	}{{"on-target", true}, {"off-target", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const m, k, n = 250, 16, 64
+			rng := rand.New(rand.NewPCG(2034, 0))
+			regions, patterns := make([][]byte, n), make([]*CompiledPattern, n)
+			for i := range regions {
+				region := seq.Random(rng, 16+m+k+16)
+				src := region[16 : 16+m]
+				if !bc.onTarget {
+					src = seq.Random(rng, m)
+				}
+				cp, err := e.Compile(alphabetDecode(mutateBench(rng, src, 0.05)), k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				regions[i], patterns[i] = alphabetDecode(region), cp
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := patterns[i%n].Filter(ctx, regions[i%n]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // alphabetDecode maps dense DNA codes back to letters for the public API.
 func alphabetDecode(codes []byte) []byte {
 	return alphabet.DNA.Decode(codes)

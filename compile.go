@@ -8,9 +8,9 @@ import (
 )
 
 // CompiledPattern is a pattern pre-processed for repeated approximate
-// matching: the Bitap pattern bitmasks (Algorithm 1, line 4) and the
-// multi-word scratch rows are built once at Compile time and reused across
-// every Search/Filter call, instead of being rebuilt per invocation — the
+// matching: the Bitap pattern bitmasks (Algorithm 1, line 4) are built once
+// at Compile time and, with pooled scratch rows, reused across every
+// Search/Filter call, instead of being rebuilt per invocation — the
 // hot-path win for scanning many texts or reads against one pattern.
 //
 // A CompiledPattern is safe for concurrent use: the immutable bitmasks are

@@ -7,13 +7,18 @@
 // These implementations are the reference points for the GenASM core: the
 // single-word version demonstrates the word-length limitation the paper
 // sets out to remove (Section 3.1), and the multi-word version is the
-// non-windowed GenASM-DC used for pre-alignment filtering (Section 8) and
-// for the divide-and-conquer ablation (Section 10.5).
+// non-windowed GenASM-DC used for the divide-and-conquer ablation
+// (Section 10.5). Its pre-alignment filtering decision (Section 8),
+// MultiWord.Within, reads the same pattern masks but runs Myers'
+// delta-vector scan: one row of ceil(m/64) words instead of k+1, since
+// software cannot compute the error levels in parallel as the accelerator
+// does, and a decision needs no traceback bitvectors.
 package bitap
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"genasm/internal/alphabet"
 	"genasm/internal/bitvec"
@@ -119,11 +124,11 @@ type MultiWord struct {
 	nw int
 	k  int
 
-	// r and old hold R[0..k] at the current and the previous text
-	// position, one row of nw words per level. ones is the mask of an
-	// end-padding sentinel position, which matches no letter.
+	// r and old are scratch rows, grown on first use. Search keeps R[0..k]
+	// at the current and the previous text position in them, one row of
+	// nw words per level; Within keeps its two delta vectors in their
+	// first nw words.
 	r, old []uint64
-	ones   []uint64
 }
 
 // fixedWords is the row width of the unrolled step: patterns of 193 to
@@ -139,15 +144,13 @@ func NewMultiWord(a *alphabet.Alphabet, pattern []byte, k int) (*MultiWord, erro
 	if k < 0 {
 		return nil, fmt.Errorf("bitap: negative edit distance threshold %d", k)
 	}
-	mw := &MultiWord{
+	return &MultiWord{
 		a:  a,
 		pm: alphabet.GeneratePatternMasks(a, pattern),
 		m:  len(pattern),
 		nw: bitvec.Words(len(pattern)),
 		k:  k,
-	}
-	mw.sizeScratch()
-	return mw, nil
+	}, nil
 }
 
 // Clone returns a searcher that shares the receiver's pattern masks (the
@@ -155,9 +158,7 @@ func NewMultiWord(a *alphabet.Alphabet, pattern []byte, k int) (*MultiWord, erro
 // rows, so clones of one compiled pattern can search concurrently. Clones
 // must not be Reset: the shared masks would be regenerated under readers.
 func (mw *MultiWord) Clone() *MultiWord {
-	c := &MultiWord{a: mw.a, pm: mw.pm, m: mw.m, nw: mw.nw, k: mw.k}
-	c.sizeScratch()
-	return c
+	return &MultiWord{a: mw.a, pm: mw.pm, m: mw.m, nw: mw.nw, k: mw.k}
 }
 
 // Reset re-targets the searcher at a new encoded pattern and threshold,
@@ -175,126 +176,113 @@ func (mw *MultiWord) Reset(pattern []byte, k int) error {
 	mw.m = len(pattern)
 	mw.nw = bitvec.Words(len(pattern))
 	mw.k = k
-	mw.sizeScratch()
 	return nil
 }
 
-// sizeScratch (re)shapes the rows and the end-padding mask for the current
-// (nw, k), growing their storage only when needed.
-func (mw *MultiWord) sizeScratch() {
-	need := (mw.k + 1) * mw.nw
-	if cap(mw.r) < need {
-		mw.r = make([]uint64, need)
-		mw.old = make([]uint64, need)
+// rows returns the two scratch rows sliced to n words each, growing their
+// storage only when needed.
+func (mw *MultiWord) rows(n int) (r, old []uint64) {
+	if cap(mw.r) < n {
+		mw.r, mw.old = make([]uint64, n), make([]uint64, n)
 	}
-	mw.r, mw.old = mw.r[:need], mw.old[:need]
-	if len(mw.ones) < mw.nw {
-		mw.ones = make([]uint64, mw.nw)
-		bitvec.Fill(mw.ones, ^uint64(0))
-	}
+	return mw.r[:n], mw.old[:n]
 }
 
 // Search scans the encoded text and returns all matches with at most k
 // edits, in decreasing location order. It keeps the raw Algorithm 1
 // semantics: no end padding.
 func (mw *MultiWord) Search(text []byte) []Match {
+	k, nw, msb := mw.k, mw.nw, mw.m-1
+	// Both row sets are scratch; only the all-ones start must be the
+	// first position's old rows.
+	r, old := mw.rows((k + 1) * nw)
+	bitvec.Fill(r, ^uint64(0))
 	var matches []Match
-	msb, nw := mw.m-1, mw.nw
-	mw.scan(text, 0, func(i int, r []uint64) bool {
-		for d := 0; d <= mw.k; d++ {
+	for i := len(text) - 1; i >= 0; i-- {
+		// The previous position's rows become old; every row of r is
+		// overwritten.
+		r, old = old, r
+		if pm := mw.pm.Mask(text[i]); nw == fixedWords {
+			step4(r, old, pm, k)
+		} else {
+			step(r, old, pm, k, nw)
+		}
+		for d := 0; d <= k; d++ {
 			if bitvec.IsZeroBit(r[d*nw:(d+1)*nw], msb) {
 				matches = append(matches, Match{Loc: i, Dist: d})
 				break
 			}
 		}
-		return true
-	})
+	}
 	return matches
 }
 
 // Within reports whether the pattern occurs in text with at most k edits,
 // semi-globally: the pattern is consumed in full, the occurrence may start
 // and end anywhere. This is the decision GenASM-DC makes as a
-// pre-alignment filter (Section 8): only the distance against the
-// threshold matters, so the scan stops at the first hit or as soon as no
-// hit is reachable.
+// pre-alignment filter (Section 8). An empty text has no occurrence; a
+// pattern of at most k letters occurs in any other text.
 //
-// The scan is end-padded. The right-to-left recurrence cannot represent
-// pattern insertions past the end of the text, so it would overcount
-// alignments pressing against the text end by their trailing insertions.
-// Padding scans one sentinel position first, whose mask matches nothing.
-// After it R[d] has bits 0..d-1 zero: every pattern suffix of at most d
-// letters, inserted past the text end at one edit per letter. That is a
-// fixed point, so further sentinels would change nothing. Hits count only
-// at real text positions.
+// Only the distance against the threshold matters, so Within does not run
+// the k+1 Bitap rows of Search, which the accelerator computes in parallel
+// processing elements but software computes one after another. It runs
+// Myers' delta-vector scan (Myers 1999, in Hyyrö's form; the Edlib core
+// the paper compares against in Section 10.4), one row of ceil(m/64)
+// words whatever k is. That scan keeps no traceback bitvectors, which a
+// decision does not need. It goes right to left like Search, so it reads
+// the Bitap masks as they are: ^PM[c] has bit j set where the reversed
+// pattern matches c, and the bits above m come out as rows that never
+// match, which cannot disturb the rows below them (carries and shifts
+// move upward only). Reversing both sequences keeps the semi-global
+// distance.
 //
-// Rows grow with the level (a zero in R[d] is a zero in R[d+1]), so a hit
-// at any level shows as a zero MSB in R[k]: that is the accept test.
-// Reject: a zero at bit j of R[d] puts one at bit j+k-d of R[k] through
-// insertions, so R[k]'s highest zero bit rises at most one bit per
-// position, and one at position i reaches the MSB only if it sits at bit
-// m-1-i or above. A chain not yet born enters at bit 0 of R[0] at some
-// position p < i and reaches at most bit k+p <= k+i-1 by position 0,
-// which is below the MSB once i+k < m. From then on, R[k] without a zero
-// in bits m-1-i..m-1 means no position left can hit.
+// pv and mv hold the +1 and -1 vertical deltas between adjacent pattern
+// rows of the DP column at the current letter. The first row costs
+// nothing, so an occurrence may begin at any letter. score is the last
+// row's cell: the best distance of an occurrence that ends, in scan order,
+// at the current letter. It moves by at most one per letter, so the scan
+// accepts as soon as score <= k and rejects as soon as score minus the
+// letters left exceeds k.
 func (mw *MultiWord) Within(text []byte) bool {
-	m, k, nw := mw.m, mw.k, mw.nw
-	hit := false
-	mw.scan(text, min(k, 1), func(i int, r []uint64) bool {
-		rk := r[k*nw : (k+1)*nw]
-		if i < len(text) && bitvec.IsZeroBit(rk, m-1) {
-			hit = true
-			return false
+	m, k := mw.m, mw.k
+	if len(text) == 0 {
+		return false
+	}
+	if m <= k {
+		return true
+	}
+	pv, mv := mw.rows(mw.nw)
+	mv = mv[:len(pv)]
+	bitvec.Fill(pv, ^uint64(0))
+	bitvec.Fill(mv, 0)
+	top := uint(m-1) % 64
+	score := m
+	for i := len(text) - 1; i >= 0; i-- {
+		pm := mw.pm.Mask(text[i])[:len(pv)]
+		// The carries into word w: the addition's, and the bits that
+		// the horizontal deltas shift in.
+		var add, phc, mhc, ph, mh uint64
+		for w, p := range pv {
+			eq, n := ^pm[w], mv[w]
+			xv := eq | n
+			sum, c := bits.Add64(eq&p, p, add)
+			xh := sum ^ p | eq
+			ph, mh = n|^(xh|p), p&xh
+			phs, mhs := ph<<1|phc, mh<<1|mhc
+			add, phc, mhc = c, ph>>63, mh>>63
+			pv[w], mv[w] = mhs|^(xv|phs), phs&xv
 		}
-		return i+k >= m || hasZero(rk, m-1-i, m-1)
-	})
-	return hit
-}
-
-// hasZero reports whether v has a zero bit in [lo, hi].
-func hasZero(v []uint64, lo, hi int) bool {
-	for w := lo >> 6; w <= hi>>6; w++ {
-		z := ^v[w]
-		if w == lo>>6 {
-			z &= ^uint64(0) << uint(lo&63)
-		}
-		if w == hi>>6 {
-			z &= ^uint64(0) >> uint(63-hi&63)
-		}
-		if z != 0 {
+		// ph and mh are the last word's horizontal deltas; bit top is the
+		// last row's.
+		score += int(ph>>top&1) - int(mh>>top&1)
+		if score <= k {
 			return true
+		}
+		if score-i > k {
+			return false
 		}
 	}
 	return false
-}
-
-// scan runs the DC recurrence right to left over pad end-padding
-// sentinels and then the text, calling visit with each position and its
-// rows R[0..k] (nw words per level). Returning false from visit stops
-// the scan.
-func (mw *MultiWord) scan(text []byte, pad int, visit func(i int, r []uint64) bool) {
-	k, nw := mw.k, mw.nw
-	// Both row sets are scratch; only the all-ones start must be the
-	// first position's old rows.
-	r, old, ones := mw.r, mw.old, mw.ones[:nw]
-	bitvec.Fill(r, ^uint64(0))
-	for i := len(text) - 1 + pad; i >= 0; i-- {
-		pm := ones
-		if i < len(text) {
-			pm = mw.pm.Mask(text[i])
-		}
-		// The previous position's rows become old; every row of r is
-		// overwritten.
-		r, old = old, r
-		if nw == fixedWords {
-			step4(r, old, pm, k)
-		} else {
-			step(r, old, pm, k, nw)
-		}
-		if !visit(i, r) {
-			return
-		}
-	}
 }
 
 // step computes one position's rows r from the previous position's rows

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"genasm/internal/alphabet"
+	"genasm/internal/bitvec"
 )
 
 func enc(s string) []byte { return alphabet.DNA.MustEncode([]byte(s)) }
@@ -315,6 +316,160 @@ func TestWithinTightThresholds(t *testing.T) {
 	read := randSeq(rng, 150, size)
 	text := append(append(randSeq(rng, 16, size), mutate(rng, read, 6, size)...), randSeq(rng, 22, size)...)
 	checkWithin(t, "protein", alphabet.Protein, text, read)
+}
+
+// bitapWithin is the GenASM-DC decision as Within made it before Within
+// became a delta-vector scan: the Bitap rows R[0..k], right to left, with
+// both early exits. It is Within's oracle.
+//
+// The scan is end-padded. The right-to-left recurrence cannot represent
+// pattern insertions past the end of the text, so it would overcount
+// alignments pressing against the text end by their trailing insertions.
+// Padding scans one sentinel position first, whose mask matches nothing.
+// After it R[d] has bits 0..d-1 zero: every pattern suffix of at most d
+// letters, inserted past the text end at one edit per letter. That is a
+// fixed point, so further sentinels would change nothing. Hits count only
+// at real text positions.
+//
+// Rows grow with the level (a zero in R[d] is a zero in R[d+1]), so a hit
+// at any level shows as a zero MSB in R[k]: that is the accept test.
+// Reject: a zero at bit j of R[d] puts one at bit j+k-d of R[k] through
+// insertions, so R[k]'s highest zero bit rises at most one bit per
+// position, and one at position i reaches the MSB only if it sits at bit
+// m-1-i or above. A chain not yet born enters at bit 0 of R[0] at some
+// position p < i and reaches at most bit k+p <= k+i-1 by position 0,
+// which is below the MSB once i+k < m. From then on, R[k] without a zero
+// in bits m-1-i..m-1 means no position left can hit.
+func bitapWithin(mw *MultiWord, text []byte) bool {
+	m, k, nw := mw.m, mw.k, mw.nw
+	r, old := make([]uint64, (k+1)*nw), make([]uint64, (k+1)*nw)
+	ones := make([]uint64, nw)
+	bitvec.Fill(ones, ^uint64(0))
+	bitvec.Fill(r, ^uint64(0))
+	for i := len(text) - 1 + min(k, 1); i >= 0; i-- {
+		pm := ones
+		if i < len(text) {
+			pm = mw.pm.Mask(text[i])
+		}
+		r, old = old, r
+		if nw == fixedWords {
+			step4(r, old, pm, k)
+		} else {
+			step(r, old, pm, k, nw)
+		}
+		rk := r[k*nw : (k+1)*nw]
+		if i < len(text) && bitvec.IsZeroBit(rk, m-1) {
+			return true
+		}
+		if i+k < m && !hasZero(rk, m-1-i, m-1) {
+			return false
+		}
+	}
+	return false
+}
+
+// hasZero reports whether v has a zero bit in [lo, hi].
+func hasZero(v []uint64, lo, hi int) bool {
+	for w := lo >> 6; w <= hi>>6; w++ {
+		z := ^v[w]
+		if w == lo>>6 {
+			z &= ^uint64(0) << uint(lo&63)
+		}
+		if w == hi>>6 {
+			z &= ^uint64(0) >> uint(63-hi&63)
+		}
+		if z != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWithinMatchesBitapOracle checks the delta-vector Within against the
+// Bitap decision: in the mapper's geometry on and off target, across the
+// word boundaries at thresholds around the true distance d and around the
+// pattern length m (where m <= k accepts any non-empty text), on one-letter
+// and empty texts, and over the Protein alphabet.
+func TestWithinMatchesBitapOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(34, 34))
+	check := func(name string, a *alphabet.Alphabet, text, pattern []byte, k int) {
+		t.Helper()
+		mw, err := NewMultiWord(a, pattern, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mw.Within(text), bitapWithin(mw, text); got != want {
+			t.Fatalf("%s: m=%d n=%d k=%d: Within = %v, Bitap oracle %v", name, len(pattern), len(text), k, got, want)
+		}
+	}
+	// The mapper's geometry: 250 bp reads, k = 16, and a region of 16
+	// leading bases, the read's span and k+16 trailing ones. On target the
+	// read carries 4 to 28 edits, so the true distance often sits at k.
+	const mapM, mapK = 250, 16
+	for i := range 400 {
+		read := randSeq(rng, mapM, 4)
+		region := append(append(randSeq(rng, 16, 4), mutate(rng, read, 4+rng.IntN(25), 4)...), randSeq(rng, mapK+16, 4)...)
+		name := "mapper on-target"
+		if i%2 == 1 {
+			region, name = randSeq(rng, 16+mapM+mapK+16, 4), "mapper off-target"
+		}
+		check(name, alphabet.DNA, region, read, mapK)
+	}
+	sweep := func(a *alphabet.Alphabet, m int) {
+		size := a.Size()
+		e := m/20 + 1
+		read := randSeq(rng, m, size)
+		for name, text := range map[string][]byte{
+			"middle":     append(append(randSeq(rng, 16, size), mutate(rng, read, e, size)...), randSeq(rng, e+16, size)...),
+			"left-edge":  append(mutate(rng, read, e, size), randSeq(rng, 20, size)...),
+			"end-pad":    append(randSeq(rng, 16, size), read[:m-min(m, e+1)]...),
+			"unrelated":  randSeq(rng, m+40, size),
+			"one-letter": randSeq(rng, 1, size),
+			"empty":      nil,
+		} {
+			d := semiGlobalDP(text, read)
+			for _, k := range []int{0, d - 1, d, d + 1, m - 1, m, m + 3} {
+				if k >= 0 {
+					check(fmt.Sprintf("%s %s", a.Name(), name), a, text, read, k)
+				}
+			}
+		}
+	}
+	for _, m := range []int{1, 63, 64, 65, 127, 128, 129, 192, 193, 256, 257, 300} {
+		sweep(alphabet.DNA, m)
+	}
+	for _, m := range []int{1, 64, 65, 150} {
+		sweep(alphabet.Protein, m)
+	}
+}
+
+// TestWithinRowsStaySmall pins the lazy row sizing: Within needs two rows
+// of ceil(m/64) words whatever k is, and only Search grows them to k+1
+// levels. A 10 kbp read at the mapper's k for it would otherwise hold
+// about 2.5 MB of rows that a decision never reads.
+func TestWithinRowsStaySmall(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 35))
+	const m, k = 10000, 1004
+	read := randSeq(rng, m, 4)
+	text := append(append(randSeq(rng, 16, 4), mutate(rng, read, m/10, 4)...), randSeq(rng, k+16, 4)...)
+	mw, err := NewMultiWord(alphabet.DNA, read, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := mw.nw
+	if !mw.Within(text) {
+		t.Fatal("Within = false on a read with m/10 edits at k = 1004")
+	}
+	if got := cap(mw.r) + cap(mw.old); got > 2*nw {
+		t.Fatalf("rows after Within hold %d words, want at most 2*nw = %d", got, 2*nw)
+	}
+	if c := mw.Clone(); c.r != nil || c.old != nil {
+		t.Fatal("Clone allocated rows before a scan")
+	}
+	mw.Search(text[:1])
+	if got := cap(mw.r); got < (k+1)*nw {
+		t.Fatalf("row after Search holds %d words, want (k+1)*nw = %d", got, (k+1)*nw)
+	}
 }
 
 func TestSearchReuseAcrossCalls(t *testing.T) {

@@ -6,14 +6,17 @@
 //
 // Implemented filters:
 //
-//   - GenASMDC — the paper's filter: the non-windowed multi-word Bitap
-//     (GenASM-DC) deciding whether the semi-global distance is within the
-//     threshold. It computes no distance: the scan stops at the first
-//     position where R[k]'s MSB is 0, or as soon as no R[k] chain can still
-//     reach the MSB. The decision equals "semi-global distance <= k"
-//     exactly, so it never false-rejects. Against a pair's end-to-end edit
-//     distance (the Evaluate ground truth) it false-accepts rarely: the
-//     free start in the region hides leading deletions (footnote 4).
+//   - GenASMDC — the paper's filter: GenASM-DC's decision whether the
+//     semi-global distance is within the threshold. The accelerator runs
+//     the k+1 Bitap error levels in parallel processing elements; software
+//     would run them one after another, so bitap.MultiWord.Within decides
+//     with Myers' delta-vector scan over the same pattern masks instead:
+//     one row of ceil(m/64) words, one pass over the region, stopping as
+//     soon as the last row's score is within k or can no longer get
+//     there. The decision equals "semi-global distance <= k" exactly, so
+//     it never false-rejects. Against a pair's end-to-end edit distance
+//     (the Evaluate ground truth) it false-accepts rarely: the free start
+//     in the region hides leading deletions (footnote 4).
 //   - Shouji — the state-of-the-art FPGA baseline (Alser et al. 2019):
 //     sliding 4-column windows over a 2E+1-diagonal neighborhood map,
 //     assembling an optimistic match bitvector and counting its ones.
@@ -63,8 +66,7 @@ type GenASMDC struct{}
 func (GenASMDC) Name() string { return "GenASM-DC" }
 
 // Accept implements Filter. It accepts exactly when the semi-global
-// distance (free start/end in the reference region, end-padded so
-// alignments at the region boundary are not overcounted) is at most
+// distance (free start and end in the reference region) is at most
 // maxEdits, matching the hardware's behaviour on candidate regions with
 // slack.
 func (GenASMDC) Accept(ref, read []byte, maxEdits int) (bool, error) {
@@ -72,7 +74,7 @@ func (GenASMDC) Accept(ref, read []byte, maxEdits int) (bool, error) {
 }
 
 // AcceptScratch is Accept reusing caller-held Scratch, the mapping
-// pipeline's path. The multi-word searcher (mask tables, status rows)
+// pipeline's path. The multi-word searcher (mask tables, delta vectors)
 // lives on the scratch and is re-targeted per pair instead of rebuilt —
 // and not even re-targeted when the (read, maxEdits) pair is unchanged
 // since the previous call, the common case of one read filtered against

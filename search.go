@@ -56,14 +56,16 @@ func (e *Engine) Search(ctx context.Context, text, pattern []byte, maxEdits int)
 
 // Filter is the pre-alignment filtering use case (Section 10.3): it reports
 // whether read may be within maxEdits edits of some position in region.
-// GenASM-DC decides the semi-global distance against maxEdits without
-// computing it: the scan stops at the first hit, or as soon as no hit can
-// be reached in the rest of the region. The decision equals "semi-global
-// distance <= maxEdits" exactly, so a false return safely eliminates the
-// pair from further alignment (the filter never false-rejects). A true
-// return does not promise an end-to-end alignment of the region within
-// maxEdits: the free start hides leading deletions (the paper's footnote
-// 4, measured at 0.02% false accepts).
+// It makes GenASM-DC's decision of the semi-global distance against
+// maxEdits in one bit-parallel pass of Myers' delta vectors over the
+// read's Bitap masks, not the k+1 Bitap rows the accelerator computes in
+// parallel. The scan stops once the distance is within maxEdits, or as
+// soon as the rest of the region cannot bring it there. The decision
+// equals "semi-global distance <= maxEdits" exactly, so a false return
+// safely eliminates the pair from further alignment (the filter never
+// false-rejects). A true return does not promise an end-to-end alignment
+// of the region within maxEdits: the free start hides leading deletions
+// (the paper's footnote 4, measured at 0.02% false accepts).
 //
 // The pair is encoded with the engine's alphabet; inputs outside it are
 // reported as an *AlphabetError. Scratch memory is drawn from an
